@@ -53,7 +53,7 @@ from .formulas import (
     parse,
     variables,
 )
-from .intervals import DEFAULT_ENUMERATION_CAP, Interval, make_interval
+from .intervals import DEFAULT_ENUMERATION_CAP, Interval
 from .lattice import join, meet, meet_euclid, projective_identity_holds
 from .oracle import (
     LawReport,
@@ -107,7 +107,6 @@ __all__ = [
     "variables",
     "DEFAULT_ENUMERATION_CAP",
     "Interval",
-    "make_interval",
     "join",
     "meet",
     "meet_euclid",

@@ -2,9 +2,10 @@
 evaluation, and exhaustive law sweeps, with plain or JSON output.
 
 Exit status: 0 on success, 1 on a domain error (reported in the output
-document), 2 on a usage error.  ``DIVLOG_ENUM_CAP`` and
-``DIVLOG_SEARCH_CAP`` override the enumeration and tautology-search
-caps.
+document) or on a ``verify`` sweep that found a counterexample, 2 on a
+usage error.  ``DIVLOG_ENUM_CAP`` and ``DIVLOG_SEARCH_CAP`` override
+the enumeration and tautology-search caps; values below 1 are usage
+errors.
 """
 
 from __future__ import annotations
@@ -35,10 +36,13 @@ def _env_cap(name: str, default: int) -> int:
     if raw is None or raw == "":
         return default
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        print(f"divlog: {name} must be an integer, got {raw!r}", file=sys.stderr)
+        cap = 0
+    if cap < 1:
+        print(f"divlog: {name} must be a positive integer, got {raw!r}", file=sys.stderr)
         raise SystemExit(2)
+    return cap
 
 
 def _binding(text: str) -> tuple[str, int]:
@@ -51,141 +55,162 @@ def _binding(text: str) -> tuple[str, int]:
         raise argparse.ArgumentTypeError(f"value for {name!r} must be an integer")
 
 
-def _bool_text(flag: bool) -> str:
-    return "true" if flag else "false"
+# ---------------------------------------------------------------------------
+# Handlers: each returns (result payload, plain text, report list or None)
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# Handlers: each returns (result payload, report list or None, text renderer)
-# ---------------------------------------------------------------------------
+def _plain(compute):
+    """Handler for a command whose result prints as itself: booleans as
+    true/false, lists one item per line."""
+
+    def handler(args):
+        value = compute(args)
+        if isinstance(value, bool):
+            text = "true" if value else "false"
+        elif isinstance(value, list):
+            text = "\n".join(map(str, value))
+        else:
+            text = str(value)
+        return value, text, None
+
+    return handler
 
 
 def _cmd_factor(args):
     vector = factorize(args.n)
     result = {"n": args.n, "factors": {str(p): e for p, e in vector.items()}}
-
-    def text():
-        if len(vector):
-            body = " * ".join(
-                f"{p}^{e}" if e > 1 else str(p) for p, e in vector.items()
-            )
-        else:
-            body = "1"
-        print(f"{args.n} = {body}")
-
-    return result, None, text
+    body = " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in vector.items())
+    return result, f"{args.n} = {body or 1}", None
 
 
-def _cmd_gcd(args):
-    value = meet(args.a, args.b)
-    return value, None, lambda: print(value)
-
-
-def _cmd_lcm(args):
-    value = join(args.a, args.b)
-    return value, None, lambda: print(value)
-
-
-def _cmd_divides(args):
-    flag = divides(args.a, args.b)
-    return flag, None, lambda: print(_bool_text(flag))
-
-
-def _cmd_interval(args):
+def _interval(args):
     q = Interval(args.bottom, args.top)
     if args.action == "size":
-        value = q.size()
-        return value, None, lambda: print(value)
+        return q.size()
     if args.action == "is-boolean":
-        flag = q.is_boolean()
-        return flag, None, lambda: print(_bool_text(flag))
-    members = q.members(_enum_cap())
-
-    def text():
-        for m in members:
-            print(m)
-
-    return members, None, text
-
-
-def _cmd_neg(args):
-    value = Interval(args.bottom, args.top).neg(args.a)
-    return value, None, lambda: print(value)
-
-
-def _cmd_imp(args):
-    value = Interval(args.bottom, args.top).imp(args.a, args.b)
-    return value, None, lambda: print(value)
-
-
-def _cmd_complement(args):
-    value = Interval(args.bottom, args.top).complement(args.a)
-    return value, None, lambda: print(value)
-
-
-def _cmd_eval(args):
-    q = Interval(args.bottom, args.top)
-    env = dict(args.let or [])
-    value = evaluate(q, parse(args.formula), env)
-    return value, None, lambda: print(value)
+        return q.is_boolean()
+    return q.members(_enum_cap())
 
 
 def _cmd_taut(args):
     q = Interval(args.bottom, args.top)
     found = check_valid(q, parse(args.formula), _search_cap(), _enum_cap())
     if found is None:
-        return {"valid": True}, None, lambda: print("valid")
-    result = {
-        "valid": False,
-        "counterexample": {name: value for name, value in found.assignment},
-        "value": found.value,
-    }
-
-    def text():
-        bindings = " ".join(f"{n}={v}" for n, v in found.assignment)
-        prefix = f"counterexample: {bindings} " if bindings else "counterexample: "
-        print(f"{prefix}(value {found.value})")
-
-    return result, None, text
+        return {"valid": True}, "valid", None
+    result = {"valid": False, "counterexample": dict(found.assignment), "value": found.value}
+    bindings = "".join(f"{n}={v} " for n, v in found.assignment)
+    return result, f"counterexample: {bindings}(value {found.value})", None
 
 
-def _report_text(reports):
-    def text():
-        for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            print(
-                f"{r.law_name}: cases={r.cases_checked} "
-                f"counterexamples={len(r.counterexamples)} "
-                f"skipped={len(r.skipped)} {status}"
-            )
+def _sweep(run):
+    """Handler for a ``verify`` sweep; ``run(args)`` returns its reports."""
 
-    return text
+    def handler(args):
+        reports = run(args)
+        text = "\n".join(
+            f"{r.law_name}: cases={r.cases_checked} "
+            f"counterexamples={len(r.counterexamples)} "
+            f"skipped={len(r.skipped)} {'PASS' if r.passed else 'FAIL'}"
+            for r in reports
+        )
+        return {"passed": all(r.passed for r in reports)}, text, reports
 
-
-def _cmd_verify_laws(args):
-    reports = verify_lattice_laws(args.max)
-    result = {"passed": all(r.passed for r in reports)}
-    return result, reports, _report_text(reports)
-
-
-def _cmd_verify_heyting(args):
-    reports = verify_heyting(args.top_max, args.size_cap)
-    result = {"passed": all(r.passed for r in reports)}
-    return result, reports, _report_text(reports)
-
-
-def _cmd_verify_projective(args):
-    report = verify_projective(args.max)
-    result = {"passed": report.passed}
-    return result, [report], _report_text([report])
+    return handler
 
 
 # ---------------------------------------------------------------------------
-# Parser assembly
+# Command table: (name, help, arguments, handler or (dest, sub-table))
 # ---------------------------------------------------------------------------
 
+_INT = {"type": int}
+_A = ("a", _INT)
+_B = ("b", _INT)
+_INTERVAL = [
+    ("--bottom", {"type": int, "required": True, "help": "interval bottom"}),
+    ("--top", {"type": int, "required": True, "help": "interval top"}),
+]
+_MAX = ("--max", {"type": int, "default": 100})
 
-def _add_json_flag(parser):
+_SWEEPS = [
+    ("laws", "lattice laws on [1, MAX]", [_MAX], _sweep(lambda a: verify_lattice_laws(a.max))),
+    (
+        "heyting",
+        "interval operations against the oracle",
+        [
+            ("--top-max", {"type": int, "default": 60}),
+            ("--size-cap", {"type": int, "default": 512}),
+        ],
+        _sweep(lambda a: verify_heyting(a.top_max, a.size_cap)),
+    ),
+    (
+        "projective",
+        "meet/join projective identity on [1, MAX]",
+        [_MAX],
+        _sweep(lambda a: [verify_projective(a.max)]),
+    ),
+]
+
+_COMMANDS = [
+    ("factor", "prime factorization of N", [("n", _INT)], _cmd_factor),
+    ("gcd", "greatest common divisor (lattice meet)", [_A, _B], _plain(lambda a: meet(a.a, a.b))),
+    ("lcm", "least common multiple (lattice join)", [_A, _B], _plain(lambda a: join(a.a, a.b))),
+    ("divides", "does A divide B?", [_A, _B], _plain(lambda a: divides(a.a, a.b))),
+    (
+        "interval",
+        "inspect the interval [BOTTOM, TOP]",
+        [*_INTERVAL, ("action", {"choices": ["list", "size", "is-boolean"]})],
+        _plain(_interval),
+    ),
+    (
+        "neg",
+        "pseudocomplement of A in the interval",
+        [*_INTERVAL, _A],
+        _plain(lambda a: Interval(a.bottom, a.top).neg(a.a)),
+    ),
+    (
+        "imp",
+        "relative pseudocomplement A -> B in the interval",
+        [*_INTERVAL, _A, _B],
+        _plain(lambda a: Interval(a.bottom, a.top).imp(a.a, a.b)),
+    ),
+    (
+        "complement",
+        "Boolean complement top*bottom/A (Boolean intervals only)",
+        [*_INTERVAL, _A],
+        _plain(lambda a: Interval(a.bottom, a.top).complement(a.a)),
+    ),
+    (
+        "eval",
+        "evaluate a formula in the interval",
+        [
+            *_INTERVAL,
+            ("formula", {}),
+            (
+                "--let",
+                {"action": "append", "type": _binding, "metavar": "VAR=VALUE",
+                 "help": "bind a variable (repeatable)"},
+            ),
+        ],
+        _plain(
+            lambda a: evaluate(Interval(a.bottom, a.top), parse(a.formula), dict(a.let or []))
+        ),
+    ),
+    (
+        "taut",
+        "exhaustive validity check in the interval",
+        [*_INTERVAL, ("formula", {})],
+        _cmd_taut,
+    ),
+    ("verify", "run exhaustive law sweeps", [], ("sweep", _SWEEPS)),
+]
+
+
+def _populate(parser, arguments, target):
+    """Give ``parser`` its arguments and --json, then either a handler or,
+    for a ``(dest, table)`` target, one subcommand per table row."""
+    for name, options in arguments:
+        parser.add_argument(name, **options)
     # SUPPRESS keeps a subparser from clobbering a --json given earlier
     parser.add_argument(
         "--json",
@@ -193,11 +218,13 @@ def _add_json_flag(parser):
         default=argparse.SUPPRESS,
         help="emit a structured JSON document instead of plain text",
     )
-
-
-def _add_interval_flags(parser):
-    parser.add_argument("--bottom", type=int, required=True, help="interval bottom")
-    parser.add_argument("--top", type=int, required=True, help="interval top")
+    if callable(target):
+        parser.set_defaults(handler=target)
+        return
+    dest, table = target
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=dest.upper())
+    for name, help_text, sub_arguments, sub_target in table:
+        _populate(sub.add_parser(name, help=help_text), sub_arguments, sub_target)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,98 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Divisibility-lattice logic: gcd/lcm arithmetic, interval "
         "Heyting algebras, formula evaluation, and exhaustive law sweeps.",
     )
-    _add_json_flag(parser)
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("factor", help="prime factorization of N")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_factor)
-    _add_json_flag(p)
-
-    p = sub.add_parser("gcd", help="greatest common divisor (lattice meet)")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.set_defaults(handler=_cmd_gcd)
-    _add_json_flag(p)
-
-    p = sub.add_parser("lcm", help="least common multiple (lattice join)")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.set_defaults(handler=_cmd_lcm)
-    _add_json_flag(p)
-
-    p = sub.add_parser("divides", help="does A divide B?")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.set_defaults(handler=_cmd_divides)
-    _add_json_flag(p)
-
-    p = sub.add_parser("interval", help="inspect the interval [BOTTOM, TOP]")
-    _add_interval_flags(p)
-    p.add_argument("action", choices=["list", "size", "is-boolean"])
-    p.set_defaults(handler=_cmd_interval)
-    _add_json_flag(p)
-
-    p = sub.add_parser("neg", help="pseudocomplement of A in the interval")
-    _add_interval_flags(p)
-    p.add_argument("a", type=int)
-    p.set_defaults(handler=_cmd_neg)
-    _add_json_flag(p)
-
-    p = sub.add_parser("imp", help="relative pseudocomplement A -> B in the interval")
-    _add_interval_flags(p)
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.set_defaults(handler=_cmd_imp)
-    _add_json_flag(p)
-
-    p = sub.add_parser(
-        "complement", help="Boolean complement top*bottom/A (Boolean intervals only)"
-    )
-    _add_interval_flags(p)
-    p.add_argument("a", type=int)
-    p.set_defaults(handler=_cmd_complement)
-    _add_json_flag(p)
-
-    p = sub.add_parser("eval", help="evaluate a formula in the interval")
-    _add_interval_flags(p)
-    p.add_argument("formula")
-    p.add_argument(
-        "--let",
-        action="append",
-        type=_binding,
-        metavar="VAR=VALUE",
-        help="bind a variable (repeatable)",
-    )
-    p.set_defaults(handler=_cmd_eval)
-    _add_json_flag(p)
-
-    p = sub.add_parser("taut", help="exhaustive validity check in the interval")
-    _add_interval_flags(p)
-    p.add_argument("formula")
-    p.set_defaults(handler=_cmd_taut)
-    _add_json_flag(p)
-
-    p = sub.add_parser("verify", help="run exhaustive law sweeps")
-    _add_json_flag(p)
-    vsub = p.add_subparsers(dest="sweep", required=True, metavar="SWEEP")
-
-    v = vsub.add_parser("laws", help="lattice laws on [1, MAX]")
-    v.add_argument("--max", type=int, default=100)
-    v.set_defaults(handler=_cmd_verify_laws)
-    _add_json_flag(v)
-
-    v = vsub.add_parser("heyting", help="interval operations against the oracle")
-    v.add_argument("--top-max", type=int, default=60)
-    v.add_argument("--size-cap", type=int, default=512)
-    v.set_defaults(handler=_cmd_verify_heyting)
-    _add_json_flag(v)
-
-    v = vsub.add_parser("projective", help="meet/join projective identity on [1, MAX]")
-    v.add_argument("--max", type=int, default=100)
-    v.set_defaults(handler=_cmd_verify_projective)
-    _add_json_flag(v)
-
+    _populate(parser, [], ("command", _COMMANDS))
     return parser
 
 
@@ -308,7 +244,7 @@ def main(argv=None) -> int:
     as_json = getattr(args, "json", False)
 
     try:
-        result, reports, text = args.handler(args)
+        result, text, reports = args.handler(args)
     except DivlogError as err:
         error = {"name": err.name, "message": str(err)}
         if isinstance(err, FormulaSyntaxError):
@@ -326,8 +262,9 @@ def main(argv=None) -> int:
             document["report"] = [r.to_dict() for r in reports]
         print(json.dumps(document, indent=2))
     else:
-        text()
-    return 0
+        print(text)
+    # a sweep that found counterexamples is a failure, in either format
+    return 0 if reports is None or all(r.passed for r in reports) else 1
 
 
 if __name__ == "__main__":

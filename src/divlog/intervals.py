@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EnumerationLimit, InvalidInterval, NotBoolean, NotMember
-from .factorization import ExponentVector, as_natural, factorize
+from .factorization import as_natural, factorize
 
 # Interval cardinality is multiplicative in the exponent gaps and can
 # explode; enumeration refuses beyond this many elements by default.
@@ -90,12 +90,13 @@ class Interval:
         a = self._require_member(a)
         a_vec = factorize(a)
         result = 1
-        for prime in self._support_union(a_vec):
+        # members and the bottom divide the top: its support covers them
+        for prime, top_e in self._top_vec.items():
             bottom_e = self._bottom_vec[prime]
             if a_vec[prime] > bottom_e:
                 e = bottom_e
             else:
-                e = self._top_vec[prime]
+                e = top_e
             result *= prime**e
         return result
 
@@ -113,11 +114,11 @@ class Interval:
         a_vec = factorize(a)
         b_vec = factorize(b)
         result = 1
-        for prime in self._support_union(a_vec, b_vec):
+        for prime, top_e in self._top_vec.items():
             if a_vec[prime] > b_vec[prime]:
                 e = b_vec[prime]
             else:
-                e = self._top_vec[prime]
+                e = top_e
             result *= prime**e
         return result
 
@@ -156,18 +157,5 @@ class Interval:
             raise NotMember(f"{a} is not in the interval [{self.bottom}, {self.top}]")
         return a
 
-    def _support_union(self, *vectors: ExponentVector) -> list[int]:
-        # Members divide the top, so the top's support already covers
-        # every operand; folding the others in keeps that explicit.
-        primes = set(self._top_vec.support()) | set(self._bottom_vec.support())
-        for vector in vectors:
-            primes.update(vector.support())
-        return sorted(primes)
-
     def __str__(self) -> str:
         return f"[{self.bottom}, {self.top}]"
-
-
-def make_interval(bottom, top) -> Interval:
-    """Constructor alias; InvalidInterval unless bottom divides top."""
-    return Interval(bottom, top)

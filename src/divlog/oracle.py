@@ -8,8 +8,13 @@ join over every qualifying member and then asserting the fold result
 qualifies itself, which simultaneously produces the maximum and proves
 the candidate set has one.
 
-The ``verify_*`` functions run whole-range sweeps and return
-LawReport records suitable for structured output.
+The ``verify_*`` functions run whole-range sweeps through one law
+runner, ``_run_laws``.  A law is a name, its parameter entries and a
+check over one slice of the domain: one value ``a`` for the lattice
+laws, one ``x`` for the projective identity, one interval within the
+size cap for the Heyting laws.  The runner hands every slice to every
+check, sums the case counts, keeps the counterexamples in sweep order
+and returns one LawReport per law, ready for structured output.
 """
 
 from __future__ import annotations
@@ -88,12 +93,44 @@ def oracle_imp(q: Interval, a, b, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Global lattice-law sweeps
+# The law runner
 # ---------------------------------------------------------------------------
+
+
+def _run_laws(slices, parameters, laws, skipped=()) -> list[LawReport]:
+    """One LawReport per ``(name, parameter entries, check)`` in ``laws``.
+
+    Every check sees every slice of the domain as ``check(*slice,
+    found)``: it appends the slice's counterexamples to ``found``, in
+    order, and returns how many cases the slice holds for its law.
+    ``skipped`` is read after the walk, so the slices may fill it.
+    """
+    cases = [0] * len(laws)
+    found = [[] for _ in laws]
+    for s in slices:
+        for i, (_, _, check) in enumerate(laws):
+            cases[i] += check(*s, found[i])
+    skipped = tuple(skipped)
+    return [
+        LawReport(
+            law_name=name,
+            parameters={**parameters, **entries},
+            cases_checked=count,
+            counterexamples=tuple(bad),
+            skipped=skipped,
+        )
+        for (name, entries, _), count, bad in zip(laws, cases, found)
+    ]
 
 
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+# ---------------------------------------------------------------------------
+# Global lattice-law sweeps: one slice per value ``a`` (``x`` for the
+# projective identity), the other variables range over ``values``
+# ---------------------------------------------------------------------------
 
 
 def verify_lattice_laws(max_value) -> list[LawReport]:
@@ -105,136 +142,106 @@ def verify_lattice_laws(max_value) -> list[LawReport]:
     domain is twice the triple count.
     """
     n = as_natural(max_value)
-    return [
-        _idempotency_report(n),
-        _commutativity_report(n),
-        _associativity_report(n),
-        _distributivity_report(n),
-    ]
-
-
-def _idempotency_report(n: int) -> LawReport:
-    counterexamples = []
-    for a in range(1, n + 1):
-        if meet(a, a) != a:
-            counterexamples.append({"a": a, "identity": "meet", "lhs": meet(a, a), "rhs": a})
-        if join(a, a) != a:
-            counterexamples.append({"a": a, "identity": "join", "lhs": join(a, a), "rhs": a})
-    return LawReport(
-        law_name="idempotency",
-        parameters={"max": n, "domain": f"[1,{n}]"},
-        cases_checked=n,
-        counterexamples=tuple(counterexamples),
-    )
-
-
-def _commutativity_report(n: int) -> LawReport:
-    counterexamples = []
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            if meet(a, b) != meet(b, a):
-                counterexamples.append(
-                    {"a": a, "b": b, "identity": "meet", "lhs": meet(a, b), "rhs": meet(b, a)}
-                )
-            if join(a, b) != join(b, a):
-                counterexamples.append(
-                    {"a": a, "b": b, "identity": "join", "lhs": join(a, b), "rhs": join(b, a)}
-                )
-    return LawReport(
-        law_name="commutativity",
-        parameters={"max": n, "domain": f"[1,{n}]^2"},
-        cases_checked=n * n,
-        counterexamples=tuple(counterexamples),
-    )
-
-
-def _associativity_report(n: int) -> LawReport:
-    counterexamples = []
     values = range(1, n + 1)
-    for a in values:
-        for b in values:
-            m_ab = meet(a, b)
-            j_ab = join(a, b)
-            for c in values:
-                lhs = meet(m_ab, c)
-                rhs = meet(a, meet(b, c))
-                if lhs != rhs:
-                    counterexamples.append(
-                        {"a": a, "b": b, "c": c, "identity": "meet", "lhs": lhs, "rhs": rhs}
-                    )
-                lhs = join(j_ab, c)
-                rhs = join(a, join(b, c))
-                if lhs != rhs:
-                    counterexamples.append(
-                        {"a": a, "b": b, "c": c, "identity": "join", "lhs": lhs, "rhs": rhs}
-                    )
-    return LawReport(
-        law_name="associativity",
-        parameters={"max": n, "domain": f"[1,{n}]^3"},
-        cases_checked=n**3,
-        counterexamples=tuple(counterexamples),
+    return _run_laws(
+        [(a, values) for a in values],
+        {"max": n},
+        [
+            ("idempotency", {"domain": f"[1,{n}]"}, _idempotency),
+            ("commutativity", {"domain": f"[1,{n}]^2"}, _commutativity),
+            ("associativity", {"domain": f"[1,{n}]^3"}, _associativity),
+            (
+                "mutual_distributivity",
+                {"domain": f"2 x [1,{n}]^3", "forms": ["meet_over_join", "join_over_meet"]},
+                _distributivity,
+            ),
+        ],
     )
 
 
-def _distributivity_report(n: int) -> LawReport:
-    # Both dual forms are part of the declared domain, hence 2 * n**3.
-    counterexamples = []
-    values = range(1, n + 1)
-    for a in values:
-        for b in values:
-            m_ab = meet(a, b)
-            j_ab = join(a, b)
-            for c in values:
-                lhs = meet(a, join(b, c))
-                rhs = join(m_ab, meet(a, c))
-                if lhs != rhs:
-                    counterexamples.append(
-                        {"a": a, "b": b, "c": c, "form": "meet_over_join", "lhs": lhs, "rhs": rhs}
-                    )
-                lhs = join(a, meet(b, c))
-                rhs = meet(j_ab, join(a, c))
-                if lhs != rhs:
-                    counterexamples.append(
-                        {"a": a, "b": b, "c": c, "form": "join_over_meet", "lhs": lhs, "rhs": rhs}
-                    )
-    return LawReport(
-        law_name="mutual_distributivity",
-        parameters={
-            "max": n,
-            "domain": f"2 x [1,{n}]^3",
-            "forms": ["meet_over_join", "join_over_meet"],
-        },
-        cases_checked=2 * n**3,
-        counterexamples=tuple(counterexamples),
-    )
+def _idempotency(a, values, found) -> int:
+    if meet(a, a) != a:
+        found.append({"a": a, "identity": "meet", "lhs": meet(a, a), "rhs": a})
+    if join(a, a) != a:
+        found.append({"a": a, "identity": "join", "lhs": join(a, a), "rhs": a})
+    return 1
+
+
+def _commutativity(a, values, found) -> int:
+    for b in values:
+        lhs, rhs = meet(a, b), meet(b, a)
+        if lhs != rhs:
+            found.append({"a": a, "b": b, "identity": "meet", "lhs": lhs, "rhs": rhs})
+        lhs, rhs = join(a, b), join(b, a)
+        if lhs != rhs:
+            found.append({"a": a, "b": b, "identity": "join", "lhs": lhs, "rhs": rhs})
+    return len(values)
+
+
+def _associativity(a, values, found) -> int:
+    for b in values:
+        m_ab = meet(a, b)
+        j_ab = join(a, b)
+        for c in values:
+            lhs = meet(m_ab, c)
+            rhs = meet(a, meet(b, c))
+            if lhs != rhs:
+                found.append({"a": a, "b": b, "c": c, "identity": "meet", "lhs": lhs, "rhs": rhs})
+            lhs = join(j_ab, c)
+            rhs = join(a, join(b, c))
+            if lhs != rhs:
+                found.append({"a": a, "b": b, "c": c, "identity": "join", "lhs": lhs, "rhs": rhs})
+    return len(values) ** 2
+
+
+def _distributivity(a, values, found) -> int:
+    # Both dual forms are part of the declared domain, hence 2 cases per (b, c).
+    for b in values:
+        m_ab = meet(a, b)
+        j_ab = join(a, b)
+        for c in values:
+            lhs = meet(a, join(b, c))
+            rhs = join(m_ab, meet(a, c))
+            if lhs != rhs:
+                found.append(
+                    {"a": a, "b": b, "c": c, "form": "meet_over_join", "lhs": lhs, "rhs": rhs}
+                )
+            lhs = join(a, meet(b, c))
+            rhs = meet(j_ab, join(a, c))
+            if lhs != rhs:
+                found.append(
+                    {"a": a, "b": b, "c": c, "form": "join_over_meet", "lhs": lhs, "rhs": rhs}
+                )
+    return 2 * len(values) ** 2
 
 
 def verify_projective(max_value) -> LawReport:
     """Check meet(x, join(z, y)) == join(meet(x, z), y) for every triple
     in [1, max_value]^3 with y dividing x."""
     n = as_natural(max_value)
-    cases = 0
-    counterexamples = []
-    for x in range(1, n + 1):
-        for y in _divisors(x):
-            for z in range(1, n + 1):
-                cases += 1
-                lhs = meet(x, join(z, y))
-                rhs = join(meet(x, z), y)
-                if lhs != rhs:
-                    counterexamples.append(
-                        {"x": x, "y": y, "z": z, "lhs": lhs, "rhs": rhs}
-                    )
-    return LawReport(
-        law_name="projective_identity",
-        parameters={"max": n, "domain": f"triples in [1,{n}]^3 with y | x"},
-        cases_checked=cases,
-        counterexamples=tuple(counterexamples),
-    )
+    values = range(1, n + 1)
+    domain = {"domain": f"triples in [1,{n}]^3 with y | x"}
+    return _run_laws(
+        [(x, values) for x in values],
+        {"max": n},
+        [("projective_identity", domain, _projective)],
+    )[0]
+
+
+def _projective(x, values, found) -> int:
+    ys = _divisors(x)
+    for y in ys:
+        for z in values:
+            lhs = meet(x, join(z, y))
+            rhs = join(meet(x, z), y)
+            if lhs != rhs:
+                found.append({"x": x, "y": y, "z": z, "lhs": lhs, "rhs": rhs})
+    return len(ys) * len(values)
 
 
 # ---------------------------------------------------------------------------
-# Interval sweeps: closed-form operations against the oracle
+# Interval sweeps: closed-form operations against the oracle, one slice
+# per interval that fits the size cap
 # ---------------------------------------------------------------------------
 
 
@@ -256,19 +263,37 @@ def verify_heyting(top_max, size_cap: int = 512) -> list[LawReport]:
     """
     n = as_natural(top_max)
     size_cap = as_natural(size_cap)
-
     skipped = []
-    neg_cases = 0
-    neg_bad = []
-    imp_cases = 0
-    imp_bad = []
-    res_cases = 0
-    res_bad = []
-    bool_cases = 0
-    bool_bad = []
-    indep_cases = 0
-    indep_bad = []
+    return _run_laws(
+        _intervals(n, size_cap, skipped),
+        {"top_max": n, "size_cap": size_cap},
+        [
+            ("neg_formula_vs_oracle", {"domain": "(interval, member) pairs"}, _neg_vs_oracle),
+            (
+                "imp_formula_vs_oracle",
+                {"domain": "(interval, member, member) triples"},
+                _imp_vs_oracle,
+            ),
+            (
+                "residuation_adjunction",
+                {"domain": "(interval, a, b, c) member triples"},
+                _residuation,
+            ),
+            ("boolean_equivalences", {"domain": "intervals"}, _boolean_equivalences),
+            (
+                "imp_bottom_independence",
+                {"domain": "(interval, proper coarser bottom, member pair) tuples"},
+                _imp_bottom_independence,
+            ),
+        ],
+        skipped,
+    )
 
+
+def _intervals(n: int, size_cap: int, skipped: list):
+    """Yield ``(q, members, imp table, Interval(1, top))`` for every
+    interval with top <= n and at most ``size_cap`` members; append the
+    larger ones to ``skipped``."""
     for top in range(1, n + 1):
         relaxed = Interval(1, top)
         for bottom in _divisors(top):
@@ -278,114 +303,78 @@ def verify_heyting(top_max, size_cap: int = 512) -> list[LawReport]:
                 skipped.append({"bottom": bottom, "top": top, "size": size})
                 continue
             ms = q.members()
+            yield q, ms, {(a, b): q.imp(a, b) for a in ms for b in ms}, relaxed
 
-            for a in ms:
-                neg_cases += 1
-                formula = q.neg(a)
-                scanned = oracle_neg(q, a)
-                if formula != scanned:
-                    neg_bad.append(
-                        {"bottom": bottom, "top": top, "a": a,
-                         "formula": formula, "oracle": scanned}
-                    )
 
-            imp_table = {}
-            for a in ms:
-                for b in ms:
-                    imp_cases += 1
-                    formula = q.imp(a, b)
-                    imp_table[a, b] = formula
-                    scanned = oracle_imp(q, a, b)
-                    if formula != scanned:
-                        imp_bad.append(
-                            {"bottom": bottom, "top": top, "a": a, "b": b,
-                             "formula": formula, "oracle": scanned}
-                        )
-
-            for a in ms:
-                for b in ms:
-                    m_ab = meet(a, b)
-                    for c in ms:
-                        res_cases += 1
-                        if (c % m_ab == 0) != (imp_table[b, c] % a == 0):
-                            res_bad.append(
-                                {"bottom": bottom, "top": top, "a": a, "b": b, "c": c,
-                                 "meet_ab": m_ab, "imp_bc": imp_table[b, c]}
-                            )
-
-            bool_cases += 1
-            by_gaps = q.is_boolean()
-            by_excluded_middle = all(join(a, q.neg(a)) == top for a in ms)
-            product = top * bottom
-            by_formula = all(
-                product % a == 0 and q.neg(a) == product // a for a in ms
+def _neg_vs_oracle(q, ms, imp, relaxed, found) -> int:
+    for a in ms:
+        formula = q.neg(a)
+        scanned = oracle_neg(q, a)
+        if formula != scanned:
+            found.append(
+                {"bottom": q.bottom, "top": q.top, "a": a, "formula": formula, "oracle": scanned}
             )
-            ok = by_gaps == by_excluded_middle == by_formula
-            if ok and by_gaps:
-                # the dedicated complement operation must agree with neg
-                ok = all(q.complement(a) == q.neg(a) for a in ms)
-            if not ok:
-                bool_bad.append(
-                    {"bottom": bottom, "top": top, "exponent_gaps": by_gaps,
-                     "excluded_middle": by_excluded_middle, "complement_formula": by_formula}
+    return len(ms)
+
+
+def _imp_vs_oracle(q, ms, imp, relaxed, found) -> int:
+    for a in ms:
+        for b in ms:
+            scanned = oracle_imp(q, a, b)
+            if imp[a, b] != scanned:
+                found.append(
+                    {"bottom": q.bottom, "top": q.top, "a": a, "b": b,
+                     "formula": imp[a, b], "oracle": scanned}
                 )
+    return len(ms) ** 2
 
-            for coarser_bottom in _divisors(bottom)[:-1]:  # proper divisors
-                coarse = relaxed if coarser_bottom == 1 else Interval(coarser_bottom, top)
-                for a in ms:
-                    for b in ms:
-                        indep_cases += 1
-                        expected = imp_table[a, b]
-                        recomputed = coarse.imp(a, b)
-                        ok = recomputed == expected
-                        if ok and coarser_bottom == 1:
-                            ok = oracle_imp(coarse, a, b) == expected
-                        if not ok:
-                            indep_bad.append(
-                                {"bottom": bottom, "top": top,
-                                 "coarser_bottom": coarser_bottom, "a": a, "b": b,
-                                 "expected": expected, "recomputed": recomputed}
-                            )
 
-    skipped = tuple(skipped)
-    params = {"top_max": n, "size_cap": size_cap}
-    return [
-        LawReport(
-            law_name="neg_formula_vs_oracle",
-            parameters={**params, "domain": "(interval, member) pairs"},
-            cases_checked=neg_cases,
-            counterexamples=tuple(neg_bad),
-            skipped=skipped,
-        ),
-        LawReport(
-            law_name="imp_formula_vs_oracle",
-            parameters={**params, "domain": "(interval, member, member) triples"},
-            cases_checked=imp_cases,
-            counterexamples=tuple(imp_bad),
-            skipped=skipped,
-        ),
-        LawReport(
-            law_name="residuation_adjunction",
-            parameters={**params, "domain": "(interval, a, b, c) member triples"},
-            cases_checked=res_cases,
-            counterexamples=tuple(res_bad),
-            skipped=skipped,
-        ),
-        LawReport(
-            law_name="boolean_equivalences",
-            parameters={**params, "domain": "intervals"},
-            cases_checked=bool_cases,
-            counterexamples=tuple(bool_bad),
-            skipped=skipped,
-        ),
-        LawReport(
-            law_name="imp_bottom_independence",
-            parameters={
-                **params,
-                "domain": "(interval, proper coarser bottom, member pair) tuples",
-            },
-            cases_checked=indep_cases,
-            counterexamples=tuple(indep_bad),
-            skipped=skipped,
-        ),
-    ]
+def _residuation(q, ms, imp, relaxed, found) -> int:
+    for a in ms:
+        for b in ms:
+            m_ab = meet(a, b)
+            for c in ms:
+                if (c % m_ab == 0) != (imp[b, c] % a == 0):
+                    found.append(
+                        {"bottom": q.bottom, "top": q.top, "a": a, "b": b, "c": c,
+                         "meet_ab": m_ab, "imp_bc": imp[b, c]}
+                    )
+    return len(ms) ** 3
+
+
+def _boolean_equivalences(q, ms, imp, relaxed, found) -> int:
+    bottom, top = q.bottom, q.top
+    by_gaps = q.is_boolean()
+    by_excluded_middle = all(join(a, q.neg(a)) == top for a in ms)
+    product = top * bottom
+    by_formula = all(product % a == 0 and q.neg(a) == product // a for a in ms)
+    ok = by_gaps == by_excluded_middle == by_formula
+    if ok and by_gaps:
+        # the dedicated complement operation must agree with neg
+        ok = all(q.complement(a) == q.neg(a) for a in ms)
+    if not ok:
+        found.append(
+            {"bottom": bottom, "top": top, "exponent_gaps": by_gaps,
+             "excluded_middle": by_excluded_middle, "complement_formula": by_formula}
+        )
+    return 1
+
+
+def _imp_bottom_independence(q, ms, imp, relaxed, found) -> int:
+    coarser_bottoms = _divisors(q.bottom)[:-1]  # proper divisors
+    for coarser_bottom in coarser_bottoms:
+        coarse = relaxed if coarser_bottom == 1 else Interval(coarser_bottom, q.top)
+        for a in ms:
+            for b in ms:
+                expected = imp[a, b]
+                recomputed = coarse.imp(a, b)
+                ok = recomputed == expected
+                if ok and coarser_bottom == 1:
+                    ok = oracle_imp(coarse, a, b) == expected
+                if not ok:
+                    found.append(
+                        {"bottom": q.bottom, "top": q.top,
+                         "coarser_bottom": coarser_bottom, "a": a, "b": b,
+                         "expected": expected, "recomputed": recomputed}
+                    )
+    return len(coarser_bottoms) * len(ms) ** 2

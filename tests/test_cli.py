@@ -6,7 +6,16 @@ import sys
 
 import pytest
 
+from divlog import Interval
 from divlog.cli import main
+
+HEYTING_REPORT_NAMES = [
+    "neg_formula_vs_oracle",
+    "imp_formula_vs_oracle",
+    "residuation_adjunction",
+    "boolean_equivalences",
+    "imp_bottom_independence",
+]
 
 
 def run_cli(capsys, *argv):
@@ -138,13 +147,7 @@ def test_verify_heyting_json_reports(capsys):
     )
     doc = json.loads(out)
     assert code == 0
-    assert [r["law_name"] for r in doc["report"]] == [
-        "neg_formula_vs_oracle",
-        "imp_formula_vs_oracle",
-        "residuation_adjunction",
-        "boolean_equivalences",
-        "imp_bottom_independence",
-    ]
+    assert [r["law_name"] for r in doc["report"]] == HEYTING_REPORT_NAMES
 
 
 # -- output document contract -------------------------------------------------
@@ -231,6 +234,34 @@ def test_garbage_env_cap_is_a_usage_error(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["interval", "--bottom", "1", "--top", "30", "list"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name", ["DIVLOG_ENUM_CAP", "DIVLOG_SEARCH_CAP"])
+@pytest.mark.parametrize("raw", ["0", "-5"])
+def test_non_positive_env_cap_is_a_usage_error(monkeypatch, capsys, name, raw):
+    monkeypatch.setenv(name, raw)
+    with pytest.raises(SystemExit) as exc:
+        main(["taut", "--bottom", "1", "--top", "4", "p | ~p"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{name} must be a positive integer, got {raw!r}" in captured.err
+
+
+def test_failed_sweep_exits_one_with_the_usual_output(monkeypatch, capsys):
+    monkeypatch.setattr(Interval, "neg", lambda self, a: self.top)
+    code, out, _ = run_cli(capsys, "verify", "heyting", "--top-max", "6")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == HEYTING_REPORT_NAMES
+    failed = [line.split(":")[0] for line in lines if line.endswith(" FAIL")]
+    assert failed == ["neg_formula_vs_oracle", "boolean_equivalences"]
+
+    code, out, _ = run_cli(capsys, "--json", "verify", "heyting", "--top-max", "6")
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["result"] == {"passed": False}
+    assert [r["law_name"] for r in doc["report"] if r["counterexamples"]] == failed
 
 
 def test_module_entry_point_runs():

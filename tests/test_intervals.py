@@ -17,7 +17,6 @@ from divlog import (
     NotNatural,
     divides,
     join,
-    make_interval,
     meet,
 )
 
@@ -49,8 +48,8 @@ def interval_with_pair(draw, top_max=360):
 # -- construction -----------------------------------------------------------
 
 
-def test_make_interval_accepts_dividing_bounds():
-    q = make_interval(2, 24)
+def test_interval_accepts_dividing_bounds():
+    q = Interval(2, 24)
     assert (q.bottom, q.top) == (2, 24)
     assert str(q) == "[2, 24]"
 
@@ -65,7 +64,7 @@ def test_degenerate_interval_is_legal():
 
 def test_non_dividing_bounds_are_rejected():
     with pytest.raises(InvalidInterval):
-        make_interval(4, 6)
+        Interval(4, 6)
 
 
 def test_bounds_must_be_natural():

@@ -131,3 +131,91 @@ def test_sweep_flags_a_corrupted_implication(monkeypatch):
     monkeypatch.setattr(Interval, "imp", lambda self, a, b: self.top)
     reports = {r.law_name: r for r in verify_heyting(6)}
     assert not reports["imp_formula_vs_oracle"].passed
+
+
+# -- pinned report documents --------------------------------------------------
+
+SKIPPED_16_4 = [{"bottom": 1, "top": 12, "size": 6}, {"bottom": 1, "top": 16, "size": 5}]
+
+
+def _doc(law_name, parameters, cases_checked, skipped=()):
+    return {
+        "law_name": law_name,
+        "parameters": parameters,
+        "cases_checked": cases_checked,
+        "skipped": list(skipped),
+        "counterexamples": [],
+    }
+
+
+def test_lattice_law_documents_are_pinned():
+    assert [r.to_dict() for r in verify_lattice_laws(12)] == [
+        _doc("idempotency", {"max": 12, "domain": "[1,12]"}, 12),
+        _doc("commutativity", {"max": 12, "domain": "[1,12]^2"}, 144),
+        _doc("associativity", {"max": 12, "domain": "[1,12]^3"}, 1728),
+        _doc(
+            "mutual_distributivity",
+            {
+                "max": 12,
+                "domain": "2 x [1,12]^3",
+                "forms": ["meet_over_join", "join_over_meet"],
+            },
+            3456,
+        ),
+    ]
+
+
+def test_projective_document_is_pinned():
+    assert verify_projective(10).to_dict() == _doc(
+        "projective_identity",
+        {"max": 10, "domain": "triples in [1,10]^3 with y | x"},
+        270,
+    )
+
+
+def test_heyting_documents_are_pinned():
+    params = {"top_max": 16, "size_cap": 4}
+    expected = [
+        ("neg_formula_vs_oracle", "(interval, member) pairs", 99),
+        ("imp_formula_vs_oracle", "(interval, member, member) triples", 253),
+        ("residuation_adjunction", "(interval, a, b, c) member triples", 759),
+        ("boolean_equivalences", "intervals", 48),
+        (
+            "imp_bottom_independence",
+            "(interval, proper coarser bottom, member pair) tuples",
+            182,
+        ),
+    ]
+    assert [r.to_dict() for r in verify_heyting(16, size_cap=4)] == [
+        _doc(name, {**params, "domain": domain}, cases, SKIPPED_16_4)
+        for name, domain, cases in expected
+    ]
+
+
+def test_sweeps_flag_a_corrupted_join(monkeypatch):
+    # join(a, b) = a * b keeps commutativity and associativity but
+    # breaks idempotency, meet-over-join distributivity and projectivity
+    monkeypatch.setattr("divlog.oracle.join", lambda a, b: a * b)
+    reports = {r.law_name: r for r in verify_lattice_laws(6)}
+    assert reports["commutativity"].passed
+    assert reports["associativity"].passed
+    assert reports["idempotency"].counterexamples == tuple(
+        {"a": a, "identity": "join", "lhs": a * a, "rhs": a} for a in range(2, 7)
+    )
+    distributivity = reports["mutual_distributivity"].counterexamples
+    assert len(distributivity) == 31
+    assert distributivity[0] == {
+        "a": 2, "b": 2, "c": 2, "form": "meet_over_join", "lhs": 2, "rhs": 4
+    }
+    assert {c["form"] for c in distributivity} == {"meet_over_join"}
+    assert all(list(c) == ["a", "b", "c", "form", "lhs", "rhs"] for c in distributivity)
+    keys = [(c["a"], c["b"], c["c"]) for c in distributivity]
+    assert keys == sorted(keys)
+
+    projective = verify_projective(6).counterexamples
+    assert len(projective) == 19
+    assert projective[:2] == (
+        {"x": 2, "y": 2, "z": 2, "lhs": 2, "rhs": 4},
+        {"x": 2, "y": 2, "z": 4, "lhs": 2, "rhs": 4},
+    )
+    assert all(list(c) == ["x", "y", "z", "lhs", "rhs"] for c in projective)
