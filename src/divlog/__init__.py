@@ -25,7 +25,6 @@ from .errors import (
 )
 from .factorization import (
     DEFAULT_FACTOR_LIMIT,
-    ExponentVector,
     as_natural,
     divides,
     factorize,
@@ -80,7 +79,6 @@ __all__ = [
     "SearchLimit",
     "UnboundVariable",
     "DEFAULT_FACTOR_LIMIT",
-    "ExponentVector",
     "as_natural",
     "divides",
     "factorize",

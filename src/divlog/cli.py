@@ -5,7 +5,9 @@ Exit status: 0 on success, 1 on a domain error (reported in the output
 document) or on a ``verify`` sweep that found a counterexample, 2 on a
 usage error.  ``DIVLOG_ENUM_CAP`` and ``DIVLOG_SEARCH_CAP`` override
 the enumeration and tautology-search caps; values below 1 are usage
-errors.
+errors.  Output into a pipe whose reader has gone (``divlog ... | head``)
+exits with status 1 and no traceback: stdout is pointed at the null
+device, as the Python ``signal`` documentation recommends.
 """
 
 from __future__ import annotations
@@ -249,22 +251,25 @@ def main(argv=None) -> int:
         error = {"name": err.name, "message": str(err)}
         if isinstance(err, FormulaSyntaxError):
             error["position"] = err.position
-        document = {"command": argv, "error": error}
-        if as_json:
-            print(json.dumps(document, indent=2))
-        else:
+        if not as_json:
             print(f"error[{error['name']}]: {error['message']}", file=sys.stderr)
-        return 1
-
-    if as_json:
-        document = {"command": argv, "result": result}
-        if reports is not None:
-            document["report"] = [r.to_dict() for r in reports]
-        print(json.dumps(document, indent=2))
+            return 1
+        output, status = {"command": argv, "error": error}, 1
     else:
-        print(text)
-    # a sweep that found counterexamples is a failure, in either format
-    return 0 if reports is None or all(r.passed for r in reports) else 1
+        output = {"command": argv, "result": result} if as_json else text
+        if as_json and reports is not None:
+            output["report"] = [r.to_dict() for r in reports]
+        # a sweep that found counterexamples is a failure, in either format
+        status = 0 if reports is None or all(r.passed for r in reports) else 1
+
+    try:
+        print(json.dumps(output, indent=2) if as_json else output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: keep the interpreter's exit flush from failing too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

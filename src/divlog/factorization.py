@@ -1,10 +1,13 @@
-"""Prime-exponent-vector view of the positive integers.
+"""Naturals, primes and prime factorizations.
 
-A positive integer and its sparse prime -> exponent mapping are two
-pictures of the same thing; ``factorize`` and ``reconstruct`` convert
-between them, and divisibility is exactly the componentwise order on
-exponents.  Everything here is deterministic trial division over a
-cached sieve: desk-scale correctness, no probabilistic shortcuts.
+A positive integer and its prime -> exponent dict are two pictures of
+the same thing; ``factorize`` and ``reconstruct`` convert between them,
+and divisibility is exactly the componentwise order on exponents.  The
+library computes on the integers themselves (gcd and lcm are the
+coordinatewise min and max without ever factorizing); a factorization
+is taken once per interval, to count and list its members.  Everything
+here is deterministic trial division over a cached sieve: desk-scale
+correctness, no probabilistic shortcuts.
 """
 
 from __future__ import annotations
@@ -91,62 +94,9 @@ def is_prime(n) -> bool:
             return n == p
 
 
-class ExponentVector:
-    """Finitely supported prime -> exponent mapping.
-
-    Canonical sparse form: keys are prime, stored exponents are >= 1,
-    and an absent key means exponent 0.  Zero exponents passed to the
-    constructor are dropped; composite or non-positive entries are a
-    programming error and raise ValueError.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Mapping[int, int] | None = None):
-        cleaned: dict[int, int] = {}
-        for prime in sorted(entries or {}):
-            exponent = entries[prime]
-            if isinstance(exponent, bool) or not isinstance(exponent, int):
-                raise ValueError(f"exponent for {prime!r} must be an integer")
-            if exponent < 0:
-                raise ValueError(f"negative exponent {exponent} for {prime!r}")
-            if exponent == 0:
-                continue
-            if not isinstance(prime, int) or prime < 2 or not is_prime(prime):
-                raise ValueError(f"key {prime!r} is not a prime")
-            cleaned[prime] = exponent
-        self._entries = cleaned
-
-    def __getitem__(self, prime: int) -> int:
-        return self._entries.get(prime, 0)
-
-    def support(self) -> tuple[int, ...]:
-        """The primes with nonzero exponent, ascending."""
-        return tuple(self._entries)
-
-    def items(self):
-        return self._entries.items()
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ExponentVector):
-            return self._entries == other._entries
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._entries.items()))
-
-    def __repr__(self) -> str:
-        return f"ExponentVector({self._entries!r})"
-
-
-def factorize(n, *, limit: int = DEFAULT_FACTOR_LIMIT) -> ExponentVector:
-    """Canonical prime factorization of ``n`` as an ExponentVector.
+def factorize(n, *, limit: int = DEFAULT_FACTOR_LIMIT) -> dict[int, int]:
+    """Canonical prime factorization of ``n``: a dict from each prime to
+    its exponent, primes ascending, exponents >= 1, ``{}`` for 1.
 
     Raises FactorizationLimit when ``n`` exceeds ``limit`` (default
     2**63 - 1), the point past which trial division stops being a
@@ -167,18 +117,27 @@ def factorize(n, *, limit: int = DEFAULT_FACTOR_LIMIT) -> ExponentVector:
                 e += 1
             entries[p] = e
     if remaining > 1:
-        entries[remaining] = entries.get(remaining, 0) + 1
-    vector = ExponentVector.__new__(ExponentVector)
-    vector._entries = entries  # already canonical; skip re-validation
-    return vector
+        entries[remaining] = 1  # the one prime above the square root
+    return entries
 
 
-def reconstruct(vector: ExponentVector | Mapping[int, int]) -> int:
-    """Multiply the prime powers back into the integer they encode."""
-    if not isinstance(vector, ExponentVector):
-        vector = ExponentVector(vector)
+def reconstruct(exponents: Mapping[int, int]) -> int:
+    """Multiply the prime powers back into the integer they encode.
+
+    Zero exponents are skipped; a key that is not a prime, or an
+    exponent that is negative or not an integer, is a programming error
+    and raises ValueError.
+    """
     n = 1
-    for prime, exponent in vector.items():
+    for prime, exponent in exponents.items():
+        if isinstance(exponent, bool) or not isinstance(exponent, int):
+            raise ValueError(f"exponent for {prime!r} must be an integer")
+        if exponent < 0:
+            raise ValueError(f"negative exponent {exponent} for {prime!r}")
+        if exponent == 0:
+            continue
+        if not isinstance(prime, int) or prime < 2 or not is_prime(prime):
+            raise ValueError(f"key {prime!r} is not a prime")
         n *= prime**exponent
     return n
 

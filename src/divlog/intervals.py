@@ -3,8 +3,13 @@
 An interval collects every number between a bottom and a top in the
 divisibility order.  It is a finite distributive lattice, so negation
 (pseudocomplement) and implication (relative pseudocomplement) exist
-and come out in closed form: both are computed coordinatewise on prime
-exponents, no search involved.  The brute-force counterpart lives in
+and come out in closed form.  Members stay plain integers and both
+operations are gcd/lcm expressions: ``imp(a, b) = lcm(b, r)``, where
+``r`` is the largest divisor of the top coprime to ``a / gcd(a, b)``,
+and ``neg(a) = imp(a, bottom)``.  No operand is factorized and nothing
+is searched.  The one factorization an interval takes is of
+``top / bottom``, the exponent gaps that give its size, its
+Boolean-ness and its members.  The brute-force counterpart lives in
 ``divlog.oracle``.
 """
 
@@ -42,8 +47,8 @@ class Interval:
             raise InvalidInterval(f"{bottom} does not divide {top}")
         object.__setattr__(self, "bottom", bottom)
         object.__setattr__(self, "top", top)
-        object.__setattr__(self, "_bottom_vec", factorize(bottom))
-        object.__setattr__(self, "_top_vec", factorize(top))
+        # prime -> exponent gap between top and bottom, the one factorization
+        object.__setattr__(self, "_gaps", factorize(top // bottom))
 
     # -- membership and enumeration ------------------------------------
 
@@ -55,10 +60,7 @@ class Interval:
     def size(self) -> int:
         """Element count, without enumerating: the product over primes
         of (top exponent - bottom exponent + 1)."""
-        count = 1
-        for prime, top_e in self._top_vec.items():
-            count *= top_e - self._bottom_vec[prime] + 1
-        return count
+        return math.prod(gap + 1 for gap in self._gaps.values())
 
     def members(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:
         """Every member in ascending numeric order.
@@ -71,11 +73,8 @@ class Interval:
             raise EnumerationLimit(
                 f"interval [{self.bottom}, {self.top}] holds {count} elements, cap is {cap}"
             )
-        axes = []
-        for prime, top_e in self._top_vec.items():
-            low = self._bottom_vec[prime]
-            axes.append([prime**e for e in range(low, top_e + 1)])
-        return sorted(math.prod(combo) for combo in itertools.product(*axes))
+        axes = [[prime**e for e in range(gap + 1)] for prime, gap in self._gaps.items()]
+        return sorted(self.bottom * math.prod(combo) for combo in itertools.product(*axes))
 
     # -- Heyting operations ---------------------------------------------
 
@@ -83,52 +82,29 @@ class Interval:
         """Pseudocomplement: the greatest member whose meet with ``a``
         is the bottom.
 
-        Coordinate rule, per prime: where ``a`` sits strictly above the
-        bottom, drop to the bottom's exponent; where it sits on the
-        bottom, jump to the top's exponent.
+        This is ``a -> bottom``: per prime, where ``a`` sits strictly
+        above the bottom, drop to the bottom's exponent; where it sits
+        on the bottom, jump to the top's exponent.
         """
         a = self._require_member(a)
-        a_vec = factorize(a)
-        result = 1
-        # members and the bottom divide the top: its support covers them
-        for prime, top_e in self._top_vec.items():
-            bottom_e = self._bottom_vec[prime]
-            if a_vec[prime] > bottom_e:
-                e = bottom_e
-            else:
-                e = top_e
-            result *= prime**e
-        return result
+        return self._imp(self.bottom, a // self.bottom)
 
     def imp(self, a, b) -> int:
         """Relative pseudocomplement: the greatest member c with
         meet(a, c) dividing ``b``.
 
-        Coordinate rule, per prime: where ``a`` exceeds ``b``, copy
-        ``b``'s exponent; elsewhere take the top's.  The bottom never
-        enters, so the result is the same in any interval sharing this
-        top.
+        Per prime: where ``a`` exceeds ``b``, copy ``b``'s exponent;
+        elsewhere take the top's.  The bottom never enters, so the
+        result is the same in any interval sharing this top.
         """
         a = self._require_member(a)
         b = self._require_member(b)
-        a_vec = factorize(a)
-        b_vec = factorize(b)
-        result = 1
-        for prime, top_e in self._top_vec.items():
-            if a_vec[prime] > b_vec[prime]:
-                e = b_vec[prime]
-            else:
-                e = top_e
-            result *= prime**e
-        return result
+        return self._imp(b, a // math.gcd(a, b))
 
     def is_boolean(self) -> bool:
         """True when every element has a true complement, i.e. every
         prime's exponent gap between top and bottom is at most one."""
-        return all(
-            top_e - self._bottom_vec[prime] <= 1
-            for prime, top_e in self._top_vec.items()
-        )
+        return all(gap <= 1 for gap in self._gaps.values())
 
     def complement(self, a) -> int:
         """Boolean complement ``top * bottom / a``.
@@ -150,6 +126,20 @@ class Interval:
         return quotient
 
     # -- helpers ---------------------------------------------------------
+
+    def _imp(self, b: int, excess: int) -> int:
+        """``lcm(b, r)`` with ``r`` the largest divisor of the top coprime
+        to ``excess``, the part of ``a`` above ``b``.  Every prime of
+        ``excess`` divides the top, so it divides ``g`` until ``r`` has
+        shed it; the loop runs at most as often as the top's largest
+        exponent.
+        """
+        r = self.top
+        g = math.gcd(r, excess)
+        while g > 1:
+            r //= g
+            g = math.gcd(r, g)
+        return math.lcm(b, r)
 
     def _require_member(self, a) -> int:
         a = as_natural(a)

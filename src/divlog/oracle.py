@@ -306,13 +306,23 @@ def _intervals(n: int, size_cap: int, skipped: list):
             yield q, ms, {(a, b): q.imp(a, b) for a in ms for b in ms}, relaxed
 
 
+def _scan(oracle, *args):
+    """``("oracle", value)``, or ``("oracle_error", message)`` when the
+    oracle's fold finds no greatest element: a case that fails either
+    way, and is reported under that key instead of ending the sweep."""
+    try:
+        return "oracle", oracle(*args)
+    except NoGreatestElement as err:
+        return "oracle_error", str(err)
+
+
 def _neg_vs_oracle(q, ms, imp, relaxed, found) -> int:
     for a in ms:
         formula = q.neg(a)
-        scanned = oracle_neg(q, a)
+        key, scanned = _scan(oracle_neg, q, a)
         if formula != scanned:
             found.append(
-                {"bottom": q.bottom, "top": q.top, "a": a, "formula": formula, "oracle": scanned}
+                {"bottom": q.bottom, "top": q.top, "a": a, "formula": formula, key: scanned}
             )
     return len(ms)
 
@@ -320,11 +330,11 @@ def _neg_vs_oracle(q, ms, imp, relaxed, found) -> int:
 def _imp_vs_oracle(q, ms, imp, relaxed, found) -> int:
     for a in ms:
         for b in ms:
-            scanned = oracle_imp(q, a, b)
+            key, scanned = _scan(oracle_imp, q, a, b)
             if imp[a, b] != scanned:
                 found.append(
                     {"bottom": q.bottom, "top": q.top, "a": a, "b": b,
-                     "formula": imp[a, b], "oracle": scanned}
+                     "formula": imp[a, b], key: scanned}
                 )
     return len(ms) ** 2
 
@@ -369,12 +379,16 @@ def _imp_bottom_independence(q, ms, imp, relaxed, found) -> int:
                 expected = imp[a, b]
                 recomputed = coarse.imp(a, b)
                 ok = recomputed == expected
+                error = {}
                 if ok and coarser_bottom == 1:
-                    ok = oracle_imp(coarse, a, b) == expected
+                    key, scanned = _scan(oracle_imp, coarse, a, b)
+                    ok = scanned == expected
+                    if key == "oracle_error":
+                        error = {key: scanned}
                 if not ok:
                     found.append(
                         {"bottom": q.bottom, "top": q.top,
                          "coarser_bottom": coarser_bottom, "a": a, "b": b,
-                         "expected": expected, "recomputed": recomputed}
+                         "expected": expected, "recomputed": recomputed, **error}
                     )
     return len(coarser_bottoms) * len(ms) ** 2

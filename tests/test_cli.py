@@ -272,3 +272,23 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "97 = 97\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--json", "verify", "heyting", "--top-max", "3", "--size-cap", "0"],  # error document
+        ["verify", "laws", "--max", "5"],  # passing sweep
+    ],
+)
+def test_closed_stdout_pipe_exits_one_without_traceback(argv):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "divlog.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader leaves before any output is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert b"Traceback" not in err

@@ -6,7 +6,7 @@ the brute-force oracle live in test_oracle.py and the acceptance suite.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from divlog import (
     EnumerationLimit,
@@ -16,6 +16,7 @@ from divlog import (
     NotMember,
     NotNatural,
     divides,
+    factorize,
     join,
     meet,
 )
@@ -226,6 +227,63 @@ def test_implication_ignores_the_bottom(qab):
     q, a, b = qab
     relaxed = Interval(1, q.top)
     assert relaxed.imp(a, b) == q.imp(a, b)
+
+
+# -- gcd/lcm closed forms against the per-prime exponent rule ----------------
+
+# small primes, a few larger ones and the largest prime below 10**6
+RULE_PRIMES = [2, 3, 5, 7, 11, 13, 97, 1009, 65537, 999983]
+RULE_TOP_MAX = 10**12
+
+
+def _per_prime_imp(q, a, b):
+    """The exponent rule ``imp`` replaced: per prime of the top, ``b``'s
+    exponent where ``a``'s exceeds it, the top's elsewhere."""
+    fa, fb = factorize(a), factorize(b)
+    result = 1
+    for p, top_e in factorize(q.top).items():
+        a_e, b_e = fa.get(p, 0), fb.get(p, 0)
+        result *= p ** (b_e if a_e > b_e else top_e)
+    return result
+
+
+@st.composite
+def prime_power_interval_with_pair(draw):
+    """An interval with top <= 10**12 built from random prime powers,
+    some of them with a zero gap, and two of its members."""
+    bounds = []  # (prime, bottom exponent, top exponent)
+    top = 1
+    for p in draw(st.lists(st.sampled_from(RULE_PRIMES), unique=True, max_size=5)):
+        room = 0
+        while top * p ** (room + 1) <= RULE_TOP_MAX:
+            room += 1
+        if room:
+            top_e = draw(st.integers(1, room))
+            top *= p**top_e
+            bounds.append((p, draw(st.integers(0, top_e)), top_e))
+    bottom = 1
+    for p, bottom_e, _ in bounds:
+        bottom *= p**bottom_e
+
+    def member():
+        a = 1
+        for p, bottom_e, top_e in bounds:
+            a *= p ** draw(st.integers(bottom_e, top_e))
+        return a
+
+    return Interval(bottom, top), member(), member()
+
+
+@settings(deadline=None)  # the first prime top grows the sieve past 10**6
+@given(prime_power_interval_with_pair())
+@example((Interval(1, 10**12 + 39), 1, 10**12 + 39))  # a prime top
+@example((Interval(1, 10**12 + 39), 10**12 + 39, 1))
+@example((Interval(999983, 999983 * 2**20), 999983 * 2**7, 999983 * 2**19))
+def test_closed_forms_follow_the_per_prime_rule(qab):
+    q, a, b = qab
+    assert q.imp(a, b) == _per_prime_imp(q, a, b)
+    # negation is the same rule with the bottom in place of b
+    assert q.neg(a) == _per_prime_imp(q, a, q.bottom)
 
 
 # -- Boolean intervals -------------------------------------------------------

@@ -76,9 +76,9 @@ def test_absorption(a, b):
 def test_componentwise_exponent_agreement(a, b):
     va, vb = factorize(a), factorize(b)
     vm, vj = factorize(meet(a, b)), factorize(join(a, b))
-    for p in set(va.support()) | set(vb.support()):
-        assert vm[p] == min(va[p], vb[p])
-        assert vj[p] == max(va[p], vb[p])
+    for p in set(va) | set(vb):
+        assert vm.get(p, 0) == min(va.get(p, 0), vb.get(p, 0))
+        assert vj.get(p, 0) == max(va.get(p, 0), vb.get(p, 0))
 
 
 def test_projective_identity_worked_example():

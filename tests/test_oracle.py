@@ -219,3 +219,30 @@ def test_sweeps_flag_a_corrupted_join(monkeypatch):
         {"x": 2, "y": 2, "z": 4, "lhs": 2, "rhs": 4},
     )
     assert all(list(c) == ["x", "y", "z", "lhs", "rhs"] for c in projective)
+
+
+def test_heyting_sweep_reports_a_failing_oracle(monkeypatch):
+    # with join(a, b) = a * b the oracle's fold leaves the interval and it
+    # finds no greatest element; the sweep records those cases, it does not stop
+    monkeypatch.setattr("divlog.oracle.join", lambda a, b: a * b)
+    reports = {r.law_name: r for r in verify_heyting(30)}
+    assert list(reports) == HEYTING_REPORT_NAMES
+    assert not reports["neg_formula_vs_oracle"].passed
+    assert not reports["imp_formula_vs_oracle"].passed
+    assert not reports["imp_bottom_independence"].passed
+    assert reports["neg_formula_vs_oracle"].counterexamples[0] == {
+        "bottom": 2, "top": 2, "a": 2, "formula": 2,
+        "oracle_error": "join of candidates disjoint from 2 in [2, 2] does not qualify",
+    }
+    assert reports["imp_formula_vs_oracle"].counterexamples[0] == {
+        "bottom": 2, "top": 2, "a": 2, "b": 2, "formula": 2,
+        "oracle_error": "join of candidates for 2 -> 2 in [2, 2] does not qualify",
+    }
+    assert reports["imp_bottom_independence"].counterexamples[0] == {
+        "bottom": 2, "top": 4, "coarser_bottom": 1, "a": 2, "b": 2,
+        "expected": 4, "recomputed": 4,
+        "oracle_error": "join of candidates for 2 -> 2 in [1, 4] does not qualify",
+    }
+    for name in ("neg_formula_vs_oracle", "imp_formula_vs_oracle"):
+        for case in reports[name].counterexamples:
+            assert ("oracle" in case) != ("oracle_error" in case)
