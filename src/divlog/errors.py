@@ -22,7 +22,8 @@ class NotNatural(DivlogError):
 
 
 class FactorizationLimit(DivlogError):
-    """Input exceeds the configured trial-division ceiling."""
+    """Input exceeds the factorization ceiling, or the bound below which
+    primality is proven."""
 
     name = "FactorizationLimit"
 

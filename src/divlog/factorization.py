@@ -5,23 +5,23 @@ the same thing; ``factorize`` and ``reconstruct`` convert between them,
 and divisibility is exactly the componentwise order on exponents.  The
 library computes on the integers themselves (gcd and lcm are the
 coordinatewise min and max without ever factorizing); a factorization
-is taken once per interval, to count and list its members.  Everything
-here is deterministic trial division over a cached sieve: desk-scale
-correctness, no probabilistic shortcuts.
+is taken once per interval, to count and list its members.  It is
+trial division by the primes below 1024, then Miller-Rabin with fixed
+bases and Pollard-Brent rho for what is left: deterministic, exact up
+to the 2**63 - 1 ceiling, no probabilistic shortcuts.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import FactorizationLimit, NotNatural
 
-# Inputs above this bound raise FactorizationLimit instead of grinding
-# through an astronomically large sieve.
+# Inputs above this bound raise FactorizationLimit: below it the fixed
+# Miller-Rabin bases are exact and rho splits any cofactor in well under
+# a second.
 DEFAULT_FACTOR_LIMIT = 2**63 - 1
-
-_SIEVE_START = 1 << 10
 
 
 def as_natural(value) -> int:
@@ -47,67 +47,117 @@ def _sieve(limit: int) -> tuple[int, ...]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
     return tuple(i for i, f in enumerate(flags) if f)
 
-# (bound, primes) published as one tuple: readers always see a matched
-# pair, and a racing recompute just replaces it with an equal value.
-_prime_cache: tuple[int, tuple[int, ...]] = (0, ())
-
-
-def _primes_through(limit: int) -> tuple[int, ...]:
-    global _prime_cache
-    bound, primes = _prime_cache
-    if limit > bound:
-        bound = max(limit, 2 * bound, _SIEVE_START)
-        primes = _sieve(bound)
-        _prime_cache = (bound, primes)
-    return primes
-
-
-def _prime_stream() -> Iterator[int]:
-    """Yield 2, 3, 5, ... indefinitely, growing the cached sieve on demand."""
-    i = 0
-    primes = _primes_through(_SIEVE_START)
-    while True:
-        while i >= len(primes):
-            primes = _primes_through(2 * _prime_cache[0])
-        yield primes[i]
-        i += 1
-
 
 def primes_up_to(limit) -> list[int]:
     """All primes <= limit, ascending.  Limits below 2 give an empty list."""
     if isinstance(limit, bool) or not isinstance(limit, int):
         raise NotNatural(f"expected an integer limit, got {limit!r}")
-    if limit < 2:
-        return []
-    return [p for p in _primes_through(limit) if p <= limit]
+    return list(_sieve(limit))
+
+
+_SMALL_BOUND = 1 << 10
+_SMALL_PRIMES = _sieve(_SMALL_BOUND)  # every prime below 1024
+_SMALL_SQUARE = _SMALL_BOUND * _SMALL_BOUND
+# With these bases Miller-Rabin is exact below _MR_EXACT_BELOW, the
+# least strong pseudoprime to all of them (Sorenson and Webster 2015),
+# which covers every n <= 2**63 - 1.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461
+_RHO_BATCH = 128  # rho steps whose differences share one gcd
+
+
+def _is_prime_cofactor(n: int) -> bool:
+    """Primality of an ``n`` > 1 that has no prime factor below 1024.
+
+    Below 1024**2 such an ``n`` is prime; above, Miller-Rabin with the
+    fixed bases decides.  A "composite" verdict is always exact; a
+    "prime" verdict at or past ``_MR_EXACT_BELOW`` is not proven, so it
+    raises FactorizationLimit instead of guessing.
+    """
+    if n < _SMALL_SQUARE:
+        return True
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_EXACT_BELOW:
+        raise FactorizationLimit(
+            f"{n} passes Miller-Rabin but lies beyond its proven bound {_MR_EXACT_BELOW}"
+        )
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of a composite ``n`` with no prime factor below
+    1024, by Brent's variant of Pollard's rho: ``y -> y*y + c`` from
+    ``y = 2``, for ``c = 1, 2, ...`` until one splits ``n``."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def is_prime(n) -> bool:
-    """Deterministic primality by trial division up to the square root."""
+    """Deterministic primality: trial division by the primes below 1024,
+    which settles every ``n`` below 1024**2, then Miller-Rabin with the
+    fixed bases 2..37, exact for every ``n`` below 3.18e23.  A larger
+    ``n`` with no small factor that passes those bases is unproven and
+    raises FactorizationLimit."""
     n = as_natural(n)
-    if n == 1:
-        return False
-    for p in _prime_stream():
+    for p in _SMALL_PRIMES:
         if p * p > n:
-            return True
+            return n > 1
         if n % p == 0:
             return n == p
+    return _is_prime_cofactor(n)
 
 
 def factorize(n, *, limit: int = DEFAULT_FACTOR_LIMIT) -> dict[int, int]:
     """Canonical prime factorization of ``n``: a dict from each prime to
     its exponent, primes ascending, exponents >= 1, ``{}`` for 1.
 
-    Raises FactorizationLimit when ``n`` exceeds ``limit`` (default
-    2**63 - 1), the point past which trial division stops being a
-    reasonable plan.
+    Trial division strips the primes below 1024; what is left splits by
+    Pollard-Brent rho into parts that Miller-Rabin proves prime, with no
+    randomness, so equal inputs give equal results.  Raises
+    FactorizationLimit when ``n`` exceeds ``limit`` (default 2**63 - 1),
+    or when a raised ``limit`` leaves a part past 3.18e23 that the bases
+    cannot prove prime.
     """
     n = as_natural(n)
     if n > limit:
         raise FactorizationLimit(f"{n} exceeds the factorization ceiling {limit}")
     entries: dict[int, int] = {}
     remaining = n
-    for p in _prime_stream():
+    for p in _SMALL_PRIMES:
         if p * p > remaining:
             break
         if remaining % p == 0:
@@ -116,8 +166,17 @@ def factorize(n, *, limit: int = DEFAULT_FACTOR_LIMIT) -> dict[int, int]:
                 remaining //= p
                 e += 1
             entries[p] = e
-    if remaining > 1:
-        entries[remaining] = 1  # the one prime above the square root
+    large: list[int] = []
+    pending = [remaining] if remaining > 1 else []
+    while pending:
+        m = pending.pop()
+        if _is_prime_cofactor(m):
+            large.append(m)
+        else:
+            d = _rho(m)
+            pending += (d, m // d)
+    for p in sorted(large):
+        entries[p] = entries.get(p, 0) + 1
     return entries
 
 

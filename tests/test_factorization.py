@@ -1,7 +1,9 @@
 """Prime factorization and its sparse prime -> exponent dict."""
 
+from datetime import timedelta
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from divlog import (
     DEFAULT_FACTOR_LIMIT,
@@ -133,3 +135,127 @@ def test_factorization_ceiling_is_configurable():
     with pytest.raises(FactorizationLimit):
         factorize(100, limit=10)
     assert factorize(100, limit=100) == {2: 2, 5: 2}
+
+
+# -- Cross-checks of the fast path -----------------------------------------
+
+
+def _trial_division_table(limit):
+    """Factorizations of 1..limit by plain trial division, each ``n`` by
+    the primes found below it: the reference for ``factorize``."""
+    primes, table = [], {1: {}}
+    for n in range(2, limit + 1):
+        entries, m = {}, n
+        for p in primes:
+            if p * p > m:
+                break
+            while m % p == 0:
+                entries[p] = entries.get(p, 0) + 1
+                m //= p
+        if m > 1:
+            entries[m] = entries.get(m, 0) + 1
+        if m == n:
+            primes.append(n)
+        table[n] = entries
+    return table
+
+
+def test_agrees_with_trial_division_to_10_5():
+    table = _trial_division_table(10**5)
+    for n, expected in table.items():
+        assert list(factorize(n).items()) == list(expected.items()), n
+        assert is_prime(n) == (expected == {n: 1}), n
+    primes = [n for n, expected in table.items() if expected == {n: 1}]
+    for limit in (1021, 1024, 1031, 10**5):
+        assert primes_up_to(limit) == [p for p in primes if p <= limit]
+
+
+# (n, its factorization) at the edges of the fast path and the ceiling
+EDGE_CASES = [
+    (1, {}),
+    (2**63 - 1, {7: 2, 73: 1, 127: 1, 337: 1, 92737: 1, 649657: 1}),
+    (9223372036854775783, {9223372036854775783: 1}),  # largest prime below 2**63
+    (3037000493**2, {3037000493: 2}),  # prime square near the ceiling
+    (2097143**3, {2097143: 3}),
+    (2147483647 * 2147483659, {2147483647: 1, 2147483659: 1}),
+    (3215031751, {151: 1, 751: 1, 28351: 1}),  # strong pseudoprime to bases 2..7
+    (3825123056546413051, {149491: 1, 747451: 1, 34233211: 1}),  # ... to bases 2..23
+    (1048573, {1048573: 1}),  # largest prime below 1024**2
+    (1048583, {1048583: 1}),  # smallest prime above it
+    (1021 * 1031, {1021: 1, 1031: 1}),
+]
+
+
+@pytest.mark.parametrize("n, expected", EDGE_CASES)
+def test_edge_cases(n, expected):
+    assert list(factorize(n).items()) == list(expected.items())
+    assert is_prime(n) == (expected == {n: 1})
+    assert all(is_prime(p) for p in expected)
+
+
+def test_composites_past_the_ceiling_still_factor_exactly():
+    n = (2**61 - 1) * (2**31 - 1) * (2**19 - 1)  # above the proven bound
+    assert factorize(n, limit=n) == {524287: 1, 2147483647: 1, 2**61 - 1: 1}
+    assert not is_prime(n)
+    assert not is_prime(2**89 + 1)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        318665857834031151167461,  # strong pseudoprime to every base 2..37
+        2**89 - 1,  # a prime, but past the bound where the bases prove it
+    ],
+)
+def test_unproven_primality_raises(n):
+    with pytest.raises(FactorizationLimit):
+        is_prime(n)
+    with pytest.raises(FactorizationLimit):
+        factorize(n, limit=n)
+
+
+_PRIME_POOL = [
+    2, 3, 5, 7, 1021, 1031, 999983, 1000003, 1048573, 1048583, 2097143,
+    2147483647, 2147483659, 3037000493, 4294967291, 10**12 + 39,
+    2**61 - 1, 9223372036854775783,
+]
+
+
+@st.composite
+def prime_power_products(draw):
+    """A product of prime powers from the pool, at most the ceiling, and
+    its factorization."""
+    n, expected = 1, {}
+    for p in draw(st.lists(st.sampled_from(_PRIME_POOL), unique=True, max_size=6)):
+        room = 0
+        while n * p ** (room + 1) <= DEFAULT_FACTOR_LIMIT:
+            room += 1
+        if room:
+            e = draw(st.integers(1, room))
+            n *= p**e
+            expected[p] = e
+    return n, dict(sorted(expected.items()))
+
+
+@settings(deadline=timedelta(seconds=1))
+@given(prime_power_products())
+def test_round_trip_up_to_the_ceiling(case):
+    n, expected = case
+    assert list(factorize(n).items()) == list(expected.items())
+    assert reconstruct(factorize(n)) == n
+
+
+def test_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert all(sympy.isprime(p) for p in _PRIME_POOL)
+    for n, _ in EDGE_CASES:
+        assert factorize(n) == sympy.factorint(n), n
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+@settings(deadline=timedelta(seconds=1))
+@given(st.integers(1, DEFAULT_FACTOR_LIMIT) | st.integers(1, 10**12))
+def test_agrees_with_sympy_on_random_inputs(n):
+    sympy = pytest.importorskip("sympy")
+    assert list(factorize(n).items()) == sorted(sympy.factorint(n).items())
+    assert is_prime(n) == sympy.isprime(n)

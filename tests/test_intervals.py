@@ -6,7 +6,7 @@ the brute-force oracle live in test_oracle.py and the acceptance suite.
 """
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from divlog import (
     EnumerationLimit,
@@ -274,7 +274,6 @@ def prime_power_interval_with_pair(draw):
     return Interval(bottom, top), member(), member()
 
 
-@settings(deadline=None)  # the first prime top grows the sieve past 10**6
 @given(prime_power_interval_with_pair())
 @example((Interval(1, 10**12 + 39), 1, 10**12 + 39))  # a prime top
 @example((Interval(1, 10**12 + 39), 10**12 + 39, 1))
