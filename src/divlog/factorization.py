@@ -28,6 +28,9 @@ def as_natural(value) -> int:
     """Validate that ``value`` is a positive integer and return it.
 
     Zero and negatives are rejected with NotNatural, never coerced.
+    The hot primitives (``meet``, ``join``, ``divides``, interval
+    membership) call this only when the exact-int guard ``type(value)
+    is int and value >= 1`` fails, so it decides every error.
     """
     if isinstance(value, bool) or not isinstance(value, int):
         raise NotNatural(f"expected a positive integer, got {value!r}")
@@ -204,6 +207,6 @@ def reconstruct(exponents: Mapping[int, int]) -> int:
 def divides(a, b) -> bool:
     """True when ``a`` divides ``b``; agrees with the componentwise
     exponent comparison of their factorizations."""
-    a = as_natural(a)
-    b = as_natural(b)
+    if type(a) is not int or a < 1 or type(b) is not int or b < 1:
+        a, b = as_natural(a), as_natural(b)
     return b % a == 0

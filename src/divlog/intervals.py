@@ -9,8 +9,13 @@ operations are gcd/lcm expressions: ``imp(a, b) = lcm(b, r)``, where
 and ``neg(a) = imp(a, bottom)``.  No operand is factorized and nothing
 is searched.  The one factorization an interval takes is of
 ``top / bottom``, the exponent gaps that give its size, its
-Boolean-ness and its members.  The brute-force counterpart lives in
-``divlog.oracle``.
+Boolean-ness and its members.  The members are listed once, on the
+first ``members`` call within the cap, and kept as a tuple next to the
+gaps; every call still checks its cap and returns a fresh list.
+Membership tests start with the exact-int guard ``type(a) is int and
+a >= 1`` and fall back to ``as_natural`` only when it fails, so a bad
+operand raises the same NotNatural as before.  The brute-force
+counterpart lives in ``divlog.oracle``.
 """
 
 from __future__ import annotations
@@ -49,12 +54,15 @@ class Interval:
         object.__setattr__(self, "top", top)
         # prime -> exponent gap between top and bottom, the one factorization
         object.__setattr__(self, "_gaps", factorize(top // bottom))
+        # every member ascending, listed by the first members() call
+        object.__setattr__(self, "_members", None)
 
     # -- membership and enumeration ------------------------------------
 
     def contains(self, a) -> bool:
         """True when bottom | a and a | top."""
-        a = as_natural(a)
+        if type(a) is not int or a < 1:
+            a = as_natural(a)
         return a % self.bottom == 0 and self.top % a == 0
 
     def size(self) -> int:
@@ -66,15 +74,20 @@ class Interval:
         """Every member in ascending numeric order.
 
         Raises EnumerationLimit if the interval holds more than ``cap``
-        elements (checked via ``size`` before any work happens).
+        elements (checked via ``size`` on every call, before any work
+        happens).  The members are listed on the first call and kept;
+        each call returns a new list of them.
         """
         count = self.size()
         if count > cap:
             raise EnumerationLimit(
                 f"interval [{self.bottom}, {self.top}] holds {count} elements, cap is {cap}"
             )
-        axes = [[prime**e for e in range(gap + 1)] for prime, gap in self._gaps.items()]
-        return sorted(self.bottom * math.prod(combo) for combo in itertools.product(*axes))
+        if self._members is None:
+            axes = [[prime**e for e in range(gap + 1)] for prime, gap in self._gaps.items()]
+            ms = sorted(self.bottom * math.prod(combo) for combo in itertools.product(*axes))
+            object.__setattr__(self, "_members", tuple(ms))
+        return list(self._members)
 
     # -- Heyting operations ---------------------------------------------
 
@@ -142,8 +155,9 @@ class Interval:
         return math.lcm(b, r)
 
     def _require_member(self, a) -> int:
-        a = as_natural(a)
-        if not self.contains(a):
+        if type(a) is not int or a < 1:
+            a = as_natural(a)
+        if a % self.bottom or self.top % a:
             raise NotMember(f"{a} is not in the interval [{self.bottom}, {self.top}]")
         return a
 

@@ -1,7 +1,12 @@
 """Meet and join of the divisibility lattice: gcd and lcm.
 
-The hot path is plain Euclid-backed arithmetic; factorization-based
-cross-checks live in the test suite and the oracle module.
+Both are one ``math.gcd`` / ``math.lcm`` call behind an exact-int
+guard: operands that are plain ``int`` values of at least 1 go straight
+through.  Anything else (a bool, a float, a string, zero, a negative,
+an ``int`` subclass) goes through ``as_natural``, first operand first,
+which accepts the subclass and raises the same NotNatural as ever for
+the rest.  Factorization-based cross-checks live in the test suite and
+the oracle module.
 """
 
 from __future__ import annotations
@@ -14,14 +19,16 @@ from .factorization import as_natural, divides
 
 def meet(a, b) -> int:
     """Greatest common divisor: the infimum under divisibility."""
-    return math.gcd(as_natural(a), as_natural(b))
+    if type(a) is not int or a < 1 or type(b) is not int or b < 1:
+        a, b = as_natural(a), as_natural(b)
+    return math.gcd(a, b)
 
 
 def join(a, b) -> int:
     """Least common multiple: the supremum under divisibility."""
-    a = as_natural(a)
-    b = as_natural(b)
-    return a * b // math.gcd(a, b)
+    if type(a) is not int or a < 1 or type(b) is not int or b < 1:
+        a, b = as_natural(a), as_natural(b)
+    return math.lcm(a, b)
 
 
 def meet_euclid(a, b) -> int:

@@ -106,6 +106,31 @@ def test_enumeration_cap_is_enforced():
         Interval(1, 30).members(cap=5)
 
 
+def test_member_list_is_a_fresh_copy():
+    q = Interval(2, 24)
+    first = q.members()
+    first.append(5)
+    first[0] = 99
+    assert q.members() == [2, 4, 6, 8, 12, 24]
+    assert q.members() is not q.members()
+
+
+def test_cap_is_checked_after_the_members_are_listed():
+    q = Interval(1, 30)
+    assert len(q.members()) == 8
+    with pytest.raises(EnumerationLimit):
+        q.members(cap=5)
+    assert q.members(cap=8) == [1, 2, 3, 5, 6, 10, 15, 30]
+
+
+def test_listed_members_leave_equality_hash_and_repr_alone():
+    listed, fresh = Interval(2, 24), Interval(2, 24)
+    listed.members()
+    assert listed == fresh and hash(listed) == hash(fresh)
+    assert repr(listed) == repr(fresh) == "Interval(bottom=2, top=24)"
+    assert {listed: 1}[fresh] == 1
+
+
 def test_size_never_enumerates():
     # 2^40 * 3 has 82 divisors; size must not materialize them
     q = Interval(1, (2**40) * 3)

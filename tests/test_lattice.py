@@ -1,11 +1,18 @@
 """Meet/join arithmetic and the global lattice laws."""
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from divlog import (
+    Interval,
+    NotMember,
     NotNatural,
     PreconditionViolated,
+    as_natural,
+    divides,
     factorize,
     join,
     meet,
@@ -108,3 +115,86 @@ def test_meets_validate_their_arguments():
         meet(0, 5)
     with pytest.raises(NotNatural):
         join(5, -1)
+
+
+# ---------------------------------------------------------------------------
+# The exact-int guard against the as_natural path it short-cuts
+# ---------------------------------------------------------------------------
+
+
+class N(int):
+    pass
+
+
+GUARD_CASES = [True, False, 1.0, "6", None, 0, -3, 2**200, N(6), 1, 2, 6, 12]
+GUARD_Q = Interval(2, 12)
+
+
+def _outcome(fn, *args):
+    """``(result type, result)``, or ``(error class, message)``."""
+    try:
+        value = fn(*args)
+    except Exception as err:
+        return type(err), str(err)
+    return type(value), value
+
+
+def _old_member(q, a):
+    a = as_natural(a)
+    if not (a % q.bottom == 0 and q.top % a == 0):
+        raise NotMember(f"{a} is not in the interval [{q.bottom}, {q.top}]")
+    return a
+
+
+def _old_meet(a, b):
+    return math.gcd(as_natural(a), as_natural(b))
+
+
+def _old_join(a, b):
+    a = as_natural(a)
+    b = as_natural(b)
+    return a * b // math.gcd(a, b)
+
+
+def _old_divides(a, b):
+    a = as_natural(a)
+    b = as_natural(b)
+    return b % a == 0
+
+
+def _old_contains(q, a):
+    a = as_natural(a)
+    return a % q.bottom == 0 and q.top % a == 0
+
+
+def _old_neg(q, a):
+    a = _old_member(q, a)
+    return q._imp(q.bottom, a // q.bottom)
+
+
+def _old_imp(q, a, b):
+    a = _old_member(q, a)
+    b = _old_member(q, b)
+    return q._imp(b, a // math.gcd(a, b))
+
+
+PAIRED = [(meet, _old_meet), (join, _old_join), (divides, _old_divides)]
+
+
+def _assert_guard_agrees(a, b, q=GUARD_Q):
+    for new, old in PAIRED:
+        assert _outcome(new, a, b) == _outcome(old, a, b), (new.__name__, a, b)
+    assert _outcome(q.contains, a) == _outcome(_old_contains, q, a)
+    assert _outcome(q.neg, a) == _outcome(_old_neg, q, a)
+    assert _outcome(q.imp, a, b) == _outcome(_old_imp, q, a, b)
+
+
+@pytest.mark.parametrize("a, b", list(itertools.product(GUARD_CASES, repeat=2)))
+def test_exact_int_guard_agrees_with_as_natural(a, b):
+    _assert_guard_agrees(a, b)
+
+
+@given(st.integers(), st.integers(-20, 40))
+def test_exact_int_guard_agrees_on_any_integer(a, b):
+    _assert_guard_agrees(a, b)
+    _assert_guard_agrees(b, a, Interval(1, 720))

@@ -221,6 +221,31 @@ def test_sweeps_flag_a_corrupted_join(monkeypatch):
     assert all(list(c) == ["x", "y", "z", "lhs", "rhs"] for c in projective)
 
 
+def test_sweeps_flag_a_corrupted_meet(monkeypatch):
+    # meet(a, b) = 1 keeps commutativity, associativity and the
+    # meet-over-join form but breaks idempotency, join-over-meet and
+    # projectivity: the sweeps must reach the function they verify
+    monkeypatch.setattr("divlog.oracle.meet", lambda a, b: 1)
+    reports = {r.law_name: r for r in verify_lattice_laws(6)}
+    assert reports["commutativity"].passed
+    assert reports["associativity"].passed
+    assert reports["idempotency"].counterexamples == tuple(
+        {"a": a, "identity": "meet", "lhs": 1, "rhs": a} for a in range(2, 7)
+    )
+    distributivity = reports["mutual_distributivity"].counterexamples
+    assert len(distributivity) == 5 * 6 * 6
+    assert {c["form"] for c in distributivity} == {"join_over_meet"}
+    assert distributivity[0] == {
+        "a": 2, "b": 1, "c": 1, "form": "join_over_meet", "lhs": 2, "rhs": 1
+    }
+
+    projective = verify_projective(6).counterexamples
+    # every (x, y) with 1 < y | x <= 6, times the six values of z
+    assert len(projective) == 8 * 6
+    assert projective[0] == {"x": 2, "y": 2, "z": 1, "lhs": 1, "rhs": 2}
+    assert all(c["lhs"] == 1 and c["rhs"] == c["y"] for c in projective)
+
+
 def test_heyting_sweep_reports_a_failing_oracle(monkeypatch):
     # with join(a, b) = a * b the oracle's fold leaves the interval and it
     # finds no greatest element; the sweep records those cases, it does not stop
