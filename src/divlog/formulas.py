@@ -5,11 +5,14 @@ Surface syntax (ASCII, whitespace insensitive)::
     formula := or ('->' formula)?          implication, right associative
     or      := and ('|' and)*
     and     := unary ('&' unary)*
-    unary   := '~' unary | atom
-    atom    := identifier | integer | 'T' | 'F' | '(' formula ')'
+    unary   := '~' unary | identifier | integer | 'T' | 'F' | '(' formula ')'
 
-``T`` and ``F`` are the interval's top and bottom; an integer literal
-denotes itself and must be a member of the evaluation interval.
+An integer is a run of decimal digits.  ``parse`` refuses, at the
+token that goes deeper, a tree more than ``MAX_DEPTH`` (100) levels high
+(each ``~`` and binary connective above an atom is one level) and
+parentheses nested deeper than that.  ``T`` and ``F`` are the interval's
+top and bottom; an integer literal denotes itself and must be a member
+of the evaluation interval, checked once per compile, not per assignment.
 Connectives evaluate as meet, join, relative pseudocomplement, and
 pseudocomplement, so classical tautologies may fail: validity means
 "evaluates to the top under every assignment of members to variables".
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .errors import FormulaSyntaxError, NotMember, SearchLimit, UnboundVariable
 from .factorization import as_natural
@@ -27,6 +30,7 @@ from .intervals import DEFAULT_ENUMERATION_CAP, Interval
 from .lattice import join, meet
 
 DEFAULT_SEARCH_CAP = 1_000_000
+MAX_DEPTH = 100
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +86,11 @@ Formula = Union[Var, Lit, Top, Bottom, And, Or, Imp, Not]
 TOP = Top()
 BOTTOM = Bottom()
 
+# (node class, symbol, right-associative), loosest first; a row's index is
+# its level, ``~`` binds at the next level and atoms at the one after
+_CONNECTIVES = ((Imp, "->", True), (Or, "|", False), (And, "&", False))
+_NOT_LEVEL = len(_CONNECTIVES)
+
 
 def variables(formula: Formula) -> set[str]:
     """The set of variable names occurring in the formula."""
@@ -116,11 +125,14 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         elif ch in "|&~()":
             tokens.append(("op", ch, i))
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():  # the digits int() accepts
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                tokens.append(("int", int(text[i:j]), i))
+            except ValueError:  # past the interpreter's limit on digits
+                raise FormulaSyntaxError(f"integer literal of {j - i} digits is too long", i) from None
             i = j
         elif ch.isalpha() or ch == "_":
             j = i
@@ -135,15 +147,15 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
+    """Recursive descent; a method reads at a tree depth and returns (tree, height)."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
+        self.parens = 0  # parentheses open at the current token
 
     def next_is(self, op: str) -> bool:
-        kind, value, _ = self.peek()
+        kind, value, _ = self.tokens[self.pos]
         return kind == "op" and value == op
 
     def advance(self):
@@ -151,49 +163,42 @@ class _Parser:
         self.pos += 1
         return token
 
-    def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.next_is("->"):
-            self.advance()
-            return Imp(left, self.formula())
-        return left
+    def nest(self, depth: int, position: int) -> int:
+        if depth > MAX_DEPTH:
+            raise FormulaSyntaxError(f"formula nests deeper than {MAX_DEPTH} levels", position)
+        return depth
 
-    def disjunction(self) -> Formula:
-        node = self.conjunction()
-        while self.next_is("|"):
-            self.advance()
-            node = Or(node, self.conjunction())
-        return node
+    def binary(self, level: int, depth: int) -> tuple[Formula, int]:
+        """A formula whose connectives are all at ``level`` or tighter."""
+        if level == len(_CONNECTIVES):
+            return self.unary(depth)
+        node_class, symbol, right_assoc = _CONNECTIVES[level]
+        node, height = self.binary(level + 1, depth)
+        while self.next_is(symbol):
+            position = self.advance()[2]
+            operand = level if right_assoc else level + 1
+            right, right_height = self.binary(operand, self.nest(depth + 1, position))
+            node, height = node_class(node, right), max(height, right_height) + 1
+            self.nest(depth + height, position)
+        return node, height
 
-    def conjunction(self) -> Formula:
-        node = self.unary()
-        while self.next_is("&"):
-            self.advance()
-            node = And(node, self.unary())
-        return node
-
-    def unary(self) -> Formula:
-        if self.next_is("~"):
-            self.advance()
-            return Not(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, value, position = self.peek()
+    def unary(self, depth: int) -> tuple[Formula, int]:
+        kind, value, position = self.advance()
         if kind == "int":
-            self.advance()
-            return Lit(value)
+            return Lit(value), 0
         if kind == "name":
-            self.advance()
-            return _KEYWORDS.get(value, Var(value))
-        if self.next_is("("):
-            self.advance()
-            node = self.formula()
+            return _KEYWORDS.get(value, Var(value)), 0
+        if kind == "op" and value == "~":
+            child, height = self.unary(self.nest(depth + 1, position))
+            return Not(child), height + 1
+        if kind == "op" and value == "(":
+            self.parens = self.nest(self.parens + 1, position)
+            node, height = self.binary(0, depth)
             if not self.next_is(")"):
-                _, _, pos = self.peek()
-                raise FormulaSyntaxError("expected ')'", pos)
+                raise FormulaSyntaxError("expected ')'", self.tokens[self.pos][2])
             self.advance()
-            return node
+            self.parens -= 1
+            return node, height
         shown = "end of input" if kind == "end" else repr(value)
         raise FormulaSyntaxError(f"expected a formula, found {shown}", position)
 
@@ -201,8 +206,8 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse formula text; FormulaSyntaxError reports the bad offset."""
     parser = _Parser(_tokenize(text))
-    node = parser.formula()
-    kind, value, position = parser.peek()
+    node, _ = parser.binary(0, 0)
+    kind, value, position = parser.tokens[parser.pos]
     if kind != "end":
         raise FormulaSyntaxError(f"unexpected trailing input {value!r}", position)
     return node
@@ -212,48 +217,33 @@ def parse(text: str) -> Formula:
 # Printing (inverse of parse, minimal parentheses)
 # ---------------------------------------------------------------------------
 
-_PREC_IMP, _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _precedence(formula: Formula) -> int:
-    if isinstance(formula, Imp):
-        return _PREC_IMP
-    if isinstance(formula, Or):
-        return _PREC_OR
-    if isinstance(formula, And):
-        return _PREC_AND
-    if isinstance(formula, Not):
-        return _PREC_NOT
-    return _PREC_ATOM
-
 
 def format_formula(formula: Formula) -> str:
     """Render with the fewest parentheses that still round-trip."""
-    return _format(formula, _PREC_IMP)
+    return _format(formula, 0)
 
 
 def _format(formula: Formula, level: int) -> str:
+    """Render ``formula`` where the context binds at ``level``."""
     if isinstance(formula, Var):
-        text = formula.name
-    elif isinstance(formula, Lit):
-        text = str(formula.value)
-    elif isinstance(formula, Top):
-        text = "T"
-    elif isinstance(formula, Bottom):
-        text = "F"
-    elif isinstance(formula, Not):
-        text = "~" + _format(formula.child, _PREC_NOT)
-    elif isinstance(formula, And):
-        text = f"{_format(formula.left, _PREC_AND)} & {_format(formula.right, _PREC_NOT)}"
-    elif isinstance(formula, Or):
-        text = f"{_format(formula.left, _PREC_OR)} | {_format(formula.right, _PREC_AND)}"
-    elif isinstance(formula, Imp):
-        text = f"{_format(formula.left, _PREC_OR)} -> {_format(formula.right, _PREC_IMP)}"
+        return formula.name
+    if isinstance(formula, Lit):
+        return str(formula.value)
+    if isinstance(formula, Top):
+        return "T"
+    if isinstance(formula, Bottom):
+        return "F"
+    if isinstance(formula, Not):
+        text, own = "~" + _format(formula.child, _NOT_LEVEL), _NOT_LEVEL
     else:
-        raise TypeError(f"not a formula node: {formula!r}")
-    if _precedence(formula) < level:
-        return f"({text})"
-    return text
+        for own, (node_class, symbol, right_assoc) in enumerate(_CONNECTIVES):
+            if isinstance(formula, node_class):
+                break
+        else:
+            raise TypeError(f"not a formula node: {formula!r}")
+        left, right = (own + 1, own) if right_assoc else (own, own + 1)
+        text = f"{_format(formula.left, left)} {symbol} {_format(formula.right, right)}"
+    return f"({text})" if own < level else text
 
 
 # ---------------------------------------------------------------------------
@@ -269,37 +259,46 @@ def evaluate(q: Interval, formula: Formula, assignment: Mapping[str, int] | None
     interval (NotMember otherwise).
     """
     env = dict(assignment or {})
-    for name in sorted(variables(formula)):
+    names = sorted(variables(formula))
+    for name in names:
         if name not in env:
             raise UnboundVariable(f"no value for variable {name!r}")
     for name, value in env.items():
         value = as_natural(value)
         if not q.contains(value):
             raise NotMember(f"{name}={value} is not in the interval {q}")
-    return _eval(q, formula, env)
+    return _compile(q, formula, names)([env[name] for name in names])
 
 
-def _eval(q: Interval, formula: Formula, env: Mapping[str, int]) -> int:
-    if isinstance(formula, Var):
-        return env[formula.name]
-    if isinstance(formula, Lit):
-        value = as_natural(formula.value)
-        if not q.contains(value):
-            raise NotMember(f"literal {value} is not in the interval {q}")
-        return value
-    if isinstance(formula, Top):
-        return q.top
-    if isinstance(formula, Bottom):
-        return q.bottom
-    if isinstance(formula, And):
-        return meet(_eval(q, formula.left, env), _eval(q, formula.right, env))
-    if isinstance(formula, Or):
-        return join(_eval(q, formula.left, env), _eval(q, formula.right, env))
-    if isinstance(formula, Imp):
-        return q.imp(_eval(q, formula.left, env), _eval(q, formula.right, env))
-    if isinstance(formula, Not):
-        return q.neg(_eval(q, formula.child, env))
-    raise TypeError(f"not a formula node: {formula!r}")
+def _compile(q: Interval, formula: Formula, names: list[str]) -> Callable[[Sequence[int]], int]:
+    """Turn ``formula`` into a function of the values of ``names``, in
+    order.  Literals are checked here, left to right; the connectives
+    call meet, join, imp and neg as bound when this runs."""
+    position = {name: i for i, name in enumerate(names)}
+    operations = ((And, meet), (Or, join), (Imp, q.imp))
+
+    def build(node):
+        if isinstance(node, Var):
+            i = position[node.name]
+            return lambda values: values[i]
+        if isinstance(node, Lit):
+            value = as_natural(node.value)
+            if not q.contains(value):
+                raise NotMember(f"literal {value} is not in the interval {q}")
+            return lambda values: value
+        if isinstance(node, (Top, Bottom)):
+            constant = q.top if isinstance(node, Top) else q.bottom
+            return lambda values: constant
+        if isinstance(node, Not):
+            child, neg = build(node.child), q.neg
+            return lambda values: neg(child(values))
+        for node_class, operation in operations:
+            if isinstance(node, node_class):
+                left, right = build(node.left), build(node.right)
+                return lambda values: operation(left(values), right(values))
+        raise TypeError(f"not a formula node: {node!r}")
+
+    return build(formula)
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +333,10 @@ def check_valid(
         raise SearchLimit(
             f"{total} assignments over {len(names)} variables exceed the cap {cap}"
         )
+    value_of = _compile(q, formula, names)
     top = q.top
     for combo in itertools.product(members, repeat=len(names)):
-        env = dict(zip(names, combo))
-        value = _eval(q, formula, env)
+        value = value_of(combo)
         if value != top:
             return Counterexample(assignment=tuple(zip(names, combo)), value=value)
     return None

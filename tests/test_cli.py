@@ -209,6 +209,26 @@ def test_syntax_error_carries_position(capsys):
     assert doc["error"]["position"] == 3
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("eval", "\u00b2"),
+        ("taut", "9" * 5000),
+        ("eval", "~" * 3000 + "p"),
+        ("taut", "p" + " & p" * 5000),
+    ],
+)
+def test_cli_reports_bad_formulas_without_a_traceback(command, text):
+    proc = subprocess.run(
+        [sys.executable, "-m", "divlog.cli", "--json", command, "--bottom", "1", "--top", "12", text],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert '"name": "SyntaxError"' in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
 def test_unknown_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -1,5 +1,8 @@
 """Formula parsing, printing, and many-valued evaluation."""
 
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +10,10 @@ from divlog import (
     BOTTOM,
     TOP,
     And,
+    Bottom,
     Counterexample,
+    DivlogError,
+    EnumerationLimit,
     FormulaSyntaxError,
     Imp,
     Interval,
@@ -16,15 +22,21 @@ from divlog import (
     NotMember,
     Or,
     SearchLimit,
+    Top,
     UnboundVariable,
     Var,
+    as_natural,
     check_valid,
     divides,
     evaluate,
     format_formula,
+    join,
+    meet,
     parse,
     variables,
 )
+from divlog.formulas import DEFAULT_SEARCH_CAP, MAX_DEPTH
+from divlog.intervals import DEFAULT_ENUMERATION_CAP
 
 
 def _divisors(n):
@@ -100,6 +112,8 @@ def test_parse_ignores_whitespace():
         ("p q", 2),
         ("", 0),
         ("~", 1),
+        ("\u00b2", 0),  # a digit to isdigit, not to int()
+        ("p & " + "9" * 5000, 4),  # past the interpreter's int-string limit
     ],
 )
 def test_syntax_errors_carry_positions(text, position):
@@ -107,6 +121,12 @@ def test_syntax_errors_carry_positions(text, position):
         parse(text)
     assert exc.value.position == position
     assert f"position {position}" in str(exc.value)
+
+
+def test_integer_literals_are_runs_of_decimal_digits():
+    assert parse("٣٠") == Lit(30)  # Arabic-Indic digits, as int() reads them
+    with pytest.raises(FormulaSyntaxError, match="unexpected character '²'"):
+        parse("2²")
 
 
 def test_syntax_error_wire_name():
@@ -132,6 +152,22 @@ def test_printer_uses_minimal_parentheses():
         "~(p & q)",
         "~~p",
         "p & (q & r)",
+        "(p | q) & r",
+        "(p -> q) | r",
+        "p | q -> r",
+        "~(p -> q)",
+        "p & q -> r | s",
+        "~p -> q & r",
+        "p -> ~q",
+        "(p -> q) | (q -> p)",
+        "p | q | ~r",
+        "p | (q | r)",
+        "p | q & r",
+        "(p -> q) & (p | q)",
+        "p & q & ~r",
+        "~p & q",
+        "p & (q -> r)",
+        "~(p | q)",
     ]
     for text in cases:
         assert format_formula(parse(text)) == text
@@ -253,3 +289,159 @@ def test_search_cap_guards_assignment_blowup():
 def test_search_cap_is_configurable():
     with pytest.raises(SearchLimit):
         check_valid(Interval(1, 4), parse("p | ~p"), cap=2)
+
+
+# -- nesting bound -------------------------------------------------------------
+
+NESTED = {
+    "negations": lambda n: "~" * n + "p",
+    "parentheses": lambda n: "(" * n + "p" + ")" * n,
+    "conjunctions": lambda n: "p" + " & p" * n,
+    "implications": lambda n: "p" + " -> p" * n,
+    "parenthesized negations": lambda n: "(~" * n + "p" + ")" * n,
+}
+
+
+@pytest.mark.parametrize(
+    "shape, n, position",
+    [
+        ("negations", MAX_DEPTH + 1, MAX_DEPTH),
+        ("negations", 3000, MAX_DEPTH),
+        ("parentheses", MAX_DEPTH + 1, MAX_DEPTH),
+        ("parentheses", 3000, MAX_DEPTH),
+        ("conjunctions", MAX_DEPTH + 1, 2 + 4 * MAX_DEPTH),
+        ("conjunctions", 5000, 2 + 4 * MAX_DEPTH),
+        ("implications", 5000, 2 + 5 * MAX_DEPTH),
+        ("parenthesized negations", MAX_DEPTH + 1, 2 * MAX_DEPTH),
+    ],
+)
+def test_nesting_past_the_bound_is_a_syntax_error(shape, n, position):
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse(NESTED[shape](n))
+    assert exc.value.position == position
+    assert f"deeper than {MAX_DEPTH} levels" in str(exc.value)
+
+
+@pytest.mark.parametrize("node_class", [And, Or, Imp])
+def test_any_tree_within_the_bound_round_trips(node_class):
+    atoms = [Var("p")] * (MAX_DEPTH + 1)
+    leaning_left = functools.reduce(node_class, atoms)
+    leaning_right = functools.reduce(lambda tree, atom: node_class(atom, tree), atoms)
+    for f in (leaning_left, leaning_right):
+        assert parse(format_formula(f)) == f
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_every_walker_handles_a_formula_at_the_bound(shape):
+    f = parse(NESTED[shape](MAX_DEPTH))
+    q = Interval(1, 12)
+    assert variables(f) == {"p"}
+    assert parse(format_formula(f)) == f
+    assert evaluate(q, f, {"p": 4}) == reference_evaluate(q, f, {"p": 4})
+    assert check_valid(q, f) == reference_check_valid(q, f)
+
+
+# -- the compiler against the tree-walking evaluator it replaced ---------------
+
+
+def reference_eval(q, formula, env):
+    """Walk the tree per assignment, checking each literal at its node."""
+    if isinstance(formula, Var):
+        return env[formula.name]
+    if isinstance(formula, Lit):
+        value = as_natural(formula.value)
+        if not q.contains(value):
+            raise NotMember(f"literal {value} is not in the interval {q}")
+        return value
+    if isinstance(formula, Top):
+        return q.top
+    if isinstance(formula, Bottom):
+        return q.bottom
+    if isinstance(formula, And):
+        return meet(reference_eval(q, formula.left, env), reference_eval(q, formula.right, env))
+    if isinstance(formula, Or):
+        return join(reference_eval(q, formula.left, env), reference_eval(q, formula.right, env))
+    if isinstance(formula, Imp):
+        return q.imp(reference_eval(q, formula.left, env), reference_eval(q, formula.right, env))
+    if isinstance(formula, Not):
+        return q.neg(reference_eval(q, formula.child, env))
+    raise TypeError(f"not a formula node: {formula!r}")
+
+
+def reference_evaluate(q, formula, assignment=None):
+    env = dict(assignment or {})
+    for name in sorted(variables(formula)):
+        if name not in env:
+            raise UnboundVariable(f"no value for variable {name!r}")
+    for name, value in env.items():
+        value = as_natural(value)
+        if not q.contains(value):
+            raise NotMember(f"{name}={value} is not in the interval {q}")
+    return reference_eval(q, formula, env)
+
+
+def reference_check_valid(q, formula, cap=DEFAULT_SEARCH_CAP, enumeration_cap=DEFAULT_ENUMERATION_CAP):
+    names = sorted(variables(formula))
+    members = q.members(enumeration_cap)
+    total = len(members) ** len(names)
+    if total > cap:
+        raise SearchLimit(f"{total} assignments over {len(names)} variables exceed the cap {cap}")
+    for combo in itertools.product(members, repeat=len(names)):
+        value = reference_eval(q, formula, dict(zip(names, combo)))
+        if value != q.top:
+            return Counterexample(assignment=tuple(zip(names, combo)), value=value)
+    return None
+
+
+def outcome(fn, *args):
+    """The value, or the class and message of the domain error raised."""
+    try:
+        return fn(*args)
+    except DivlogError as err:
+        return type(err), str(err)
+
+
+@given(intervals(), formulas, st.data())
+def test_evaluate_matches_the_reference(q, f, data):
+    ms = q.members()
+    env = {name: data.draw(st.sampled_from(ms)) for name in sorted(variables(f))}
+    # overwrite some bindings with foreign or non-natural values, add
+    # bindings the formula does not use, and unbind a variable
+    env.update(data.draw(st.dictionaries(names, st.integers(-1, 60), max_size=2)))
+    for name in data.draw(st.sets(names, max_size=1)):
+        env.pop(name, None)
+    assert outcome(evaluate, q, f, env) == outcome(reference_evaluate, q, f, env)
+
+
+@given(intervals(), formulas, st.integers(1, 400), st.integers(1, 24))
+def test_check_valid_matches_the_reference(q, f, cap, enumeration_cap):
+    assert outcome(check_valid, q, f, cap, enumeration_cap) == outcome(
+        reference_check_valid, q, f, cap, enumeration_cap
+    )
+
+
+def test_evaluate_reports_unbound_then_binding_then_literal():
+    q, f = Interval(1, 12), parse("5 & p & q")
+    with pytest.raises(UnboundVariable):
+        evaluate(q, f, {"p": 7})
+    with pytest.raises(NotMember, match="p=7"):
+        evaluate(q, f, {"p": 7, "q": 2})
+    with pytest.raises(NotMember, match="literal 5"):
+        evaluate(q, f, {"p": 2, "q": 2})
+
+
+def test_check_valid_reports_enumeration_then_search_then_literal():
+    q, f = Interval(1, 12), parse("5 & p & q")  # six members, 36 assignments
+    with pytest.raises(EnumerationLimit):
+        check_valid(q, f, cap=35, enumeration_cap=5)
+    with pytest.raises(SearchLimit):
+        check_valid(q, f, cap=35)
+    with pytest.raises(NotMember, match="literal 5"):
+        check_valid(q, f, cap=36)
+
+
+def test_compiled_formulas_call_the_module_meet(monkeypatch):
+    q, f = Interval(1, 12), parse("p & q -> p")
+    assert check_valid(q, f) is None
+    monkeypatch.setattr("divlog.formulas.meet", join)  # a corrupted meet
+    assert check_valid(q, f) == Counterexample(assignment=(("p", 1), ("q", 2)), value=3)
