@@ -15,6 +15,7 @@ from .errors import (
     FactorizationLimit,
     FormulaSyntaxError,
     InvalidInterval,
+    NestingLimit,
     NoGreatestElement,
     NotBoolean,
     NotMember,
@@ -71,6 +72,7 @@ __all__ = [
     "FactorizationLimit",
     "FormulaSyntaxError",
     "InvalidInterval",
+    "NestingLimit",
     "NoGreatestElement",
     "NotBoolean",
     "NotMember",

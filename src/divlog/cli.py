@@ -22,7 +22,7 @@ from .factorization import divides, factorize
 from .formulas import DEFAULT_SEARCH_CAP, check_valid, evaluate, parse
 from .intervals import DEFAULT_ENUMERATION_CAP, Interval
 from .lattice import join, meet
-from .oracle import verify_heyting, verify_lattice_laws, verify_projective
+from .oracle import DEFAULT_SIZE_CAP, verify_heyting, verify_lattice_laws, verify_projective
 
 
 def _enum_cap() -> int:
@@ -141,7 +141,7 @@ _SWEEPS = [
         "interval operations against the oracle",
         [
             ("--top-max", {"type": int, "default": 60}),
-            ("--size-cap", {"type": int, "default": 512}),
+            ("--size-cap", {"type": int, "default": DEFAULT_SIZE_CAP}),
         ],
         _sweep(lambda a: verify_heyting(a.top_max, a.size_cap)),
     ),

@@ -47,7 +47,8 @@ class NotBoolean(DivlogError):
 
 
 class EnumerationLimit(DivlogError):
-    """Interval enumeration would exceed the configured element cap."""
+    """An enumeration would exceed its cap: an interval's members past
+    the configured element cap, or primes past the sieve's bound."""
 
     name = "EnumerationLimit"
 
@@ -56,6 +57,12 @@ class SearchLimit(DivlogError):
     """Exhaustive assignment search would exceed the configured cap."""
 
     name = "SearchLimit"
+
+
+class NestingLimit(DivlogError):
+    """A formula node built more levels high than ``MAX_DEPTH`` allows."""
+
+    name = "NestingLimit"
 
 
 class NoGreatestElement(DivlogError):

@@ -16,12 +16,14 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from .errors import FactorizationLimit, NotNatural
+from .errors import EnumerationLimit, FactorizationLimit, NotNatural
 
 # Inputs above this bound raise FactorizationLimit: below it the fixed
 # Miller-Rabin bases are exact and rho splits any cofactor in well under
 # a second.
 DEFAULT_FACTOR_LIMIT = 2**63 - 1
+# primes_up_to sieves one byte per number; past this limit it refuses.
+SIEVE_LIMIT = 10**7
 
 
 def as_natural(value) -> int:
@@ -52,9 +54,13 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 
 def primes_up_to(limit) -> list[int]:
-    """All primes <= limit, ascending.  Limits below 2 give an empty list."""
+    """All primes <= limit, ascending.  Limits below 2 give an empty list;
+    a limit above ``SIEVE_LIMIT`` (10**7) raises EnumerationLimit before
+    any memory is taken."""
     if isinstance(limit, bool) or not isinstance(limit, int):
         raise NotNatural(f"expected an integer limit, got {limit!r}")
+    if limit > SIEVE_LIMIT:
+        raise EnumerationLimit(f"primes up to {limit} exceed the sieve bound {SIEVE_LIMIT}")
     return list(_sieve(limit))
 
 

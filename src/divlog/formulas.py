@@ -10,7 +10,9 @@ Surface syntax (ASCII, whitespace insensitive)::
 An integer is a run of decimal digits.  ``parse`` refuses, at the
 token that goes deeper, a tree more than ``MAX_DEPTH`` (100) levels high
 (each ``~`` and binary connective above an atom is one level) and
-parentheses nested deeper than that.  ``T`` and ``F`` are the interval's
+parentheses nested deeper than that; building a node that high from
+the node classes raises NestingLimit, so no tree in hand is deeper
+than the walkers can recurse.  ``T`` and ``F`` are the interval's
 top and bottom; an integer literal denotes itself and must be a member
 of the evaluation interval, checked once per compile, not per assignment.
 Connectives evaluate as meet, join, relative pseudocomplement, and
@@ -24,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
-from .errors import FormulaSyntaxError, NotMember, SearchLimit, UnboundVariable
+from .errors import FormulaSyntaxError, NestingLimit, NotMember, SearchLimit, UnboundVariable
 from .factorization import as_natural
 from .intervals import DEFAULT_ENUMERATION_CAP, Interval
 from .lattice import join, meet
@@ -38,46 +40,68 @@ MAX_DEPTH = 100
 # ---------------------------------------------------------------------------
 
 
+class _Node:
+    """Base of the node classes.  ``height`` counts the connectives on
+    the longest path down to an atom: 0 for an atom, stored by each
+    connective node as it is built.  It is no dataclass field, so
+    ``==``, ``hash`` and ``repr`` ignore it."""
+
+    height = 0
+
+
+class _Connective(_Node):
+    def __post_init__(self):
+        # the bound holds for every tree, parsed or built, so no walker
+        # recurses deeper than MAX_DEPTH levels
+        height = 0
+        for child in vars(self).values():
+            if isinstance(child, _Node) and child.height > height:
+                height = child.height
+        if height >= MAX_DEPTH:
+            raise NestingLimit(f"formula nests deeper than {MAX_DEPTH} levels")
+        object.__setattr__(self, "height", height + 1)
+
+
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Lit:
+class Lit(_Node):
     value: int
 
 
 @dataclass(frozen=True)
-class Top:
+class Top(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Bottom:
+class Bottom(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Connective):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Connective):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Imp:
+class Imp(_Connective):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Connective):
     child: "Formula"
 
 
@@ -147,7 +171,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
-    """Recursive descent; a method reads at a tree depth and returns (tree, height)."""
+    """Recursive descent; a method reads at a tree depth and returns the tree."""
 
     def __init__(self, tokens):
         self.tokens = tokens
@@ -168,37 +192,38 @@ class _Parser:
             raise FormulaSyntaxError(f"formula nests deeper than {MAX_DEPTH} levels", position)
         return depth
 
-    def binary(self, level: int, depth: int) -> tuple[Formula, int]:
+    def binary(self, level: int, depth: int) -> Formula:
         """A formula whose connectives are all at ``level`` or tighter."""
         if level == len(_CONNECTIVES):
             return self.unary(depth)
         node_class, symbol, right_assoc = _CONNECTIVES[level]
-        node, height = self.binary(level + 1, depth)
+        node = self.binary(level + 1, depth)
         while self.next_is(symbol):
             position = self.advance()[2]
             operand = level if right_assoc else level + 1
-            right, right_height = self.binary(operand, self.nest(depth + 1, position))
-            node, height = node_class(node, right), max(height, right_height) + 1
-            self.nest(depth + height, position)
-        return node, height
+            right = self.binary(operand, self.nest(depth + 1, position))
+            # checked before building, so a tree past the bound is a
+            # FormulaSyntaxError at this operator, never a NestingLimit
+            self.nest(depth + 1 + max(node.height, right.height), position)
+            node = node_class(node, right)
+        return node
 
-    def unary(self, depth: int) -> tuple[Formula, int]:
+    def unary(self, depth: int) -> Formula:
         kind, value, position = self.advance()
         if kind == "int":
-            return Lit(value), 0
+            return Lit(value)
         if kind == "name":
-            return _KEYWORDS.get(value, Var(value)), 0
+            return _KEYWORDS.get(value, Var(value))
         if kind == "op" and value == "~":
-            child, height = self.unary(self.nest(depth + 1, position))
-            return Not(child), height + 1
+            return Not(self.unary(self.nest(depth + 1, position)))
         if kind == "op" and value == "(":
             self.parens = self.nest(self.parens + 1, position)
-            node, height = self.binary(0, depth)
+            node = self.binary(0, depth)
             if not self.next_is(")"):
                 raise FormulaSyntaxError("expected ')'", self.tokens[self.pos][2])
             self.advance()
             self.parens -= 1
-            return node, height
+            return node
         shown = "end of input" if kind == "end" else repr(value)
         raise FormulaSyntaxError(f"expected a formula, found {shown}", position)
 
@@ -206,7 +231,7 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse formula text; FormulaSyntaxError reports the bad offset."""
     parser = _Parser(_tokenize(text))
-    node, _ = parser.binary(0, 0)
+    node = parser.binary(0, 0)
     kind, value, position = parser.tokens[parser.pos]
     if kind != "end":
         raise FormulaSyntaxError(f"unexpected trailing input {value!r}", position)

@@ -24,8 +24,10 @@ from typing import Any
 
 from .errors import NoGreatestElement
 from .factorization import as_natural, divides
-from .intervals import DEFAULT_ENUMERATION_CAP, Interval
+from .intervals import Interval
 from .lattice import join, meet
+
+DEFAULT_SIZE_CAP = 512  # verify_heyting skips (and lists) larger intervals
 
 
 @dataclass(frozen=True)
@@ -63,11 +65,12 @@ class LawReport:
 # ---------------------------------------------------------------------------
 
 
-def oracle_neg(q: Interval, a, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """Greatest member disjoint from ``a``, by exhaustive scan."""
-    a = as_natural(a)
+def oracle_neg(q: Interval, a) -> int:
+    """Greatest member disjoint from ``a``, by exhaustive scan; ``a`` must
+    be a member, checked as by ``q.neg``."""
+    a = q._require_member(a)
     best = q.bottom  # always qualifies: meet(a, bottom) == bottom
-    for c in q.members(cap):
+    for c in q.members():
         if meet(a, c) == q.bottom:
             best = join(best, c)
     if meet(a, best) != q.bottom or not q.contains(best):
@@ -77,12 +80,13 @@ def oracle_neg(q: Interval, a, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     return best
 
 
-def oracle_imp(q: Interval, a, b, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """Greatest member c with meet(a, c) dividing ``b``, by exhaustive scan."""
-    a = as_natural(a)
-    b = as_natural(b)
+def oracle_imp(q: Interval, a, b) -> int:
+    """Greatest member c with meet(a, c) dividing ``b``, by exhaustive
+    scan; ``a`` and ``b`` must be members, checked as by ``q.imp``."""
+    a = q._require_member(a)
+    b = q._require_member(b)
     best = q.bottom
-    for c in q.members(cap):
+    for c in q.members():
         if divides(meet(a, c), b):
             best = join(best, c)
     if not divides(meet(a, best), b) or not q.contains(best):
@@ -139,7 +143,9 @@ def verify_lattice_laws(max_value) -> list[LawReport]:
     Idempotency sweeps single values, commutativity pairs,
     associativity triples (both operations per case), and mutual
     distributivity both dual forms over all triples, so its declared
-    domain is twice the triple count.
+    domain is twice the triple count.  Each law is written once over
+    an operation and its dual and run for meet, then join, so a value
+    ``a`` lists its meet counterexamples before its join ones.
     """
     n = as_natural(max_value)
     values = range(1, n + 1)
@@ -160,58 +166,43 @@ def verify_lattice_laws(max_value) -> list[LawReport]:
 
 
 def _idempotency(a, values, found) -> int:
-    if meet(a, a) != a:
-        found.append({"a": a, "identity": "meet", "lhs": meet(a, a), "rhs": a})
-    if join(a, a) != a:
-        found.append({"a": a, "identity": "join", "lhs": join(a, a), "rhs": a})
+    for name, op in (("meet", meet), ("join", join)):
+        if op(a, a) != a:
+            found.append({"a": a, "identity": name, "lhs": op(a, a), "rhs": a})
     return 1
 
 
 def _commutativity(a, values, found) -> int:
-    for b in values:
-        lhs, rhs = meet(a, b), meet(b, a)
-        if lhs != rhs:
-            found.append({"a": a, "b": b, "identity": "meet", "lhs": lhs, "rhs": rhs})
-        lhs, rhs = join(a, b), join(b, a)
-        if lhs != rhs:
-            found.append({"a": a, "b": b, "identity": "join", "lhs": lhs, "rhs": rhs})
+    for name, op in (("meet", meet), ("join", join)):
+        for b in values:
+            lhs, rhs = op(a, b), op(b, a)
+            if lhs != rhs:
+                found.append({"a": a, "b": b, "identity": name, "lhs": lhs, "rhs": rhs})
     return len(values)
 
 
 def _associativity(a, values, found) -> int:
-    for b in values:
-        m_ab = meet(a, b)
-        j_ab = join(a, b)
-        for c in values:
-            lhs = meet(m_ab, c)
-            rhs = meet(a, meet(b, c))
-            if lhs != rhs:
-                found.append({"a": a, "b": b, "c": c, "identity": "meet", "lhs": lhs, "rhs": rhs})
-            lhs = join(j_ab, c)
-            rhs = join(a, join(b, c))
-            if lhs != rhs:
-                found.append({"a": a, "b": b, "c": c, "identity": "join", "lhs": lhs, "rhs": rhs})
+    for name, op in (("meet", meet), ("join", join)):
+        for b in values:
+            ab = op(a, b)
+            for c in values:
+                lhs, rhs = op(ab, c), op(a, op(b, c))
+                if lhs != rhs:
+                    found.append(
+                        {"a": a, "b": b, "c": c, "identity": name, "lhs": lhs, "rhs": rhs}
+                    )
     return len(values) ** 2
 
 
 def _distributivity(a, values, found) -> int:
     # Both dual forms are part of the declared domain, hence 2 cases per (b, c).
-    for b in values:
-        m_ab = meet(a, b)
-        j_ab = join(a, b)
-        for c in values:
-            lhs = meet(a, join(b, c))
-            rhs = join(m_ab, meet(a, c))
-            if lhs != rhs:
-                found.append(
-                    {"a": a, "b": b, "c": c, "form": "meet_over_join", "lhs": lhs, "rhs": rhs}
-                )
-            lhs = join(a, meet(b, c))
-            rhs = meet(j_ab, join(a, c))
-            if lhs != rhs:
-                found.append(
-                    {"a": a, "b": b, "c": c, "form": "join_over_meet", "lhs": lhs, "rhs": rhs}
-                )
+    for form, op, dual in (("meet_over_join", meet, join), ("join_over_meet", join, meet)):
+        for b in values:
+            ab = op(a, b)
+            for c in values:
+                lhs, rhs = op(a, dual(b, c)), dual(ab, op(a, c))
+                if lhs != rhs:
+                    found.append({"a": a, "b": b, "c": c, "form": form, "lhs": lhs, "rhs": rhs})
     return 2 * len(values) ** 2
 
 
@@ -245,7 +236,7 @@ def _projective(x, values, found) -> int:
 # ---------------------------------------------------------------------------
 
 
-def verify_heyting(top_max, size_cap: int = 512) -> list[LawReport]:
+def verify_heyting(top_max, size_cap: int = DEFAULT_SIZE_CAP) -> list[LawReport]:
     """Sweep every interval with top <= top_max and every dividing bottom.
 
     Intervals larger than ``size_cap`` are recorded as skipped.  Five

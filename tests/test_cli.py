@@ -100,10 +100,15 @@ def test_taut_counterexample(capsys):
     assert (code, out) == (0, "counterexample: p=2 q=1 (value 2)\n")
 
 
-def test_bad_let_binding_is_a_usage_error(capsys):
+@pytest.mark.parametrize(
+    "binding, message",
+    [("p", "expected var=value, got 'p'"), ("p=x", "value for 'p' must be an integer")],
+)
+def test_bad_let_binding_is_a_usage_error(capsys, binding, message):
     with pytest.raises(SystemExit) as exc:
-        main(["eval", "--bottom", "1", "--top", "12", "p", "--let", "p"])
+        main(["eval", "--bottom", "1", "--top", "12", "p", "--let", binding])
     assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 # -- verify -------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from divlog import (
     DEFAULT_FACTOR_LIMIT,
+    EnumerationLimit,
     FactorizationLimit,
     NotNatural,
     as_natural,
@@ -16,6 +17,7 @@ from divlog import (
     primes_up_to,
     reconstruct,
 )
+from divlog.factorization import SIEVE_LIMIT
 
 naturals = st.integers(min_value=1, max_value=10**6)
 
@@ -31,6 +33,19 @@ def test_primes_up_to_seventeen():
 def test_primes_below_two_are_none():
     assert primes_up_to(1) == []
     assert primes_up_to(0) == []
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "17", None])
+def test_primes_up_to_rejects_non_integer_limits(bad):
+    with pytest.raises(NotNatural):
+        primes_up_to(bad)
+
+
+def test_primes_up_to_stops_at_its_bound():
+    # 664579 primes lie below 10**7; one past the bound is refused unsieved
+    assert len(primes_up_to(SIEVE_LIMIT)) == 664579
+    with pytest.raises(EnumerationLimit, match=f"sieve bound {SIEVE_LIMIT}"):
+        primes_up_to(SIEVE_LIMIT + 1)
 
 
 def test_is_prime_agrees_with_sieve():

@@ -18,6 +18,7 @@ from divlog import (
     Imp,
     Interval,
     Lit,
+    NestingLimit,
     Not,
     NotMember,
     Or,
@@ -132,6 +133,7 @@ def test_integer_literals_are_runs_of_decimal_digits():
 def test_syntax_error_wire_name():
     # serialized as SyntaxError without shadowing the builtin
     assert FormulaSyntaxError.name == "SyntaxError"
+    assert NestingLimit.name == "NestingLimit"
 
 
 def test_variables_collects_names():
@@ -339,6 +341,45 @@ def test_every_walker_handles_a_formula_at_the_bound(shape):
     assert parse(format_formula(f)) == f
     assert evaluate(q, f, {"p": 4}) == reference_evaluate(q, f, {"p": 4})
     assert check_valid(q, f) == reference_check_valid(q, f)
+
+
+@pytest.mark.parametrize(
+    "grow",
+    [
+        lambda tree: And(tree, Var("q")),
+        lambda tree: Or(Var("q"), tree),
+        lambda tree: Imp(tree, TOP),
+        lambda tree: Imp(Lit(3), tree),
+        Not,
+    ],
+    ids=["and-left", "or-right", "imp-left", "imp-right", "not"],
+)
+def test_a_built_tree_is_bounded_like_a_parsed_one(grow):
+    tree = Var("p")
+    for height in range(1, MAX_DEPTH + 1):
+        tree = grow(tree)
+        assert tree.height == height
+    with pytest.raises(NestingLimit, match=f"deeper than {MAX_DEPTH} levels"):
+        grow(tree)
+
+
+def test_height_leaves_equality_hash_and_repr_alone():
+    built = Imp(Not(And(Var("p"), Var("q"))), Var("p"))
+    assert (built.height, Var("p").height, TOP.height, Lit(3).height) == (3, 0, 0, 0)
+    assert parse("~(p & q) -> p") == built
+    assert hash(parse("~(p & q) -> p")) == hash(built)
+    assert repr(built) == (
+        "Imp(left=Not(child=And(left=Var(name='p'), right=Var(name='q'))), right=Var(name='p'))"
+    )
+
+
+def test_non_node_children_reach_the_walkers_type_error():
+    f = Or(Var("p"), Not(5))
+    assert f.height == 2
+    with pytest.raises(TypeError, match="not a formula node: 5"):
+        format_formula(f)
+    with pytest.raises(TypeError, match="not a formula node: 5"):
+        evaluate(Interval(1, 12), f, {"p": 2})
 
 
 # -- the compiler against the tree-walking evaluator it replaced ---------------

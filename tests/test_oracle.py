@@ -1,9 +1,13 @@
 """Brute-force oracle semantics and the sweep reports."""
 
+import math
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from divlog import (
+    DivlogError,
     Interval,
     LawReport,
     oracle_imp,
@@ -42,6 +46,26 @@ def test_oracle_negation_examples():
 
 def test_oracle_implication_example():
     assert oracle_imp(Interval(1, 12), 4, 3) == 3
+
+
+def _same_error(expected_call, call):
+    """``call`` raises the error class and message ``expected_call`` does."""
+    with pytest.raises(DivlogError) as expected:
+        expected_call()
+    with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+        call()
+
+
+@pytest.mark.parametrize("a", [3, 48, 0, True, 2.5, "6"])
+def test_oracle_neg_takes_members_only(a):
+    q = Interval(2, 24)
+    _same_error(lambda: q.neg(a), lambda: oracle_neg(q, a))
+
+
+@pytest.mark.parametrize("a, b", [(3, 5), (4, 5), (5, 4), (3, 0), (0, 5), (4, None)])
+def test_oracle_imp_takes_members_only(a, b):
+    q = Interval(2, 24)
+    _same_error(lambda: q.imp(a, b), lambda: oracle_imp(q, a, b))
 
 
 @given(interval_with_pair())
@@ -244,6 +268,54 @@ def test_sweeps_flag_a_corrupted_meet(monkeypatch):
     assert len(projective) == 8 * 6
     assert projective[0] == {"x": 2, "y": 2, "z": 1, "lhs": 1, "rhs": 2}
     assert all(c["lhs"] == 1 and c["rhs"] == c["y"] for c in projective)
+
+
+def test_sweeps_flag_a_corrupted_commutativity(monkeypatch):
+    # meet(a, b) = a keeps idempotency, associativity and both distributive
+    # forms; commutativity fails once per ordered pair a != b
+    monkeypatch.setattr("divlog.oracle.meet", lambda a, b: a)
+    reports = verify_lattice_laws(7)
+    assert [r.law_name for r in reports if not r.passed] == ["commutativity"]
+    assert reports[1].counterexamples == tuple(
+        {"a": a, "b": b, "identity": "meet", "lhs": a, "rhs": b}
+        for a in range(1, 8)
+        for b in range(1, 8)
+        if a != b
+    )
+
+
+def test_sweeps_list_the_meet_form_first_per_value(monkeypatch):
+    # join(a, b) = |a - b| or 1 is commutative but breaks associativity and
+    # both distributive forms; each value a lists its meet_over_join cases,
+    # then its join_over_meet ones, each in (b, c) order
+    def join(a, b):
+        return abs(a - b) or 1
+
+    monkeypatch.setattr("divlog.oracle.join", join)
+    reports = {r.law_name: r for r in verify_lattice_laws(6)}
+    assert reports["commutativity"].passed
+    associativity = reports["associativity"].counterexamples
+    assert len(associativity) == 128
+    assert associativity[0] == {"a": 1, "b": 1, "c": 3, "identity": "join", "lhs": 2, "rhs": 1}
+    assert {c["identity"] for c in associativity} == {"join"}
+
+    meet, values = math.gcd, range(1, 7)
+    forms = {
+        "meet_over_join": lambda a, b, c: (meet(a, join(b, c)), join(meet(a, b), meet(a, c))),
+        "join_over_meet": lambda a, b, c: (join(a, meet(b, c)), meet(join(a, b), join(a, c))),
+    }
+    expected = tuple(
+        {"a": a, "b": b, "c": c, "form": form, "lhs": lhs, "rhs": rhs}
+        for a in values
+        for form, sides in forms.items()
+        for b in values
+        for c in values
+        for lhs, rhs in [sides(a, b, c)]
+        if lhs != rhs
+    )
+    assert len(expected) == 188
+    assert {c["form"] for c in expected if c["a"] == 2} == set(forms)
+    assert reports["mutual_distributivity"].counterexamples == expected
 
 
 def test_heyting_sweep_reports_a_failing_oracle(monkeypatch):
