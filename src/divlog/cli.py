@@ -4,10 +4,12 @@ evaluation, and exhaustive law sweeps, with plain or JSON output.
 Exit status: 0 on success, 1 on a domain error (reported in the output
 document) or on a ``verify`` sweep that found a counterexample, 2 on a
 usage error.  ``DIVLOG_ENUM_CAP`` and ``DIVLOG_SEARCH_CAP`` override
-the enumeration and tautology-search caps; values below 1 are usage
-errors.  Output into a pipe whose reader has gone (``divlog ... | head``)
-exits with status 1 and no traceback: stdout is pointed at the null
-device, as the Python ``signal`` documentation recommends.
+the enumeration and tautology-search caps; they and the sweep options
+``--max``, ``--top-max`` and ``--size-cap`` take positive integers, and
+any other value is a usage error naming the option.  Output into a pipe
+whose reader has gone (``divlog ... | head``) exits with status 1 and no
+traceback: stdout is pointed at the null device, as the Python
+``signal`` documentation recommends.
 """
 
 from __future__ import annotations
@@ -25,26 +27,23 @@ from .lattice import join, meet
 from .oracle import DEFAULT_SIZE_CAP, verify_heyting, verify_lattice_laws, verify_projective
 
 
-def _enum_cap() -> int:
-    return _env_cap("DIVLOG_ENUM_CAP", DEFAULT_ENUMERATION_CAP)
-
-
-def _search_cap() -> int:
-    return _env_cap("DIVLOG_SEARCH_CAP", DEFAULT_SEARCH_CAP)
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _env_cap(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
+    raw = os.environ.get(name, "")
     try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        print(f"divlog: {name} must be a positive integer, got {raw!r}", file=sys.stderr)
+        return _positive(raw) if raw else default
+    except argparse.ArgumentTypeError as err:
+        print(f"divlog: {name} {err}", file=sys.stderr)
         raise SystemExit(2)
-    return cap
 
 
 def _binding(text: str) -> tuple[str, int]:
@@ -92,12 +91,13 @@ def _interval(args):
         return q.size()
     if args.action == "is-boolean":
         return q.is_boolean()
-    return q.members(_enum_cap())
+    return q.members(_env_cap("DIVLOG_ENUM_CAP", DEFAULT_ENUMERATION_CAP))
 
 
 def _cmd_taut(args):
-    q = Interval(args.bottom, args.top)
-    found = check_valid(q, parse(args.formula), _search_cap(), _enum_cap())
+    q, formula = Interval(args.bottom, args.top), parse(args.formula)
+    cap = _env_cap("DIVLOG_SEARCH_CAP", DEFAULT_SEARCH_CAP)
+    found = check_valid(q, formula, cap, _env_cap("DIVLOG_ENUM_CAP", DEFAULT_ENUMERATION_CAP))
     if found is None:
         return {"valid": True}, "valid", None
     result = {"valid": False, "counterexample": dict(found.assignment), "value": found.value}
@@ -132,7 +132,7 @@ _INTERVAL = [
     ("--bottom", {"type": int, "required": True, "help": "interval bottom"}),
     ("--top", {"type": int, "required": True, "help": "interval top"}),
 ]
-_MAX = ("--max", {"type": int, "default": 100})
+_MAX = ("--max", {"type": _positive, "default": 100})
 
 _SWEEPS = [
     ("laws", "lattice laws on [1, MAX]", [_MAX], _sweep(lambda a: verify_lattice_laws(a.max))),
@@ -140,8 +140,8 @@ _SWEEPS = [
         "heyting",
         "interval operations against the oracle",
         [
-            ("--top-max", {"type": int, "default": 60}),
-            ("--size-cap", {"type": int, "default": DEFAULT_SIZE_CAP}),
+            ("--top-max", {"type": _positive, "default": 60}),
+            ("--size-cap", {"type": _positive, "default": DEFAULT_SIZE_CAP}),
         ],
         _sweep(lambda a: verify_heyting(a.top_max, a.size_cap)),
     ),

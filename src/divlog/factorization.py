@@ -6,9 +6,9 @@ and divisibility is exactly the componentwise order on exponents.  The
 library computes on the integers themselves (gcd and lcm are the
 coordinatewise min and max without ever factorizing); a factorization
 is taken once per interval, to count and list its members.  It is
-trial division by the primes below 1024, then Miller-Rabin with fixed
-bases and Pollard-Brent rho for what is left: deterministic, exact up
-to the 2**63 - 1 ceiling, no probabilistic shortcuts.
+trial division by the primes below 1024, then Pollard-Brent rho with no
+randomness, up to a ceiling fixed at 2**63 - 1, within which Miller-Rabin
+with fixed bases proves every part prime.
 """
 
 from __future__ import annotations
@@ -150,20 +150,20 @@ def is_prime(n) -> bool:
     return _is_prime_cofactor(n)
 
 
-def factorize(n, *, limit: int = DEFAULT_FACTOR_LIMIT) -> dict[int, int]:
+def factorize(n) -> dict[int, int]:
     """Canonical prime factorization of ``n``: a dict from each prime to
     its exponent, primes ascending, exponents >= 1, ``{}`` for 1.
 
     Trial division strips the primes below 1024; what is left splits by
     Pollard-Brent rho into parts that Miller-Rabin proves prime, with no
     randomness, so equal inputs give equal results.  Raises
-    FactorizationLimit when ``n`` exceeds ``limit`` (default 2**63 - 1),
-    or when a raised ``limit`` leaves a part past 3.18e23 that the bases
-    cannot prove prime.
+    FactorizationLimit when ``n`` exceeds the fixed ceiling
+    ``DEFAULT_FACTOR_LIMIT`` (2**63 - 1); within it the bases prove
+    every part prime.
     """
     n = as_natural(n)
-    if n > limit:
-        raise FactorizationLimit(f"{n} exceeds the factorization ceiling {limit}")
+    if n > DEFAULT_FACTOR_LIMIT:
+        raise FactorizationLimit(f"{n} exceeds the factorization ceiling {DEFAULT_FACTOR_LIMIT}")
     entries: dict[int, int] = {}
     remaining = n
     for p in _SMALL_PRIMES:

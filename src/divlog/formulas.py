@@ -51,15 +51,15 @@ class _Node:
 
 class _Connective(_Node):
     def __post_init__(self):
-        # the bound holds for every tree, parsed or built, so no walker
-        # recurses deeper than MAX_DEPTH levels
+        # the bound holds for every tree, so no walker recurses past MAX_DEPTH;
+        # the height goes into the instance dict, as cached_property writes it
         height = 0
-        for child in vars(self).values():
+        for child in self.__dict__.values():
             if isinstance(child, _Node) and child.height > height:
                 height = child.height
         if height >= MAX_DEPTH:
             raise NestingLimit(f"formula nests deeper than {MAX_DEPTH} levels")
-        object.__setattr__(self, "height", height + 1)
+        self.__dict__["height"] = height + 1
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,6 @@ def evaluate(q: Interval, formula: Formula, assignment: Mapping[str, int] | None
         if name not in env:
             raise UnboundVariable(f"no value for variable {name!r}")
     for name, value in env.items():
-        value = as_natural(value)
         if not q.contains(value):
             raise NotMember(f"{name}={value} is not in the interval {q}")
     return _compile(q, formula, names)([env[name] for name in names])
@@ -307,7 +306,7 @@ def _compile(q: Interval, formula: Formula, names: list[str]) -> Callable[[Seque
             i = position[node.name]
             return lambda values: values[i]
         if isinstance(node, Lit):
-            value = as_natural(node.value)
+            value = node.value
             if not q.contains(value):
                 raise NotMember(f"literal {value} is not in the interval {q}")
             return lambda values: value
@@ -347,10 +346,12 @@ def check_valid(
 ) -> Counterexample | None:
     """Return None when the formula evaluates to top under every
     assignment, else the lexicographically first counterexample
-    (variables sorted by name, member values ascending).
-
-    Raises SearchLimit when the assignment space exceeds ``cap``.
+    (variables sorted by name, member values ascending).  Both caps are
+    positive integers (NotNatural otherwise); SearchLimit is raised when
+    the assignment space exceeds ``cap``.
     """
+    if type(cap) is not int or cap < 1:
+        as_natural(cap)
     names = sorted(variables(formula))
     members = q.members(enumeration_cap)
     total = len(members) ** len(names)

@@ -46,12 +46,9 @@ class Interval:
     top: int
 
     def __post_init__(self):
-        bottom = as_natural(self.bottom)
-        top = as_natural(self.top)
+        bottom, top = as_natural(self.bottom), as_natural(self.top)
         if top % bottom != 0:
             raise InvalidInterval(f"{bottom} does not divide {top}")
-        object.__setattr__(self, "bottom", bottom)
-        object.__setattr__(self, "top", top)
         # prime -> exponent gap between top and bottom, the one factorization
         object.__setattr__(self, "_gaps", factorize(top // bottom))
         # every member ascending, listed by the first members() call
@@ -73,11 +70,13 @@ class Interval:
     def members(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:
         """Every member in ascending numeric order.
 
-        Raises EnumerationLimit if the interval holds more than ``cap``
-        elements (checked via ``size`` on every call, before any work
-        happens).  The members are listed on the first call and kept;
-        each call returns a new list of them.
+        ``cap`` is a positive integer (NotNatural otherwise); an interval
+        of more than ``cap`` elements raises EnumerationLimit, checked via
+        ``size`` on every call before any work.  The members are listed
+        on the first call and kept; each call returns a new list.
         """
+        if type(cap) is not int or cap < 1:
+            as_natural(cap)
         count = self.size()
         if count > cap:
             raise EnumerationLimit(

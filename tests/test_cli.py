@@ -273,6 +273,20 @@ def test_non_positive_env_cap_is_a_usage_error(monkeypatch, capsys, name, raw):
     assert f"{name} must be a positive integer, got {raw!r}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "sweep, option",
+    [("laws", "--max"), ("projective", "--max"), ("heyting", "--top-max"), ("heyting", "--size-cap")],
+)
+@pytest.mark.parametrize("raw", ["0", "-3", "x"])
+def test_non_positive_sweep_option_is_a_usage_error(capsys, sweep, option, raw):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", sweep, option, raw])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: must be a positive integer, got {raw!r}" in captured.err
+
+
 def test_failed_sweep_exits_one_with_the_usual_output(monkeypatch, capsys):
     monkeypatch.setattr(Interval, "neg", lambda self, a: self.top)
     code, out, _ = run_cli(capsys, "verify", "heyting", "--top-max", "6")
@@ -302,7 +316,7 @@ def test_module_entry_point_runs():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--json", "verify", "heyting", "--top-max", "3", "--size-cap", "0"],  # error document
+        ["--json", "neg", "--bottom", "2", "--top", "24", "5"],  # error document
         ["verify", "laws", "--max", "5"],  # passing sweep
     ],
 )

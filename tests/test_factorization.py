@@ -146,12 +146,6 @@ def test_factorization_ceiling():
         factorize(DEFAULT_FACTOR_LIMIT + 1)
 
 
-def test_factorization_ceiling_is_configurable():
-    with pytest.raises(FactorizationLimit):
-        factorize(100, limit=10)
-    assert factorize(100, limit=100) == {2: 2, 5: 2}
-
-
 # -- Cross-checks of the fast path -----------------------------------------
 
 
@@ -210,7 +204,6 @@ def test_edge_cases(n, expected):
 
 def test_composites_past_the_ceiling_still_factor_exactly():
     n = (2**61 - 1) * (2**31 - 1) * (2**19 - 1)  # above the proven bound
-    assert factorize(n, limit=n) == {524287: 1, 2147483647: 1, 2**61 - 1: 1}
     assert not is_prime(n)
     assert not is_prime(2**89 + 1)
 
@@ -225,8 +218,6 @@ def test_composites_past_the_ceiling_still_factor_exactly():
 def test_unproven_primality_raises(n):
     with pytest.raises(FactorizationLimit):
         is_prime(n)
-    with pytest.raises(FactorizationLimit):
-        factorize(n, limit=n)
 
 
 _PRIME_POOL = [

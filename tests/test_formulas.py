@@ -21,6 +21,7 @@ from divlog import (
     NestingLimit,
     Not,
     NotMember,
+    NotNatural,
     Or,
     SearchLimit,
     Top,
@@ -479,6 +480,13 @@ def test_check_valid_reports_enumeration_then_search_then_literal():
         check_valid(q, f, cap=35)
     with pytest.raises(NotMember, match="literal 5"):
         check_valid(q, f, cap=36)
+
+
+@pytest.mark.parametrize("bad", ["x", None, True, 2.0, 0, -1])
+@pytest.mark.parametrize("keyword", ["cap", "enumeration_cap"])
+def test_search_caps_must_be_positive_integers(keyword, bad):
+    with pytest.raises(NotNatural):
+        check_valid(Interval(1, 12), parse("p | ~p"), **{keyword: bad})
 
 
 def test_compiled_formulas_call_the_module_meet(monkeypatch):

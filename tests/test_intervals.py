@@ -106,6 +106,12 @@ def test_enumeration_cap_is_enforced():
         Interval(1, 30).members(cap=5)
 
 
+@pytest.mark.parametrize("cap", ["x", None, True, 2.0, 0, -1])
+def test_enumeration_cap_must_be_a_positive_integer(cap):
+    with pytest.raises(NotNatural):
+        Interval(1, 30).members(cap=cap)
+
+
 def test_member_list_is_a_fresh_copy():
     q = Interval(2, 24)
     first = q.members()
