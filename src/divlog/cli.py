@@ -3,8 +3,9 @@ evaluation, and exhaustive law sweeps, with plain or JSON output.
 
 Exit status: 0 on success, 1 on a domain error (reported in the output
 document) or on a ``verify`` sweep that found a counterexample, 2 on a
-usage error.  ``DIVLOG_ENUM_CAP`` and ``DIVLOG_SEARCH_CAP`` override
-the enumeration and tautology-search caps; they and the sweep options
+usage error.  ``DIVLOG_ENUM_CAP`` overrides the cap on the members
+``interval ... list`` prints, and ``DIVLOG_SEARCH_CAP`` the one cap on
+the assignments ``taut`` searches; these two and the sweep options
 ``--max``, ``--top-max`` and ``--size-cap`` take positive integers, and
 any other value is a usage error naming the option.  Output into a pipe
 whose reader has gone (``divlog ... | head``) exits with status 1 and no
@@ -96,8 +97,7 @@ def _interval(args):
 
 def _cmd_taut(args):
     q, formula = Interval(args.bottom, args.top), parse(args.formula)
-    cap = _env_cap("DIVLOG_SEARCH_CAP", DEFAULT_SEARCH_CAP)
-    found = check_valid(q, formula, cap, _env_cap("DIVLOG_ENUM_CAP", DEFAULT_ENUMERATION_CAP))
+    found = check_valid(q, formula, _env_cap("DIVLOG_SEARCH_CAP", DEFAULT_SEARCH_CAP))
     if found is None:
         return {"valid": True}, "valid", None
     result = {"valid": False, "counterexample": dict(found.assignment), "value": found.value}

@@ -2,7 +2,19 @@
 
 Each error carries a stable ``name`` used verbatim in structured CLI
 output, so renaming a class never silently changes the wire format.
+A message shows each operand through ``shown``, so an integer too long
+to print as decimal digits still gives its named error.
 """
+
+
+def shown(value) -> str:
+    """``repr(value)``, or ``<N-bit integer>`` for an int past the
+    interpreter's limit on decimal digits (4300 by default), whose
+    ``repr`` raises ValueError."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{value.bit_length()}-bit integer>"
 
 
 class DivlogError(Exception):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from .errors import EnumerationLimit, FactorizationLimit, NotNatural
+from .errors import EnumerationLimit, FactorizationLimit, NotNatural, shown
 
 # Inputs above this bound raise FactorizationLimit: below it the fixed
 # Miller-Rabin bases are exact and rho splits any cofactor in well under
@@ -34,10 +34,8 @@ def as_natural(value) -> int:
     membership) call this only when the exact-int guard ``type(value)
     is int and value >= 1`` fails, so it decides every error.
     """
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise NotNatural(f"expected a positive integer, got {value!r}")
-    if value < 1:
-        raise NotNatural(f"expected a positive integer, got {value}")
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise NotNatural(f"expected a positive integer, got {shown(value)}")
     return value
 
 
@@ -60,7 +58,7 @@ def primes_up_to(limit) -> list[int]:
     if isinstance(limit, bool) or not isinstance(limit, int):
         raise NotNatural(f"expected an integer limit, got {limit!r}")
     if limit > SIEVE_LIMIT:
-        raise EnumerationLimit(f"primes up to {limit} exceed the sieve bound {SIEVE_LIMIT}")
+        raise EnumerationLimit(f"primes up to {shown(limit)} exceed the sieve bound {SIEVE_LIMIT}")
     return list(_sieve(limit))
 
 
@@ -100,7 +98,7 @@ def _is_prime_cofactor(n: int) -> bool:
             return False
     if n >= _MR_EXACT_BELOW:
         raise FactorizationLimit(
-            f"{n} passes Miller-Rabin but lies beyond its proven bound {_MR_EXACT_BELOW}"
+            f"{shown(n)} passes Miller-Rabin but lies beyond its proven bound {_MR_EXACT_BELOW}"
         )
     return True
 
@@ -163,7 +161,9 @@ def factorize(n) -> dict[int, int]:
     """
     n = as_natural(n)
     if n > DEFAULT_FACTOR_LIMIT:
-        raise FactorizationLimit(f"{n} exceeds the factorization ceiling {DEFAULT_FACTOR_LIMIT}")
+        raise FactorizationLimit(
+            f"{shown(n)} exceeds the factorization ceiling {DEFAULT_FACTOR_LIMIT}"
+        )
     entries: dict[int, int] = {}
     remaining = n
     for p in _SMALL_PRIMES:

@@ -26,9 +26,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
-from .errors import FormulaSyntaxError, NestingLimit, NotMember, SearchLimit, UnboundVariable
+from .errors import FormulaSyntaxError, NestingLimit, NotMember, SearchLimit, UnboundVariable, shown
 from .factorization import as_natural
-from .intervals import DEFAULT_ENUMERATION_CAP, Interval
+from .intervals import Interval
 from .lattice import join, meet
 
 DEFAULT_SEARCH_CAP = 1_000_000
@@ -290,7 +290,7 @@ def evaluate(q: Interval, formula: Formula, assignment: Mapping[str, int] | None
             raise UnboundVariable(f"no value for variable {name!r}")
     for name, value in env.items():
         if not q.contains(value):
-            raise NotMember(f"{name}={value} is not in the interval {q}")
+            raise NotMember(f"{name}={shown(value)} is not in the interval {q}")
     return _compile(q, formula, names)([env[name] for name in names])
 
 
@@ -308,7 +308,7 @@ def _compile(q: Interval, formula: Formula, names: list[str]) -> Callable[[Seque
         if isinstance(node, Lit):
             value = node.value
             if not q.contains(value):
-                raise NotMember(f"literal {value} is not in the interval {q}")
+                raise NotMember(f"literal {shown(value)} is not in the interval {q}")
             return lambda values: value
         if isinstance(node, (Top, Bottom)):
             constant = q.top if isinstance(node, Top) else q.bottom
@@ -339,29 +339,28 @@ class Counterexample:
 
 
 def check_valid(
-    q: Interval,
-    formula: Formula,
-    cap: int = DEFAULT_SEARCH_CAP,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
+    q: Interval, formula: Formula, cap: int = DEFAULT_SEARCH_CAP
 ) -> Counterexample | None:
     """Return None when the formula evaluates to top under every
     assignment, else the lexicographically first counterexample
-    (variables sorted by name, member values ascending).  Both caps are
-    positive integers (NotNatural otherwise); SearchLimit is raised when
-    the assignment space exceeds ``cap``.
+    (variables sorted by name, member values ascending).  ``cap``, a
+    positive integer (NotNatural otherwise), bounds the search: the
+    ``size ** k`` assignments are counted from the gaps, a factor at a
+    time, and SearchLimit comes once they pass it, before any member is
+    listed.  A variable-free formula is evaluated once, with no listing.
     """
     if type(cap) is not int or cap < 1:
         as_natural(cap)
     names = sorted(variables(formula))
-    members = q.members(enumeration_cap)
-    total = len(members) ** len(names)
-    if total > cap:
-        raise SearchLimit(
-            f"{total} assignments over {len(names)} variables exceed the cap {cap}"
-        )
+    k, size, total = len(names), q.size(), 1
+    for _ in names:
+        total *= size
+        if total > cap:
+            message = f"{size}**{k} assignments over {k} variables exceed the cap {shown(cap)}"
+            raise SearchLimit(message)
     value_of = _compile(q, formula, names)
     top = q.top
-    for combo in itertools.product(members, repeat=len(names)):
+    for combo in itertools.product(q.members(cap) if k else (), repeat=k):
         value = value_of(combo)
         if value != top:
             return Counterexample(assignment=tuple(zip(names, combo)), value=value)

@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import EnumerationLimit, InvalidInterval, NotBoolean, NotMember
+from .errors import EnumerationLimit, InvalidInterval, NotBoolean, NotMember, shown
 from .factorization import as_natural, factorize
 
 # Interval cardinality is multiplicative in the exponent gaps and can
@@ -48,7 +48,7 @@ class Interval:
     def __post_init__(self):
         bottom, top = as_natural(self.bottom), as_natural(self.top)
         if top % bottom != 0:
-            raise InvalidInterval(f"{bottom} does not divide {top}")
+            raise InvalidInterval(f"{shown(bottom)} does not divide {shown(top)}")
         # prime -> exponent gap between top and bottom, the one factorization
         object.__setattr__(self, "_gaps", factorize(top // bottom))
         # every member ascending, listed by the first members() call
@@ -79,9 +79,7 @@ class Interval:
             as_natural(cap)
         count = self.size()
         if count > cap:
-            raise EnumerationLimit(
-                f"interval [{self.bottom}, {self.top}] holds {count} elements, cap is {cap}"
-            )
+            raise EnumerationLimit(f"interval {self} holds {count} elements, cap is {shown(cap)}")
         if self._members is None:
             axes = [[prime**e for e in range(gap + 1)] for prime, gap in self._gaps.items()]
             ms = sorted(self.bottom * math.prod(combo) for combo in itertools.product(*axes))
@@ -126,15 +124,11 @@ class Interval:
         preconditions hold, so a remainder is an internal bug.
         """
         if not self.is_boolean():
-            raise NotBoolean(
-                f"interval [{self.bottom}, {self.top}] is not a Boolean algebra"
-            )
+            raise NotBoolean(f"interval {self} is not a Boolean algebra")
         a = self._require_member(a)
         quotient, remainder = divmod(self.top * self.bottom, a)
         if remainder:
-            raise RuntimeError(
-                f"complement of {a} in [{self.bottom}, {self.top}] left a remainder"
-            )
+            raise RuntimeError(f"complement of {shown(a)} in {self} left a remainder")
         return quotient
 
     # -- helpers ---------------------------------------------------------
@@ -157,8 +151,8 @@ class Interval:
         if type(a) is not int or a < 1:
             a = as_natural(a)
         if a % self.bottom or self.top % a:
-            raise NotMember(f"{a} is not in the interval [{self.bottom}, {self.top}]")
+            raise NotMember(f"{shown(a)} is not in the interval {self}")
         return a
 
     def __str__(self) -> str:
-        return f"[{self.bottom}, {self.top}]"
+        return f"[{shown(self.bottom)}, {shown(self.top)}]"

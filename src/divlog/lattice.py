@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, shown
 from .factorization import as_natural, divides
 
 
@@ -54,5 +54,5 @@ def projective_identity_holds(x, y, z) -> bool:
     y = as_natural(y)
     z = as_natural(z)
     if not divides(y, x):
-        raise PreconditionViolated(f"{y} does not divide {x}")
+        raise PreconditionViolated(f"{shown(y)} does not divide {shown(x)}")
     return meet(x, join(z, y)) == join(meet(x, z), y)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .errors import NoGreatestElement
+from .errors import NoGreatestElement, shown
 from .factorization import as_natural, divides
 from .intervals import Interval
 from .lattice import join, meet
@@ -75,7 +75,7 @@ def oracle_neg(q: Interval, a) -> int:
             best = join(best, c)
     if meet(a, best) != q.bottom or not q.contains(best):
         raise NoGreatestElement(
-            f"join of candidates disjoint from {a} in {q} does not qualify"
+            f"join of candidates disjoint from {shown(a)} in {q} does not qualify"
         )
     return best
 
@@ -91,7 +91,7 @@ def oracle_imp(q: Interval, a, b) -> int:
             best = join(best, c)
     if not divides(meet(a, best), b) or not q.contains(best):
         raise NoGreatestElement(
-            f"join of candidates for {a} -> {b} in {q} does not qualify"
+            f"join of candidates for {shown(a)} -> {shown(b)} in {q} does not qualify"
         )
     return best
 
@@ -150,7 +150,7 @@ def verify_lattice_laws(max_value) -> list[LawReport]:
     n = as_natural(max_value)
     values = range(1, n + 1)
     return _run_laws(
-        [(a, values) for a in values],
+        ((a, values) for a in values),
         {"max": n},
         [
             ("idempotency", {"domain": f"[1,{n}]"}, _idempotency),
@@ -213,7 +213,7 @@ def verify_projective(max_value) -> LawReport:
     values = range(1, n + 1)
     domain = {"domain": f"triples in [1,{n}]^3 with y | x"}
     return _run_laws(
-        [(x, values) for x in values],
+        ((x, values) for x in values),
         {"max": n},
         [("projective_identity", domain, _projective)],
     )[0]

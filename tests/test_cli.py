@@ -254,6 +254,39 @@ def test_search_cap_env_override(monkeypatch, capsys):
     assert json.loads(out)["error"]["name"] == "SearchLimit"
 
 
+@pytest.mark.parametrize("raw", ["0", "x", "1"])
+def test_taut_ignores_the_enumeration_cap(monkeypatch, capsys, raw):
+    monkeypatch.setenv("DIVLOG_ENUM_CAP", raw)
+    assert run_cli(capsys, "taut", "--bottom", "1", "--top", "4", "p | ~p") == (
+        0,
+        "counterexample: p=2 (value 2)\n",
+        "",
+    )
+
+
+def conjunction(names):
+    """``names`` joined by ``&`` into a tree of height about log2(len(names))."""
+    if len(names) == 1:
+        return names[0]
+    half = len(names) // 2
+    return f"({conjunction(names[:half])}) & ({conjunction(names[half:])})"
+
+
+def test_taut_over_thousands_of_variables_is_a_search_limit():
+    text = conjunction([f"v{i}" for i in range(6000)])
+    proc = subprocess.run(
+        [sys.executable, "-m", "divlog.cli", "--json", "taut", "--bottom", "1", "--top", "12", text],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"] == {
+        "name": "SearchLimit",
+        "message": "6**6000 assignments over 6000 variables exceed the cap 1000000",
+    }
+    assert proc.stderr == ""
+
+
 def test_garbage_env_cap_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("DIVLOG_ENUM_CAP", "lots")
     with pytest.raises(SystemExit) as exc:
@@ -261,12 +294,19 @@ def test_garbage_env_cap_is_a_usage_error(monkeypatch, capsys):
     assert exc.value.code == 2
 
 
+# the one command that reads each cap
+ENV_CAP_COMMANDS = {
+    "DIVLOG_ENUM_CAP": ["interval", "--bottom", "1", "--top", "4", "list"],
+    "DIVLOG_SEARCH_CAP": ["taut", "--bottom", "1", "--top", "4", "p | ~p"],
+}
+
+
 @pytest.mark.parametrize("name", ["DIVLOG_ENUM_CAP", "DIVLOG_SEARCH_CAP"])
 @pytest.mark.parametrize("raw", ["0", "-5"])
 def test_non_positive_env_cap_is_a_usage_error(monkeypatch, capsys, name, raw):
     monkeypatch.setenv(name, raw)
     with pytest.raises(SystemExit) as exc:
-        main(["taut", "--bottom", "1", "--top", "4", "p | ~p"])
+        main(ENV_CAP_COMMANDS[name])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""

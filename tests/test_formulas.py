@@ -13,7 +13,6 @@ from divlog import (
     Bottom,
     Counterexample,
     DivlogError,
-    EnumerationLimit,
     FormulaSyntaxError,
     Imp,
     Interval,
@@ -38,7 +37,6 @@ from divlog import (
     variables,
 )
 from divlog.formulas import DEFAULT_SEARCH_CAP, MAX_DEPTH
-from divlog.intervals import DEFAULT_ENUMERATION_CAP
 
 
 def _divisors(n):
@@ -294,6 +292,51 @@ def test_search_cap_is_configurable():
         check_valid(Interval(1, 4), parse("p | ~p"), cap=2)
 
 
+def conjunction(names):
+    """``names`` joined by ``&`` into a tree of height about log2(len(names))."""
+    if len(names) == 1:
+        return names[0]
+    half = len(names) // 2
+    return f"({conjunction(names[:half])}) & ({conjunction(names[half:])})"
+
+
+def test_search_over_thousands_of_variables_stops_at_the_cap():
+    # 6**6000 has 4670 digits: the count stops once it passes the cap
+    f = parse(conjunction([f"v{i}" for i in range(6000)]))
+    with pytest.raises(SearchLimit) as info:
+        check_valid(Interval(1, 12), f)
+    assert str(info.value) == "6**6000 assignments over 6000 variables exceed the cap 1000000"
+
+
+def test_variable_free_formula_is_decided_in_an_interval_too_big_to_list():
+    q = Interval(1, 897612484786617600)
+    assert q.size() == 103_680
+    assert check_valid(q, parse("T")) is None
+    assert check_valid(q, parse("F & T")) == Counterexample(assignment=(), value=1)
+
+
+def test_an_over_cap_search_lists_no_member(monkeypatch):
+    def refuse(self, cap=None):
+        raise AssertionError("members listed")
+
+    monkeypatch.setattr(Interval, "members", refuse)
+    with pytest.raises(SearchLimit):
+        check_valid(Interval(1, 12), parse("p | q"), cap=35)
+    with pytest.raises(SearchLimit):
+        check_valid(Interval(1, 897612484786617600), parse("p & q"))
+
+
+def test_linearity_holds_in_every_interval():
+    """(p -> q) | (q -> p) is valid in every interval: an interval is a
+    product of chains, and in a chain one of a -> b and b -> a is the top."""
+    f = parse("(p -> q) | (q -> p)")
+    intervals = [Interval(b, top) for top in range(1, 201) for b in _divisors(top)]
+    for q in intervals:
+        assert check_valid(q, f) is None, q
+    assert len(intervals) == 1_098
+    assert sum(q.size() ** 2 for q in intervals) == 19_428
+
+
 # -- nesting bound -------------------------------------------------------------
 
 NESTED = {
@@ -422,12 +465,12 @@ def reference_evaluate(q, formula, assignment=None):
     return reference_eval(q, formula, env)
 
 
-def reference_check_valid(q, formula, cap=DEFAULT_SEARCH_CAP, enumeration_cap=DEFAULT_ENUMERATION_CAP):
+def reference_check_valid(q, formula, cap=DEFAULT_SEARCH_CAP):
     names = sorted(variables(formula))
-    members = q.members(enumeration_cap)
-    total = len(members) ** len(names)
-    if total > cap:
-        raise SearchLimit(f"{total} assignments over {len(names)} variables exceed the cap {cap}")
+    members = q.members()
+    size, k = len(members), len(names)
+    if size**k > cap:
+        raise SearchLimit(f"{size}**{k} assignments over {k} variables exceed the cap {cap}")
     for combo in itertools.product(members, repeat=len(names)):
         value = reference_eval(q, formula, dict(zip(names, combo)))
         if value != q.top:
@@ -455,11 +498,9 @@ def test_evaluate_matches_the_reference(q, f, data):
     assert outcome(evaluate, q, f, env) == outcome(reference_evaluate, q, f, env)
 
 
-@given(intervals(), formulas, st.integers(1, 400), st.integers(1, 24))
-def test_check_valid_matches_the_reference(q, f, cap, enumeration_cap):
-    assert outcome(check_valid, q, f, cap, enumeration_cap) == outcome(
-        reference_check_valid, q, f, cap, enumeration_cap
-    )
+@given(intervals(), formulas, st.integers(1, 400))
+def test_check_valid_matches_the_reference(q, f, cap):
+    assert outcome(check_valid, q, f, cap) == outcome(reference_check_valid, q, f, cap)
 
 
 def test_evaluate_reports_unbound_then_binding_then_literal():
@@ -472,21 +513,19 @@ def test_evaluate_reports_unbound_then_binding_then_literal():
         evaluate(q, f, {"p": 2, "q": 2})
 
 
-def test_check_valid_reports_enumeration_then_search_then_literal():
+def test_check_valid_reports_search_then_literal():
     q, f = Interval(1, 12), parse("5 & p & q")  # six members, 36 assignments
-    with pytest.raises(EnumerationLimit):
-        check_valid(q, f, cap=35, enumeration_cap=5)
-    with pytest.raises(SearchLimit):
+    with pytest.raises(SearchLimit) as info:
         check_valid(q, f, cap=35)
+    assert str(info.value) == "6**2 assignments over 2 variables exceed the cap 35"
     with pytest.raises(NotMember, match="literal 5"):
         check_valid(q, f, cap=36)
 
 
 @pytest.mark.parametrize("bad", ["x", None, True, 2.0, 0, -1])
-@pytest.mark.parametrize("keyword", ["cap", "enumeration_cap"])
-def test_search_caps_must_be_positive_integers(keyword, bad):
+def test_search_caps_must_be_positive_integers(bad):
     with pytest.raises(NotNatural):
-        check_valid(Interval(1, 12), parse("p | ~p"), **{keyword: bad})
+        check_valid(Interval(1, 12), parse("p | ~p"), cap=bad)
 
 
 def test_compiled_formulas_call_the_module_meet(monkeypatch):

@@ -10,16 +10,25 @@ from hypothesis import example, given, strategies as st
 
 from divlog import (
     EnumerationLimit,
+    FactorizationLimit,
     Interval,
     InvalidInterval,
+    Lit,
     NotBoolean,
     NotMember,
     NotNatural,
+    PreconditionViolated,
+    as_natural,
     divides,
+    evaluate,
     factorize,
     join,
     meet,
+    parse,
+    primes_up_to,
+    projective_identity_holds,
 )
+from divlog.errors import shown
 
 
 def _divisors(n):
@@ -360,3 +369,41 @@ def test_complement_agrees_with_negation_when_boolean(qa):
     if q.is_boolean():
         assert q.complement(a) == q.neg(a)
         assert q.complement(a) * a == q.top * q.bottom
+
+
+# -- operands too long to print as decimal digits ------------------------------
+
+HUGE = 10**5000  # 5001 digits, past the default limit of 4300 on int -> str
+WIDE = Interval(HUGE, 8 * HUGE)  # four members, not Boolean
+SMALL = Interval(1, 12)
+
+
+def test_shown_is_repr_until_the_digit_limit():
+    assert [shown(12), shown(-3), shown("x"), shown(None)] == ["12", "-3", "'x'", "None"]
+    assert shown(HUGE) == "<16610-bit integer>"
+
+
+@pytest.mark.parametrize(
+    "error, call",
+    [
+        pytest.param(NotNatural, lambda: meet(-HUGE, 2), id="meet"),
+        pytest.param(NotNatural, lambda: as_natural(-HUGE), id="as_natural"),
+        pytest.param(NotMember, lambda: SMALL.neg(HUGE), id="neg"),
+        pytest.param(NotMember, lambda: SMALL.imp(2, HUGE), id="imp"),
+        pytest.param(FactorizationLimit, lambda: factorize(HUGE), id="factorize"),
+        pytest.param(InvalidInterval, lambda: Interval(7, HUGE), id="interval-not-dividing"),
+        pytest.param(FactorizationLimit, lambda: Interval(1, HUGE), id="interval-past-ceiling"),
+        pytest.param(EnumerationLimit, lambda: primes_up_to(HUGE), id="primes_up_to"),
+        pytest.param(NotMember, lambda: evaluate(SMALL, parse("p"), {"p": HUGE}), id="binding"),
+        pytest.param(NotMember, lambda: evaluate(SMALL, Lit(HUGE)), id="literal"),
+        pytest.param(NotBoolean, lambda: WIDE.complement(HUGE), id="complement"),
+        pytest.param(EnumerationLimit, lambda: WIDE.members(3), id="members"),
+        pytest.param(
+            PreconditionViolated, lambda: projective_identity_holds(HUGE, 3, 1), id="projective"
+        ),
+    ],
+)
+def test_huge_operands_get_their_named_error(error, call):
+    with pytest.raises(error) as info:
+        call()
+    assert shown(HUGE) in str(info.value)

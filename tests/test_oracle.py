@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -343,3 +344,29 @@ def test_heyting_sweep_reports_a_failing_oracle(monkeypatch):
     for name in ("neg_formula_vs_oracle", "imp_formula_vs_oracle"):
         for case in reports[name].counterexamples:
             assert ("oracle" in case) != ("oracle_error" in case)
+
+
+class _Stop(Exception):
+    pass
+
+
+def _stop(*args):
+    raise _Stop
+
+
+@pytest.mark.parametrize(
+    "sweep, first_law",
+    [(verify_lattice_laws, "_idempotency"), (verify_projective, "_projective")],
+)
+def test_sweeps_take_their_domain_one_slice_at_a_time(monkeypatch, sweep, first_law):
+    """A sweep over [1, 10**6] holds no list of its slices: stopped at the
+    first case, it has allocated less than a megabyte."""
+    monkeypatch.setattr(f"divlog.oracle.{first_law}", _stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Stop):
+            sweep(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
