@@ -11,21 +11,22 @@ any other value is a usage error naming the option.  Output into a pipe
 whose reader has gone (``divlog ... | head``) exits with status 1 and no
 traceback: stdout is pointed at the null device, as the Python
 ``signal`` documentation recommends.
+
+A call imports only what its command runs: the arithmetic and interval
+modules load with this one, the formula language and the oracle inside
+the handlers that use them, and ``json`` only for ``--json`` output.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .errors import DivlogError, FormulaSyntaxError
 from .factorization import divides, factorize
-from .formulas import DEFAULT_SEARCH_CAP, check_valid, evaluate, parse
 from .intervals import DEFAULT_ENUMERATION_CAP, Interval
 from .lattice import join, meet
-from .oracle import DEFAULT_SIZE_CAP, verify_heyting, verify_lattice_laws, verify_projective
 
 
 def _positive(text: str) -> int:
@@ -58,25 +59,23 @@ def _binding(text: str) -> tuple[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Handlers: each returns (result payload, plain text, report list or None)
+# Handlers: each returns (result payload, plain text or None, report list
+# or None); a text of None prints the result as itself
 # ---------------------------------------------------------------------------
 
 
 def _plain(compute):
-    """Handler for a command whose result prints as itself: booleans as
-    true/false, lists one item per line."""
+    """Handler for a command whose result prints as itself."""
+    return lambda args: (compute(args), None, None)
 
-    def handler(args):
-        value = compute(args)
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, list):
-            text = "\n".join(map(str, value))
-        else:
-            text = str(value)
-        return value, text, None
 
-    return handler
+def _as_text(value) -> str:
+    """A result as itself: booleans as true/false, lists one item per line."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return "\n".join(map(str, value))
+    return str(value)
 
 
 def _cmd_factor(args):
@@ -95,7 +94,15 @@ def _interval(args):
     return q.members(_env_cap("DIVLOG_ENUM_CAP", DEFAULT_ENUMERATION_CAP))
 
 
+def _eval(args):
+    from .formulas import evaluate, parse
+
+    return evaluate(Interval(args.bottom, args.top), parse(args.formula), dict(args.let or []))
+
+
 def _cmd_taut(args):
+    from .formulas import DEFAULT_SEARCH_CAP, check_valid, parse
+
     q, formula = Interval(args.bottom, args.top), parse(args.formula)
     found = check_valid(q, formula, _env_cap("DIVLOG_SEARCH_CAP", DEFAULT_SEARCH_CAP))
     if found is None:
@@ -106,10 +113,13 @@ def _cmd_taut(args):
 
 
 def _sweep(run):
-    """Handler for a ``verify`` sweep; ``run(args)`` returns its reports."""
+    """Handler for a ``verify`` sweep; ``run(oracle, args)`` returns its
+    reports, given the ``divlog.oracle`` module."""
 
     def handler(args):
-        reports = run(args)
+        from . import oracle
+
+        reports = run(oracle, args)
         text = "\n".join(
             f"{r.law_name}: cases={r.cases_checked} "
             f"counterexamples={len(r.counterexamples)} "
@@ -135,21 +145,22 @@ _INTERVAL = [
 _MAX = ("--max", {"type": _positive, "default": 100})
 
 _SWEEPS = [
-    ("laws", "lattice laws on [1, MAX]", [_MAX], _sweep(lambda a: verify_lattice_laws(a.max))),
+    ("laws", "lattice laws on [1, MAX]", [_MAX], _sweep(lambda o, a: o.verify_lattice_laws(a.max))),
     (
         "heyting",
         "interval operations against the oracle",
         [
             ("--top-max", {"type": _positive, "default": 60}),
-            ("--size-cap", {"type": _positive, "default": DEFAULT_SIZE_CAP}),
+            # None stands for the oracle's DEFAULT_SIZE_CAP
+            ("--size-cap", {"type": _positive}),
         ],
-        _sweep(lambda a: verify_heyting(a.top_max, a.size_cap)),
+        _sweep(lambda o, a: o.verify_heyting(a.top_max, a.size_cap or o.DEFAULT_SIZE_CAP)),
     ),
     (
         "projective",
         "meet/join projective identity on [1, MAX]",
         [_MAX],
-        _sweep(lambda a: [verify_projective(a.max)]),
+        _sweep(lambda o, a: [o.verify_projective(a.max)]),
     ),
 ]
 
@@ -194,9 +205,7 @@ _COMMANDS = [
                  "help": "bind a variable (repeatable)"},
             ),
         ],
-        _plain(
-            lambda a: evaluate(Interval(a.bottom, a.top), parse(a.formula), dict(a.let or []))
-        ),
+        _plain(_eval),
     ),
     (
         "taut",
@@ -262,13 +271,30 @@ def main(argv=None) -> int:
         # a sweep that found counterexamples is a failure, in either format
         status = 0 if reports is None or all(r.passed for r in reports) else 1
 
+    # The operands were parsed under the interpreter's limit on int digits
+    # (4300 by default), which bounds every one of them; a result past it,
+    # such as the lcm of two long operands, still prints whole.  The limit
+    # is lifted for the printing only and put back for the caller (Python
+    # before 3.10.7 has no limit).
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
-        print(json.dumps(output, indent=2) if as_json else output)
+        if as_json:
+            import json
+
+            output = json.dumps(output, indent=2)
+        elif output is None:
+            output = _as_text(result)
+        print(output)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left: keep the interpreter's exit flush from failing too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return status
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import EnumerationLimit, InvalidInterval, NotBoolean, NotMember, shown
 from .factorization import as_natural, factorize
@@ -32,18 +31,27 @@ from .factorization import as_natural, factorize
 DEFAULT_ENUMERATION_CAP = 100_000
 
 
-@dataclass(frozen=True)
 class Interval:
     """All naturals divisible by ``bottom`` and dividing ``top``.
 
     ``bottom`` plays the role of false and ``top`` the role of true in
     the interval's logic.  The degenerate one-element interval (bottom
     == top) is legal.  Construction fails with InvalidInterval unless
-    bottom divides top.
+    bottom divides top.  An interval is an immutable value: equal and
+    hashed by its bounds, and assigning an attribute raises
+    AttributeError.
     """
 
+    __slots__ = ("bottom", "top", "_gaps", "_members")
     bottom: int
     top: int
+
+    def __init__(self, bottom: int, top: int):
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "top", top)
+        # the checks and the one factorization run in their own method,
+        # which the benchmark's tracer wraps as a construction span
+        self.__post_init__()
 
     def __post_init__(self):
         bottom, top = as_natural(self.bottom), as_natural(self.top)
@@ -53,6 +61,26 @@ class Interval:
         object.__setattr__(self, "_gaps", factorize(top // bottom))
         # every member ascending, listed by the first members() call
         object.__setattr__(self, "_members", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.bottom, self.top) == (other.bottom, other.top)
+
+    def __hash__(self):
+        return hash((self.bottom, self.top))
+
+    def __reduce__(self):
+        return self.__class__, (self.bottom, self.top)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(bottom={shown(self.bottom)}, top={shown(self.top)})"
 
     # -- membership and enumeration ------------------------------------
 

@@ -44,6 +44,28 @@ def test_gcd_and_lcm(capsys):
     assert run_cli(capsys, "lcm", "12", "18") == (0, "36\n", "")
 
 
+@pytest.mark.parametrize("head", [[], ["--json"]])
+def test_lcm_past_the_digit_limit_prints_whole(head):
+    a, b = 10**4000 + 1, 10**4000 + 3  # coprime: the lcm has 8001 digits
+    proc = subprocess.run(
+        [sys.executable, "-m", "divlog.cli", *head, "lcm", str(a), str(b)],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    digits = json.loads(proc.stdout, parse_int=str)["result"] if head else proc.stdout[:-1]
+    # read back in two parts, each within this interpreter's digit limit
+    assert digits.isdecimal() and len(digits) == 8001
+    assert int(digits[:4000]) * 10**4001 + int(digits[4000:]) == a * b
+
+
+def test_printing_past_the_digit_limit_puts_the_limit_back(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(capsys, "lcm", str(10**4000 + 1), str(10**4000 + 3))
+    assert (code, len(out)) == (0, 8002)
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_divides(capsys):
     assert run_cli(capsys, "divides", "6", "24") == (0, "true\n", "")
     assert run_cli(capsys, "divides", "4", "6") == (0, "false\n", "")
@@ -371,3 +393,66 @@ def test_closed_stdout_pipe_exits_one_without_traceback(argv):
     proc.stderr.close()
     assert proc.wait() == 1
     assert b"Traceback" not in err
+
+
+# -- what a cold call loads ----------------------------------------------------
+
+# Runs ``main`` on its arguments in a fresh interpreter, then prints the
+# modules loaded before divlog was imported and those loaded at the end.
+LOADED = """
+import sys
+before = set(sys.modules)
+from divlog.cli import main
+status = main(sys.argv[1:])
+print(" ".join(before), file=sys.stderr)
+print(" ".join(sys.modules), file=sys.stderr)
+sys.exit(status)
+"""
+HEAVY = {"divlog.formulas", "divlog.oracle", "dataclasses", "json"}
+
+
+def cold_call(*argv):
+    """Exit status, stdout, and the modules the call loaded and had at the end."""
+    proc = subprocess.run([sys.executable, "-c", LOADED, *argv], capture_output=True, text=True)
+    before, after = (set(line.split()) for line in proc.stderr.splitlines()[-2:])
+    return proc.returncode, proc.stdout, after - before, after
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["gcd", "12", "18"], "6\n"),
+        (["factor", "360"], "360 = 2^3 * 3^2 * 5\n"),
+        (["neg", "--bottom", "2", "--top", "24", "6"], "8\n"),
+        (["imp", "--bottom", "1", "--top", "12", "4", "3"], "3\n"),
+        (["interval", "--bottom", "2", "--top", "24", "list"], "2\n4\n6\n8\n12\n24\n"),
+    ],
+)
+def test_arithmetic_calls_load_no_formula_oracle_or_json_module(argv, out):
+    status, stdout, loaded, _ = cold_call(*argv)
+    assert (status, stdout) == (0, out)
+    assert "divlog.intervals" in loaded
+    assert loaded & HEAVY == set()
+
+
+def test_json_output_loads_json():
+    status, stdout, _, modules = cold_call("--json", "neg", "--bottom", "2", "--top", "24", "6")
+    assert status == 0 and json.loads(stdout)["result"] == 8
+    assert "json" in modules
+
+
+@pytest.mark.parametrize(
+    "argv, out, module",
+    [
+        (["taut", "--bottom", "1", "--top", "6", "p | ~p"], "valid\n", "divlog.formulas"),
+        (
+            ["verify", "projective", "--max", "8"],
+            "projective_identity: cases=160 counterexamples=0 skipped=0 PASS\n",
+            "divlog.oracle",
+        ),
+    ],
+)
+def test_formula_and_sweep_calls_load_their_module(argv, out, module):
+    status, stdout, loaded, _ = cold_call(*argv)
+    assert (status, stdout) == (0, out)
+    assert module in loaded

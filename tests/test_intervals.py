@@ -5,6 +5,9 @@ order-theoretic characterizations; the sweep-style cross-checks against
 the brute-force oracle live in test_oracle.py and the acceptance suite.
 """
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -144,6 +147,19 @@ def test_listed_members_leave_equality_hash_and_repr_alone():
     assert listed == fresh and hash(listed) == hash(fresh)
     assert repr(listed) == repr(fresh) == "Interval(bottom=2, top=24)"
     assert {listed: 1}[fresh] == 1
+
+
+def test_interval_is_an_immutable_value():
+    q = Interval(2, 24)
+    assert Interval(bottom=2, top=24) == q and hash(Interval(bottom=2, top=24)) == hash(q)
+    assert q != (2, 24) and q != Interval(2, 12) and q != Interval(1, 24)
+    assert pickle.loads(pickle.dumps(q)) == q == copy.deepcopy(q)
+    for attr in ("bottom", "top", "other"):
+        with pytest.raises(AttributeError):
+            setattr(q, attr, 4)
+        with pytest.raises(AttributeError):
+            delattr(q, attr)
+    assert (q.bottom, q.top) == (2, 24) and q.members() == [2, 4, 6, 8, 12, 24]
 
 
 def test_size_never_enumerates():
@@ -381,6 +397,11 @@ SMALL = Interval(1, 12)
 def test_shown_is_repr_until_the_digit_limit():
     assert [shown(12), shown(-3), shown("x"), shown(None)] == ["12", "-3", "'x'", "None"]
     assert shown(HUGE) == "<16610-bit integer>"
+
+
+def test_repr_shows_huge_bounds_by_their_bit_length():
+    assert repr(Interval(HUGE, HUGE)) == "Interval(bottom=<16610-bit integer>, top=<16610-bit integer>)"
+    assert repr(WIDE) == f"Interval(bottom={shown(HUGE)}, top={shown(8 * HUGE)})"
 
 
 @pytest.mark.parametrize(
