@@ -1,28 +1,36 @@
 """Propositional formulas evaluated inside an interval algebra.
 
-Surface syntax (ASCII, whitespace insensitive)::
+Surface syntax (whitespace insensitive)::
 
     formula := or ('->' formula)?          implication, right associative
     or      := and ('|' and)*
     and     := unary ('&' unary)*
     unary   := '~' unary | identifier | integer | 'T' | 'F' | '(' formula ')'
 
-An integer is a run of decimal digits.  ``parse`` refuses, at the
-token that goes deeper, a tree more than ``MAX_DEPTH`` (100) levels high
-(each ``~`` and binary connective above an atom is one level) and
-parentheses nested deeper than that; building a node that high from
-the node classes raises NestingLimit, so no tree in hand is deeper
-than the walkers can recurse.  ``T`` and ``F`` are the interval's
-top and bottom; an integer literal denotes itself and must be a member
-of the evaluation interval, checked once per compile, not per assignment.
-Connectives evaluate as meet, join, relative pseudocomplement, and
-pseudocomplement, so classical tautologies may fail: validity means
-"evaluates to the top under every assignment of members to variables".
+Whitespace is what ``str.isspace`` accepts.  An integer is a run of
+decimal digits, as ``int()`` reads them.  An identifier is a letter or
+``_`` followed by letters, digits or ``_``, as ``str.isalpha`` and
+``str.isalnum`` read them.  ``T`` and ``F`` are reserved: they are the
+interval's top and bottom.  An integer literal denotes itself and must
+be a member of the evaluation interval, checked once per compile, not
+per assignment.  Connectives evaluate as meet, join, relative
+pseudocomplement, and pseudocomplement, so classical tautologies may
+fail: validity means "evaluates to the top under every assignment of
+members to variables".
+
+``parse`` refuses, at the token that goes deeper, a tree more than
+``MAX_DEPTH`` (100) levels high (each ``~`` and binary connective above
+an atom is one level) and parentheses nested deeper than that; building
+a node that high from the node classes raises NestingLimit, so no tree
+in hand is deeper than the walkers can recurse.  ``format_formula``
+raises ValueError for a ``Var`` or ``Lit`` whose text would not parse
+back as that atom alone, such as ``Var("T")`` or ``Lit(-3)``.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
@@ -132,108 +140,83 @@ def variables(formula: Formula) -> set[str]:
 # ---------------------------------------------------------------------------
 
 _KEYWORDS = {"T": TOP, "F": BOTTOM}
+_TOKEN = re.compile(r"\s*(?:(->|[|&~()])|(\d+)|(\w+)|(\S))")
+# symbol -> (node class, level, right-associative), read off _CONNECTIVES
+_BINARY = {
+    symbol: (node_class, level, right_assoc)
+    for level, (node_class, symbol, right_assoc) in enumerate(_CONNECTIVES)
+}
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
+def _tokenize(text: str) -> list[tuple[object, Formula | None, int]]:
+    """``text`` as (value, atom, offset) triples, closed by (None, None,
+    len(text)).  ``value`` is the operator, int or name as messages
+    show it; ``atom`` is the node an integer or a name denotes, None
+    for an operator."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(("op", "->", i))
-            i += 2
-        elif ch in "|&~()":
-            tokens.append(("op", ch, i))
-            i += 1
-        elif ch.isdecimal():  # the digits int() accepts
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        value, position = match[group], match.start(group)
+        if group == 1:
+            tokens.append((value, None, position))
+        elif group == 2:
             try:
-                tokens.append(("int", int(text[i:j]), i))
+                value = int(value)
             except ValueError:  # past the interpreter's limit on digits
-                raise FormulaSyntaxError(f"integer literal of {j - i} digits is too long", i) from None
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-        else:
-            raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
+                raise FormulaSyntaxError(f"integer literal of {len(value)} digits is too long", position) from None
+            tokens.append((value, Lit(value), position))
+        elif group == 3 and (value[0].isalpha() or value[0] == "_"):
+            tokens.append((value, _KEYWORDS.get(value) or Var(value), position))
+        else:  # any other character, or a \w run led by a digit int() refuses, as ² or ½
+            raise FormulaSyntaxError(f"unexpected character {value[0]!r}", position)
+    tokens.append((None, None, len(text)))
     return tokens
 
 
-class _Parser:
-    """Recursive descent; a method reads at a tree depth and returns the tree."""
-
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-        self.parens = 0  # parentheses open at the current token
-
-    def next_is(self, op: str) -> bool:
-        kind, value, _ = self.tokens[self.pos]
-        return kind == "op" and value == op
-
-    def advance(self):
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def nest(self, depth: int, position: int) -> int:
-        if depth > MAX_DEPTH:
-            raise FormulaSyntaxError(f"formula nests deeper than {MAX_DEPTH} levels", position)
-        return depth
-
-    def binary(self, level: int, depth: int) -> Formula:
-        """A formula whose connectives are all at ``level`` or tighter."""
-        if level == len(_CONNECTIVES):
-            return self.unary(depth)
-        node_class, symbol, right_assoc = _CONNECTIVES[level]
-        node = self.binary(level + 1, depth)
-        while self.next_is(symbol):
-            position = self.advance()[2]
-            operand = level if right_assoc else level + 1
-            right = self.binary(operand, self.nest(depth + 1, position))
-            # checked before building, so a tree past the bound is a
-            # FormulaSyntaxError at this operator, never a NestingLimit
-            self.nest(depth + 1 + max(node.height, right.height), position)
-            node = node_class(node, right)
-        return node
-
-    def unary(self, depth: int) -> Formula:
-        kind, value, position = self.advance()
-        if kind == "int":
-            return Lit(value)
-        if kind == "name":
-            return _KEYWORDS.get(value, Var(value))
-        if kind == "op" and value == "~":
-            return Not(self.unary(self.nest(depth + 1, position)))
-        if kind == "op" and value == "(":
-            self.parens = self.nest(self.parens + 1, position)
-            node = self.binary(0, depth)
-            if not self.next_is(")"):
-                raise FormulaSyntaxError("expected ')'", self.tokens[self.pos][2])
-            self.advance()
-            self.parens -= 1
-            return node
-        shown = "end of input" if kind == "end" else repr(value)
-        raise FormulaSyntaxError(f"expected a formula, found {shown}", position)
+def _nest(depth: int, position: int) -> int:
+    if depth > MAX_DEPTH:
+        raise FormulaSyntaxError(f"formula nests deeper than {MAX_DEPTH} levels", position)
+    return depth
 
 
 def parse(text: str) -> Formula:
     """Parse formula text; FormulaSyntaxError reports the bad offset."""
-    parser = _Parser(_tokenize(text))
-    node = parser.binary(0, 0)
-    kind, value, position = parser.tokens[parser.pos]
-    if kind != "end":
+    tokens = _tokenize(text)
+    pos = parens = 0  # the current token; parentheses open at it
+
+    def climb(level: int, depth: int) -> Formula:
+        """A formula whose binary connectives all bind at ``level`` or
+        tighter, ``depth`` levels below the root."""
+        nonlocal pos, parens
+        value, node, position = tokens[pos]
+        pos += 1
+        # no name or int reads as an operator, so ``value`` alone tells them
+        if value == "~":
+            node = Not(climb(_NOT_LEVEL, _nest(depth + 1, position)))
+        elif value == "(":
+            parens = _nest(parens + 1, position)
+            node = climb(0, depth)
+            if tokens[pos][0] != ")":
+                raise FormulaSyntaxError("expected ')'", tokens[pos][2])
+            pos += 1
+            parens -= 1
+        elif node is None:  # an operator or the end, where a formula belongs
+            shown = "end of input" if value is None else repr(value)
+            raise FormulaSyntaxError(f"expected a formula, found {shown}", position)
+        while (row := _BINARY.get(tokens[pos][0])) and row[1] >= level:
+            node_class, own, right_assoc = row
+            position = tokens[pos][2]
+            pos += 1
+            right = climb(own if right_assoc else own + 1, _nest(depth + 1, position))
+            # checked before building, so a tree past the bound is a
+            # FormulaSyntaxError at this operator, never a NestingLimit
+            _nest(depth + 1 + max(node.height, right.height), position)
+            node = node_class(node, right)
+        return node
+
+    node = climb(0, 0)
+    value, _, position = tokens[pos]
+    if value is not None:
         raise FormulaSyntaxError(f"unexpected trailing input {value!r}", position)
     return node
 
@@ -244,16 +227,22 @@ def parse(text: str) -> Formula:
 
 
 def format_formula(formula: Formula) -> str:
-    """Render with the fewest parentheses that still round-trip."""
+    """Render with the fewest parentheses that still round-trip; an atom
+    whose text would not read back as that atom raises ValueError."""
     return _format(formula, 0)
 
 
 def _format(formula: Formula, level: int) -> str:
     """Render ``formula`` where the context binds at ``level``."""
-    if isinstance(formula, Var):
-        return formula.name
-    if isinstance(formula, Lit):
-        return str(formula.value)
+    if isinstance(formula, (Var, Lit)):
+        text = str(formula.name if isinstance(formula, Var) else formula.value)
+        try:
+            atoms = [atom for _, atom, _ in _tokenize(text)]
+        except FormulaSyntaxError:
+            atoms = []
+        if atoms != [formula, None]:  # one token, and it denotes this atom
+            raise ValueError(f"{formula!r} prints as {text!r}, which does not parse back to it")
+        return text
     if isinstance(formula, Top):
         return "T"
     if isinstance(formula, Bottom):

@@ -179,6 +179,29 @@ def test_print_parse_round_trip(f):
     assert parse(format_formula(f)) == f
 
 
+@pytest.mark.parametrize(
+    "atom, text",
+    [
+        (Var("T"), "T"),  # reads back as TOP
+        (Var("F"), "F"),  # reads back as BOTTOM
+        (Lit(True), "True"),  # reads back as Var("True")
+        (Var("p q"), "p q"),
+        (Var(""), ""),
+        (Var("2x"), "2x"),
+        (Lit(-3), "-3"),
+    ],
+)
+def test_printer_refuses_an_atom_that_does_not_parse_back(atom, text):
+    with pytest.raises(ValueError) as exc:
+        format_formula(And(Var("p"), atom))
+    assert str(exc.value) == f"{atom!r} prints as {text!r}, which does not parse back to it"
+
+
+def test_printer_keeps_every_atom_the_tokenizer_reads():
+    for text in ["p", "_", "x\u00b2", "\u56db", "T", "F", "0", "12"]:
+        assert format_formula(parse(text)) == text
+
+
 # -- evaluation --------------------------------------------------------------
 
 
@@ -424,6 +447,168 @@ def test_non_node_children_reach_the_walkers_type_error():
         format_formula(f)
     with pytest.raises(TypeError, match="not a formula node: 5"):
         evaluate(Interval(1, 12), f, {"p": 2})
+
+
+# -- the parser against the recursive descent it replaced ----------------------
+
+
+def reference_tokenize(text):
+    """Scan a character at a time."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if text.startswith("->", i):
+            tokens.append(("op", "->", i))
+            i += 2
+        elif ch in "|&~()":
+            tokens.append(("op", ch, i))
+            i += 1
+        elif ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            try:
+                tokens.append(("int", int(text[i:j]), i))
+            except ValueError:
+                raise FormulaSyntaxError(f"integer literal of {j - i} digits is too long", i) from None
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+        else:
+            raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", None, n))
+    return tokens
+
+
+class ReferenceParser:
+    """Recursive descent, a method per precedence row."""
+
+    rows = ((Imp, "->", True), (Or, "|", False), (And, "&", False))
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+        self.parens = 0
+
+    def next_is(self, op):
+        kind, value, _ = self.tokens[self.pos]
+        return kind == "op" and value == op
+
+    def advance(self):
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def nest(self, depth, position):
+        if depth > MAX_DEPTH:
+            raise FormulaSyntaxError(f"formula nests deeper than {MAX_DEPTH} levels", position)
+        return depth
+
+    def binary(self, level, depth):
+        if level == len(self.rows):
+            return self.unary(depth)
+        node_class, symbol, right_assoc = self.rows[level]
+        node = self.binary(level + 1, depth)
+        while self.next_is(symbol):
+            position = self.advance()[2]
+            operand = level if right_assoc else level + 1
+            right = self.binary(operand, self.nest(depth + 1, position))
+            self.nest(depth + 1 + max(node.height, right.height), position)
+            node = node_class(node, right)
+        return node
+
+    def unary(self, depth):
+        kind, value, position = self.advance()
+        if kind == "int":
+            return Lit(value)
+        if kind == "name":
+            return {"T": TOP, "F": BOTTOM}.get(value, Var(value))
+        if kind == "op" and value == "~":
+            return Not(self.unary(self.nest(depth + 1, position)))
+        if kind == "op" and value == "(":
+            self.parens = self.nest(self.parens + 1, position)
+            node = self.binary(0, depth)
+            if not self.next_is(")"):
+                raise FormulaSyntaxError("expected ')'", self.tokens[self.pos][2])
+            self.advance()
+            self.parens -= 1
+            return node
+        shown = "end of input" if kind == "end" else repr(value)
+        raise FormulaSyntaxError(f"expected a formula, found {shown}", position)
+
+
+def reference_parse(text):
+    parser = ReferenceParser(reference_tokenize(text))
+    node = parser.binary(0, 0)
+    kind, value, position = parser.tokens[parser.pos]
+    if kind != "end":
+        raise FormulaSyntaxError(f"unexpected trailing input {value!r}", position)
+    return node
+
+
+def parsed(parse_text, text):
+    """The tree, or the type, message and offset of the syntax error."""
+    try:
+        return parse_text(text)
+    except FormulaSyntaxError as err:
+        return type(err), str(err), err.position
+
+
+def assert_parsers_agree(text):
+    assert parsed(parse, text) == parsed(reference_parse, text), text
+
+
+formula_texts = st.lists(
+    st.sampled_from(["->", "-", "~", "&", "|", "(", ")", "T", "F", "p", "q", "1", "09", "\t", "\u3000", " "]),
+    max_size=20,
+).map("".join)
+
+
+@given(formula_texts)
+def test_parse_matches_the_reference_on_formula_alphabet(text):
+    assert_parsers_agree(text)
+
+
+@given(st.text())
+def test_parse_matches_the_reference_on_any_text(text):
+    assert_parsers_agree(text)
+
+
+@pytest.mark.parametrize(
+    "c",
+    ["\x1c", "\u3000", "\u0663", "\u00b2", "\u00bd", "\u56db", "\u00e9", "e\u0301", "_", "\u203f", "$"],
+)
+def test_parse_matches_the_reference_on_odd_characters(c):
+    for text in [c, f"p{c}", f"{c}p", f"1{c}2", f"p &{c}q", f"x{c}y"]:
+        assert_parsers_agree(text)
+
+
+NESTED_TOO = {
+    **NESTED,
+    "negated conjunctions": lambda n: "~(p & " * n + "p" + ")" * n,
+    "parenthesized implications": lambda n: "(p -> " * n + "p" + ")" * n,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_TOO))
+def test_parse_matches_the_reference_on_nesting(shape):
+    for n in range(131):
+        assert_parsers_agree(NESTED_TOO[shape](n))
+
+
+@pytest.mark.parametrize("text", [b"p", None])
+def test_parse_takes_only_text(text):
+    with pytest.raises(TypeError):
+        parse(text)
 
 
 # -- the compiler against the tree-walking evaluator it replaced ---------------
