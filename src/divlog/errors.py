@@ -2,19 +2,56 @@
 
 Each error carries a stable ``name`` used verbatim in structured CLI
 output, so renaming a class never silently changes the wire format.
-A message shows each operand through ``shown``, so an integer too long
-to print as decimal digits still gives its named error.
+A message, and the ``repr`` of a ``Value``, shows each operand through
+``shown``, so an integer too long for decimal digits still prints.
 """
 
 
 def shown(value) -> str:
     """``repr(value)``, or ``<N-bit integer>`` for an int past the
     interpreter's limit on decimal digits (4300 by default), whose
-    ``repr`` raises ValueError."""
+    ``repr`` raises ValueError; a tuple shows its items so."""
     try:
         return repr(value)
     except ValueError:
-        return f"<{value.bit_length()}-bit integer>"
+        if isinstance(value, int):
+            return f"<{value.bit_length()}-bit integer>"
+        if isinstance(value, tuple):  # a Counterexample's assignment, say
+            return "(" + ", ".join(map(shown, value)) + "," * (len(value) == 1) + ")"
+        raise
+
+
+class Value:
+    """An immutable value: equal (same class), hashed, pickled and
+    printed by the fields named in ``_fields``, which a subclass's
+    constructor sets with ``object.__setattr__`` into its slots."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={shown(getattr(self, name))}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 class DivlogError(Exception):

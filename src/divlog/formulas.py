@@ -25,16 +25,18 @@ a node that high from the node classes raises NestingLimit, so no tree
 in hand is deeper than the walkers can recurse.  ``format_formula``
 raises ValueError for a ``Var`` or ``Lit`` whose text would not parse
 back as that atom alone, such as ``Var("T")`` or ``Lit(-3)``.
+
+The nodes and ``Counterexample`` are immutable ``errors.Value``s, so
+``Lit(10**5000)`` prints as ``Lit(value=<16610-bit integer>)``.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
-from .errors import FormulaSyntaxError, NestingLimit, NotMember, SearchLimit, UnboundVariable, shown
+from .errors import FormulaSyntaxError, NestingLimit, NotMember, SearchLimit, UnboundVariable, Value, shown
 from .factorization import as_natural
 from .intervals import Interval
 from .lattice import join, meet
@@ -48,69 +50,78 @@ MAX_DEPTH = 100
 # ---------------------------------------------------------------------------
 
 
-class _Node:
+class _Node(Value):
     """Base of the node classes.  ``height`` counts the connectives on
-    the longest path down to an atom: 0 for an atom, stored by each
-    connective node as it is built.  It is no dataclass field, so
-    ``==``, ``hash`` and ``repr`` ignore it."""
+    the longest path down to an atom: 0 for an atom, a slot that each
+    connective's constructor fills.  It is no field, so ``==``,
+    ``hash``, ``repr`` and pickling ignore it."""
 
+    __slots__ = ()
     height = 0
 
 
-class _Connective(_Node):
-    def __post_init__(self):
-        # the bound holds for every tree, so no walker recurses past MAX_DEPTH;
-        # the height goes into the instance dict, as cached_property writes it
-        height = 0
-        for child in self.__dict__.values():
-            if isinstance(child, _Node) and child.height > height:
-                height = child.height
-        if height >= MAX_DEPTH:
-            raise NestingLimit(f"formula nests deeper than {MAX_DEPTH} levels")
-        self.__dict__["height"] = height + 1
+def _above(height: int) -> int:
+    """One more than ``height``, the tallest child's (0 for a child that
+    is no node); NestingLimit past MAX_DEPTH, so no walker recurses deeper."""
+    if height >= MAX_DEPTH:
+        raise NestingLimit(f"formula nests deeper than {MAX_DEPTH} levels")
+    return height + 1
 
 
-@dataclass(frozen=True)
 class Var(_Node):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Lit(_Node):
-    value: int
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Top(_Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Bottom(_Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class And(_Connective):
-    left: "Formula"
-    right: "Formula"
+class _Binary(_Node):
+    __slots__ = ("left", "right", "height")
+    _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        height = left.height if isinstance(left, _Node) else 0
+        if isinstance(right, _Node) and right.height > height:
+            height = right.height
+        object.__setattr__(self, "height", _above(height))
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Or(_Connective):
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Imp(_Connective):
-    left: "Formula"
-    right: "Formula"
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Not(_Connective):
-    child: "Formula"
+class Imp(_Binary):
+    __slots__ = ()
+
+
+class Not(_Node):
+    __slots__ = ("child", "height")
+    _fields = ("child",)
+
+    def __init__(self, child: Formula):
+        object.__setattr__(self, "height", _above(child.height if isinstance(child, _Node) else 0))
+        object.__setattr__(self, "child", child)
 
 
 Formula = Union[Var, Lit, Top, Bottom, And, Or, Imp, Not]
@@ -235,7 +246,7 @@ def format_formula(formula: Formula) -> str:
 def _format(formula: Formula, level: int) -> str:
     """Render ``formula`` where the context binds at ``level``."""
     if isinstance(formula, (Var, Lit)):
-        text = str(formula.name if isinstance(formula, Var) else formula.value)
+        text = str(formula.name) if isinstance(formula, Var) else shown(formula.value)
         try:
             atoms = [atom for _, atom, _ in _tokenize(text)]
         except FormulaSyntaxError:
@@ -319,12 +330,14 @@ def _compile(q: Interval, formula: Formula, names: list[str]) -> Callable[[Seque
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Value):
     """First falsifying assignment, with the value the formula took."""
 
-    assignment: tuple[tuple[str, int], ...]
-    value: int
+    __slots__ = _fields = ("assignment", "value")
+
+    def __init__(self, assignment: tuple[tuple[str, int], ...], value: int):
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "value", value)
 
 
 def check_valid(

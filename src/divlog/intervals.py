@@ -9,9 +9,9 @@ operations are gcd/lcm expressions: ``imp(a, b) = lcm(b, r)``, where
 and ``neg(a) = imp(a, bottom)``.  No operand is factorized and nothing
 is searched.  The one factorization an interval takes is of
 ``top / bottom``, the exponent gaps that give its size, its
-Boolean-ness and its members.  The members are listed once, on the
-first ``members`` call within the cap, and kept as a tuple next to the
-gaps; every call still checks its cap and returns a fresh list.
+Boolean-ness and its members.  An interval is an immutable
+``errors.Value`` of its two bounds; the gaps, and the members listed by
+the first ``members`` call within the cap, sit in slots beside them.
 Membership tests start with the exact-int guard ``type(a) is int and
 a >= 1`` and fall back to ``as_natural`` only when it fails, so a bad
 operand raises the same NotNatural as before.  The brute-force
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import EnumerationLimit, InvalidInterval, NotBoolean, NotMember, shown
+from .errors import EnumerationLimit, InvalidInterval, NotBoolean, NotMember, Value, shown
 from .factorization import as_natural, factorize
 
 # Interval cardinality is multiplicative in the exponent gaps and can
@@ -31,18 +31,19 @@ from .factorization import as_natural, factorize
 DEFAULT_ENUMERATION_CAP = 100_000
 
 
-class Interval:
+class Interval(Value):
     """All naturals divisible by ``bottom`` and dividing ``top``.
 
     ``bottom`` plays the role of false and ``top`` the role of true in
     the interval's logic.  The degenerate one-element interval (bottom
     == top) is legal.  Construction fails with InvalidInterval unless
-    bottom divides top.  An interval is an immutable value: equal and
-    hashed by its bounds, and assigning an attribute raises
-    AttributeError.
+    bottom divides top.  An interval is an immutable ``Value``: equal,
+    hashed, pickled and printed by its bounds, and assigning an
+    attribute raises AttributeError.
     """
 
     __slots__ = ("bottom", "top", "_gaps", "_members")
+    _fields = ("bottom", "top")
     bottom: int
     top: int
 
@@ -61,26 +62,6 @@ class Interval:
         object.__setattr__(self, "_gaps", factorize(top // bottom))
         # every member ascending, listed by the first members() call
         object.__setattr__(self, "_members", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.bottom, self.top) == (other.bottom, other.top)
-
-    def __hash__(self):
-        return hash((self.bottom, self.top))
-
-    def __reduce__(self):
-        return self.__class__, (self.bottom, self.top)
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(bottom={shown(self.bottom)}, top={shown(self.top)})"
 
     # -- membership and enumeration ------------------------------------
 

@@ -19,10 +19,9 @@ and returns one LawReport per law, ready for structured output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
-from .errors import NoGreatestElement, shown
+from .errors import NoGreatestElement, Value, shown
 from .factorization import as_natural, divides
 from .intervals import Interval
 from .lattice import join, meet
@@ -30,8 +29,7 @@ from .lattice import join, meet
 DEFAULT_SIZE_CAP = 512  # verify_heyting skips (and lists) larger intervals
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(Value):
     """Outcome of one exhaustive sweep.
 
     ``cases_checked`` equals the cardinality of the declared sweep
@@ -40,11 +38,15 @@ class LawReport:
     listed, never silently dropped.
     """
 
-    law_name: str
-    parameters: dict[str, Any]
-    cases_checked: int
-    counterexamples: tuple = ()
-    skipped: tuple = field(default=())
+    __slots__ = _fields = ("law_name", "parameters", "cases_checked", "counterexamples", "skipped")
+
+    def __init__(self, law_name: str, parameters: dict[str, Any], cases_checked: int,
+                 counterexamples: tuple = (), skipped: tuple = ()):
+        object.__setattr__(self, "law_name", law_name)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "cases_checked", cases_checked)
+        object.__setattr__(self, "counterexamples", counterexamples)
+        object.__setattr__(self, "skipped", skipped)
 
     @property
     def passed(self) -> bool:

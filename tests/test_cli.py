@@ -450,9 +450,28 @@ def test_json_output_loads_json():
             "projective_identity: cases=160 counterexamples=0 skipped=0 PASS\n",
             "divlog.oracle",
         ),
+        (["eval", "--bottom", "1", "--top", "12", "p -> 6", "--let", "p=4"], "6\n", "divlog.formulas"),
+        (
+            ["verify", "laws", "--max", "2"],
+            "idempotency: cases=2 counterexamples=0 skipped=0 PASS\n"
+            "commutativity: cases=4 counterexamples=0 skipped=0 PASS\n"
+            "associativity: cases=8 counterexamples=0 skipped=0 PASS\n"
+            "mutual_distributivity: cases=16 counterexamples=0 skipped=0 PASS\n",
+            "divlog.oracle",
+        ),
+        (
+            ["verify", "heyting", "--top-max", "2"],
+            "neg_formula_vs_oracle: cases=4 counterexamples=0 skipped=0 PASS\n"
+            "imp_formula_vs_oracle: cases=6 counterexamples=0 skipped=0 PASS\n"
+            "residuation_adjunction: cases=10 counterexamples=0 skipped=0 PASS\n"
+            "boolean_equivalences: cases=3 counterexamples=0 skipped=0 PASS\n"
+            "imp_bottom_independence: cases=1 counterexamples=0 skipped=0 PASS\n",
+            "divlog.oracle",
+        ),
     ],
 )
 def test_formula_and_sweep_calls_load_their_module(argv, out, module):
     status, stdout, loaded, _ = cold_call(*argv)
     assert (status, stdout) == (0, out)
     assert module in loaded
+    assert "dataclasses" not in loaded  # the value classes need no class generator
