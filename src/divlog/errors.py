@@ -10,7 +10,7 @@ A message, and the ``repr`` of a ``Value``, shows each operand through
 def shown(value) -> str:
     """``repr(value)``, or ``<N-bit integer>`` for an int past the
     interpreter's limit on decimal digits (4300 by default), whose
-    ``repr`` raises ValueError; a tuple shows its items so."""
+    ``repr`` raises ValueError; a tuple, list or dict shows its items so."""
     try:
         return repr(value)
     except ValueError:
@@ -18,6 +18,10 @@ def shown(value) -> str:
             return f"<{value.bit_length()}-bit integer>"
         if isinstance(value, tuple):  # a Counterexample's assignment, say
             return "(" + ", ".join(map(shown, value)) + "," * (len(value) == 1) + ")"
+        if isinstance(value, list):
+            return "[" + ", ".join(map(shown, value)) + "]"
+        if isinstance(value, dict):  # a LawReport's parameters, say
+            return "{" + ", ".join(f"{shown(k)}: {shown(v)}" for k, v in value.items()) + "}"
         raise
 
 

@@ -12,11 +12,11 @@ decimal digits, as ``int()`` reads them.  An identifier is a letter or
 ``_`` followed by letters, digits or ``_``, as ``str.isalpha`` and
 ``str.isalnum`` read them.  ``T`` and ``F`` are reserved: they are the
 interval's top and bottom.  An integer literal denotes itself and must
-be a member of the evaluation interval, checked once per compile, not
-per assignment.  Connectives evaluate as meet, join, relative
-pseudocomplement, and pseudocomplement, so classical tautologies may
-fail: validity means "evaluates to the top under every assignment of
-members to variables".
+be a member of the evaluation interval.  Operands are checked once, at
+the boundary; connectives compute with gcd (meet), lcm (join) and the
+interval's Heyting implication kernel, ``~x`` being ``x -> F``, so
+classical tautologies may fail: validity means "evaluates to the top
+under every assignment of members to variables".
 
 ``parse`` refuses, at the token that goes deeper, a tree more than
 ``MAX_DEPTH`` (100) levels high (each ``~`` and binary connective above
@@ -33,13 +33,13 @@ The nodes and ``Counterexample`` are immutable ``errors.Value``s, so
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import FormulaSyntaxError, NestingLimit, NotMember, SearchLimit, UnboundVariable, Value, shown
 from .factorization import as_natural
 from .intervals import Interval
-from .lattice import join, meet
 
 DEFAULT_SEARCH_CAP = 1_000_000
 MAX_DEPTH = 100
@@ -296,10 +296,11 @@ def evaluate(q: Interval, formula: Formula, assignment: Mapping[str, int] | None
 
 def _compile(q: Interval, formula: Formula, names: list[str]) -> Callable[[Sequence[int]], int]:
     """Turn ``formula`` into a function of the values of ``names``, in
-    order.  Literals are checked here, left to right; the connectives
-    call meet, join, imp and neg as bound when this runs."""
+    order, which must be members.  Literals are checked here, left to
+    right, and no operand again: ``&`` is ``math.gcd``, ``|`` is
+    ``math.lcm``, ``->`` is the kernel ``q._imp`` and ``~x`` is ``x -> F``."""
     position = {name: i for i, name in enumerate(names)}
-    operations = ((And, meet), (Or, join), (Imp, q.imp))
+    operations = ((And, math.gcd), (Or, math.lcm), (Imp, q._imp))
 
     def build(node):
         if isinstance(node, Var):
@@ -313,9 +314,8 @@ def _compile(q: Interval, formula: Formula, names: list[str]) -> Callable[[Seque
         if isinstance(node, (Top, Bottom)):
             constant = q.top if isinstance(node, Top) else q.bottom
             return lambda values: constant
-        if isinstance(node, Not):
-            child, neg = build(node.child), q.neg
-            return lambda values: neg(child(values))
+        if isinstance(node, Not):  # as high as the Not, so no NestingLimit
+            node = Imp(node.child, BOTTOM)
         for node_class, operation in operations:
             if isinstance(node, node_class):
                 left, right = build(node.left), build(node.right)

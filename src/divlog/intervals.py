@@ -6,16 +6,17 @@ divisibility order.  It is a finite distributive lattice, so negation
 and come out in closed form.  Members stay plain integers and both
 operations are gcd/lcm expressions: ``imp(a, b) = lcm(b, r)``, where
 ``r`` is the largest divisor of the top coprime to ``a / gcd(a, b)``,
-and ``neg(a) = imp(a, bottom)``.  No operand is factorized and nothing
-is searched.  The one factorization an interval takes is of
-``top / bottom``, the exponent gaps that give its size, its
-Boolean-ness and its members.  An interval is an immutable
-``errors.Value`` of its two bounds; the gaps, and the members listed by
-the first ``members`` call within the cap, sit in slots beside them.
-Membership tests start with the exact-int guard ``type(a) is int and
-a >= 1`` and fall back to ``as_natural`` only when it fails, so a bad
-operand raises the same NotNatural as before.  The brute-force
-counterpart lives in ``divlog.oracle``.
+and ``neg(a) = imp(a, bottom)``.  Both check their operands, then call
+one unchecked kernel, ``_imp``, which compiled formulas call directly.
+No operand is factorized and nothing is searched.  The one
+factorization an interval takes is of ``top / bottom``, the exponent
+gaps that give its size, its Boolean-ness and its members.  An
+interval is an immutable ``errors.Value`` of its two bounds; the gaps,
+and the members listed by the first ``members`` call within the cap,
+sit in slots beside them.  Membership tests start with the exact-int
+guard ``type(a) is int and a >= 1`` and fall back to ``as_natural``
+only when it fails, so a bad operand raises the same NotNatural as
+before.  The brute-force counterpart lives in ``divlog.oracle``.
 """
 
 from __future__ import annotations
@@ -105,8 +106,7 @@ class Interval(Value):
         above the bottom, drop to the bottom's exponent; where it sits
         on the bottom, jump to the top's exponent.
         """
-        a = self._require_member(a)
-        return self._imp(self.bottom, a // self.bottom)
+        return self._imp(self._require_member(a), self.bottom)
 
     def imp(self, a, b) -> int:
         """Relative pseudocomplement: the greatest member c with
@@ -116,9 +116,7 @@ class Interval(Value):
         elsewhere take the top's.  The bottom never enters, so the
         result is the same in any interval sharing this top.
         """
-        a = self._require_member(a)
-        b = self._require_member(b)
-        return self._imp(b, a // math.gcd(a, b))
+        return self._imp(self._require_member(a), self._require_member(b))
 
     def is_boolean(self) -> bool:
         """True when every element has a true complement, i.e. every
@@ -142,15 +140,14 @@ class Interval(Value):
 
     # -- helpers ---------------------------------------------------------
 
-    def _imp(self, b: int, excess: int) -> int:
-        """``lcm(b, r)`` with ``r`` the largest divisor of the top coprime
-        to ``excess``, the part of ``a`` above ``b``.  Every prime of
-        ``excess`` divides the top, so it divides ``g`` until ``r`` has
-        shed it; the loop runs at most as often as the top's largest
-        exponent.
+    def _imp(self, a: int, b: int) -> int:
+        """``a -> b`` on members, unchecked: ``lcm(b, r)``, where ``r`` is
+        the top stripped of every prime of ``a / gcd(a, b)``.  Each such
+        prime divides the top, so it divides ``g`` until ``r`` has shed
+        it; the loop runs at most as often as the top's largest exponent.
         """
         r = self.top
-        g = math.gcd(r, excess)
+        g = math.gcd(r, a // math.gcd(a, b))
         while g > 1:
             r //= g
             g = math.gcd(r, g)

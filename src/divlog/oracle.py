@@ -250,7 +250,7 @@ def verify_heyting(top_max, size_cap: int = DEFAULT_SIZE_CAP) -> list[LawReport]
     * Boolean equivalences, per interval: the exponent-gap test, the
       excluded middle, and the top*bottom/a complement formula agree;
     * bottom-independence of implication, per (interval, coarser
-      bottom, member pair): recomputing in the relaxed interval yields
+      bottom, member pair): recomputing in the coarser interval yields
       the same value, cross-checked against the oracle when the
       coarser bottom is 1.
     """
@@ -284,19 +284,18 @@ def verify_heyting(top_max, size_cap: int = DEFAULT_SIZE_CAP) -> list[LawReport]
 
 
 def _intervals(n: int, size_cap: int, skipped: list):
-    """Yield ``(q, members, imp table, Interval(1, top))`` for every
-    interval with top <= n and at most ``size_cap`` members; append the
-    larger ones to ``skipped``."""
+    """Yield ``(q, members, imp table, {bottom: interval})`` for every
+    interval with top <= n and at most ``size_cap`` members, each built
+    once per top; append the larger ones to ``skipped``."""
     for top in range(1, n + 1):
-        relaxed = Interval(1, top)
-        for bottom in _divisors(top):
-            q = Interval(bottom, top)
+        by_bottom = {bottom: Interval(bottom, top) for bottom in _divisors(top)}
+        for bottom, q in by_bottom.items():
             size = q.size()
             if size > size_cap:
                 skipped.append({"bottom": bottom, "top": top, "size": size})
                 continue
             ms = q.members()
-            yield q, ms, {(a, b): q.imp(a, b) for a in ms for b in ms}, relaxed
+            yield q, ms, {(a, b): q.imp(a, b) for a in ms for b in ms}, by_bottom
 
 
 def _scan(oracle, *args):
@@ -309,7 +308,7 @@ def _scan(oracle, *args):
         return "oracle_error", str(err)
 
 
-def _neg_vs_oracle(q, ms, imp, relaxed, found) -> int:
+def _neg_vs_oracle(q, ms, imp, by_bottom, found) -> int:
     for a in ms:
         formula = q.neg(a)
         key, scanned = _scan(oracle_neg, q, a)
@@ -320,7 +319,7 @@ def _neg_vs_oracle(q, ms, imp, relaxed, found) -> int:
     return len(ms)
 
 
-def _imp_vs_oracle(q, ms, imp, relaxed, found) -> int:
+def _imp_vs_oracle(q, ms, imp, by_bottom, found) -> int:
     for a in ms:
         for b in ms:
             key, scanned = _scan(oracle_imp, q, a, b)
@@ -332,7 +331,7 @@ def _imp_vs_oracle(q, ms, imp, relaxed, found) -> int:
     return len(ms) ** 2
 
 
-def _residuation(q, ms, imp, relaxed, found) -> int:
+def _residuation(q, ms, imp, by_bottom, found) -> int:
     for a in ms:
         for b in ms:
             m_ab = meet(a, b)
@@ -345,7 +344,7 @@ def _residuation(q, ms, imp, relaxed, found) -> int:
     return len(ms) ** 3
 
 
-def _boolean_equivalences(q, ms, imp, relaxed, found) -> int:
+def _boolean_equivalences(q, ms, imp, by_bottom, found) -> int:
     bottom, top = q.bottom, q.top
     by_gaps = q.is_boolean()
     by_excluded_middle = all(join(a, q.neg(a)) == top for a in ms)
@@ -363,10 +362,10 @@ def _boolean_equivalences(q, ms, imp, relaxed, found) -> int:
     return 1
 
 
-def _imp_bottom_independence(q, ms, imp, relaxed, found) -> int:
+def _imp_bottom_independence(q, ms, imp, by_bottom, found) -> int:
     coarser_bottoms = _divisors(q.bottom)[:-1]  # proper divisors
     for coarser_bottom in coarser_bottoms:
-        coarse = relaxed if coarser_bottom == 1 else Interval(coarser_bottom, q.top)
+        coarse = by_bottom[coarser_bottom]
         for a in ms:
             for b in ms:
                 expected = imp[a, b]

@@ -713,8 +713,39 @@ def test_search_caps_must_be_positive_integers(bad):
         check_valid(Interval(1, 12), parse("p | ~p"), cap=bad)
 
 
-def test_compiled_formulas_call_the_module_meet(monkeypatch):
-    q, f = Interval(1, 12), parse("p & q -> p")
-    assert check_valid(q, f) is None
-    monkeypatch.setattr("divlog.formulas.meet", join)  # a corrupted meet
-    assert check_valid(q, f) == Counterexample(assignment=(("p", 1), ("q", 2)), value=3)
+def _refuse(*args):
+    raise AssertionError("a compiled formula checked an operand again")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["~(p & 6) -> (6 -> ~p) | q", "(p & 4 -> q) | ~(q | ~p) | 2", "~~(p -> q) & (3 | T) -> ~~p -> ~~q"],
+)
+def test_compiled_formulas_compute_without_the_checked_operations(monkeypatch, text):
+    q, f = Interval(1, 12), parse(text)
+    names = sorted(variables(f))
+    envs = [dict(zip(names, combo)) for combo in itertools.product(q.members(), repeat=len(names))]
+    expected = [reference_eval(q, f, env) for env in envs], reference_check_valid(q, f)
+    for target in ("divlog.intervals.Interval.neg", "divlog.intervals.Interval.imp",
+                   "divlog.lattice.meet", "divlog.lattice.join"):
+        monkeypatch.setattr(target, _refuse)
+    assert ([evaluate(q, f, env) for env in envs], check_valid(q, f)) == expected
+
+
+NEGATION_HEAVY = ["~p | ~~p", "~~p -> p", "~(p & q) -> (~p | ~q)", "~(p | q) -> (~p & ~q)"]
+SMALL_INTERVALS = [Interval(bottom, top) for top in range(1, 37) for bottom in _divisors(top)]
+
+
+@pytest.mark.parametrize("text", NEGATION_HEAVY)
+def test_negation_heavy_formulas_match_the_reference_in_every_small_interval(text):
+    f = parse(text)
+    for q in SMALL_INTERVALS:
+        assert check_valid(q, f) == reference_check_valid(q, f), q
+
+
+def test_a_corrupted_negation_kernel_changes_the_verdicts(monkeypatch):
+    cases = [(q, parse(text)) for q in SMALL_INTERVALS for text in NEGATION_HEAVY]
+    before = [check_valid(q, f) for q, f in cases]
+    kernel = Interval._imp
+    monkeypatch.setattr(Interval, "_imp", lambda self, a, b: self.bottom if b == self.bottom else kernel(self, a, b))
+    assert [check_valid(q, f) for q, f in cases] != before

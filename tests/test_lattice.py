@@ -168,14 +168,11 @@ def _old_contains(q, a):
 
 
 def _old_neg(q, a):
-    a = _old_member(q, a)
-    return q._imp(q.bottom, a // q.bottom)
+    return q._imp(_old_member(q, a), q.bottom)
 
 
 def _old_imp(q, a, b):
-    a = _old_member(q, a)
-    b = _old_member(q, b)
-    return q._imp(b, a // math.gcd(a, b))
+    return q._imp(_old_member(q, a), _old_member(q, b))
 
 
 PAIRED = [(meet, _old_meet), (join, _old_join), (divides, _old_divides)]

@@ -119,6 +119,19 @@ def test_size_cap_records_skipped_intervals():
     assert all(r.passed for r in reports)
 
 
+def test_heyting_sweep_builds_each_interval_once(monkeypatch):
+    built, post_init = [], Interval.__post_init__
+
+    def counted(self):
+        built.append((self.top, self.bottom))
+        post_init(self)
+
+    monkeypatch.setattr(Interval, "__post_init__", counted)
+    verify_heyting(48, size_cap=8)
+    assert built == [(top, bottom) for top in range(1, 49) for bottom in _divisors(top)]
+    assert len(built) == 198
+
+
 def test_reports_are_reproducible():
     assert verify_heyting(20) == verify_heyting(20)
     assert verify_lattice_laws(8) == verify_lattice_laws(8)

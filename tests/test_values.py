@@ -22,6 +22,7 @@ from divlog import (
     Var,
     format_formula,
 )
+from divlog.errors import shown
 from divlog.formulas import MAX_DEPTH
 
 P, Q = Var("p"), Var("q")
@@ -130,6 +131,20 @@ def test_repr_shows_a_huge_counterexample_value_by_its_size():
     )
     alone = Counterexample(assignment=(("p", HUGE),), value=2)
     assert repr(alone) == "Counterexample(assignment=(('p', <16610-bit integer>),), value=2)"
+
+
+def test_repr_shows_a_huge_int_inside_report_parameters_by_its_size():
+    report = LawReport("x", {"max_value": HUGE, "seen": [HUGE, 2], HUGE: (HUGE,)}, 1)
+    assert repr(report) == (
+        "LawReport(law_name='x', parameters={'max_value': <16610-bit integer>, "
+        "'seen': [<16610-bit integer>, 2], <16610-bit integer>: (<16610-bit integer>,)}, "
+        "cases_checked=1, counterexamples=(), skipped=())"
+    )
+
+
+def test_shown_re_raises_for_any_other_container_of_a_huge_int():
+    with pytest.raises(ValueError):
+        shown({HUGE})
 
 
 def test_format_names_a_huge_literal_in_its_error():
