@@ -294,33 +294,48 @@ def evaluate(q: Interval, formula: Formula, assignment: Mapping[str, int] | None
     return _compile(q, formula, names)([env[name] for name in names])
 
 
-def _compile(q: Interval, formula: Formula, names: list[str]) -> Callable[[Sequence[int]], int]:
+def _compile(
+    q: Interval, formula: Formula, names: list[str], tables=None
+) -> Callable[[Sequence[int]], int]:
     """Turn ``formula`` into a function of the values of ``names``, in
     order, which must be members.  Literals are checked here, left to
     right, and no operand again: ``&`` is ``math.gcd``, ``|`` is
-    ``math.lcm``, ``->`` is the kernel ``q._imp`` and ``~x`` is ``x -> F``."""
+    ``math.lcm``, ``->`` is the kernel ``q._imp`` and ``~x`` is ``x -> F``.
+
+    Given ``q._index_tables()`` as ``tables``, the function computes on
+    member positions instead: it takes and returns indices into the
+    member tuple, and each connective looks its result up in a table.
+    """
     position = {name: i for i, name in enumerate(names)}
-    operations = ((And, math.gcd), (Or, math.lcm), (Imp, q._imp))
+    if tables is None:
+        operations = ((And, math.gcd), (Or, math.lcm), (Imp, q._imp))
+    else:
+        _, index, meet, join, imp = tables
+        operations = ((And, meet), (Or, join), (Imp, imp))
 
     def build(node):
         if isinstance(node, Var):
             i = position[node.name]
             return lambda values: values[i]
         if isinstance(node, Lit):
-            value = node.value
-            if not q.contains(value):
-                raise NotMember(f"literal {shown(value)} is not in the interval {q}")
-            return lambda values: value
-        if isinstance(node, (Top, Bottom)):
+            constant = node.value
+            if not q.contains(constant):
+                raise NotMember(f"literal {shown(constant)} is not in the interval {q}")
+        elif isinstance(node, (Top, Bottom)):
             constant = q.top if isinstance(node, Top) else q.bottom
-            return lambda values: constant
-        if isinstance(node, Not):  # as high as the Not, so no NestingLimit
-            node = Imp(node.child, BOTTOM)
-        for node_class, operation in operations:
-            if isinstance(node, node_class):
-                left, right = build(node.left), build(node.right)
-                return lambda values: operation(left(values), right(values))
-        raise TypeError(f"not a formula node: {node!r}")
+        else:
+            if isinstance(node, Not):  # as high as the Not, so no NestingLimit
+                node = Imp(node.child, BOTTOM)
+            for node_class, operation in operations:
+                if isinstance(node, node_class):
+                    left, right = build(node.left), build(node.right)
+                    if tables is None:
+                        return lambda values: operation(left(values), right(values))
+                    return lambda values: operation[left(values)][right(values)]
+            raise TypeError(f"not a formula node: {node!r}")
+        if tables is not None:
+            constant = index[constant]
+        return lambda values: constant
 
     return build(formula)
 
@@ -348,8 +363,12 @@ def check_valid(
     (variables sorted by name, member values ascending).  ``cap``, a
     positive integer (NotNatural otherwise), bounds the search: the
     ``size ** k`` assignments are counted from the gaps, a factor at a
-    time, and SearchLimit comes once they pass it, before any member is
-    listed.  A variable-free formula is evaluated once, with no listing.
+    time, and SearchLimit comes once they pass it, before any member or
+    table is listed.  A variable-free formula is evaluated once, with no
+    listing.  Two or more variables are searched over member positions
+    through the interval's index tables (``Interval._index_tables``),
+    built on its first such search and kept; one variable, or an
+    interval too large for tables, keeps the closures on members.
     """
     if type(cap) is not int or cap < 1:
         as_natural(cap)
@@ -360,10 +379,17 @@ def check_valid(
         if total > cap:
             message = f"{size}**{k} assignments over {k} variables exceed the cap {shown(cap)}"
             raise SearchLimit(message)
-    value_of = _compile(q, formula, names)
-    top = q.top
-    for combo in itertools.product(q.members(cap) if k else (), repeat=k):
+    tables = q._index_tables() if k >= 2 else None
+    value_of = _compile(q, formula, names, tables)
+    if tables is None:
+        domain, top = (q.members(cap) if k else ()), q.top
+    else:
+        domain, top = range(size), tables[1][q.top]
+    for combo in itertools.product(domain, repeat=k):
         value = value_of(combo)
         if value != top:
+            if tables is not None:  # positions back to members
+                members = tables[0]
+                combo, value = [members[i] for i in combo], members[value]
             return Counterexample(assignment=tuple(zip(names, combo)), value=value)
     return None

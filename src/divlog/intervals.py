@@ -12,8 +12,10 @@ No operand is factorized and nothing is searched.  The one
 factorization an interval takes is of ``top / bottom``, the exponent
 gaps that give its size, its Boolean-ness and its members.  An
 interval is an immutable ``errors.Value`` of its two bounds; the gaps,
-and the members listed by the first ``members`` call within the cap,
-sit in slots beside them.  Membership tests start with the exact-int
+the members listed by the first ``members`` call within the cap, and
+the index tables built by the first ``_index_tables`` call (for
+multi-variable searches in ``divlog.formulas.check_valid``) sit in
+slots beside them.  Membership tests start with the exact-int
 guard ``type(a) is int and a >= 1`` and fall back to ``as_natural``
 only when it fails, so a bad operand raises the same NotNatural as
 before.  The brute-force counterpart lives in ``divlog.oracle``.
@@ -43,7 +45,7 @@ class Interval(Value):
     attribute raises AttributeError.
     """
 
-    __slots__ = ("bottom", "top", "_gaps", "_members")
+    __slots__ = ("bottom", "top", "_gaps", "_members", "_tables")
     _fields = ("bottom", "top")
     bottom: int
     top: int
@@ -63,6 +65,8 @@ class Interval(Value):
         object.__setattr__(self, "_gaps", factorize(top // bottom))
         # every member ascending, listed by the first members() call
         object.__setattr__(self, "_members", None)
+        # (members, position, meet, join, imp), built by the first _index_tables() call
+        object.__setattr__(self, "_tables", None)
 
     # -- membership and enumeration ------------------------------------
 
@@ -144,14 +148,38 @@ class Interval(Value):
         """``a -> b`` on members, unchecked: ``lcm(b, r)``, where ``r`` is
         the top stripped of every prime of ``a / gcd(a, b)``.  Each such
         prime divides the top, so it divides ``g`` until ``r`` has shed
-        it; the loop runs at most as often as the top's largest exponent.
+        it; squaring ``g`` doubles the exponents shed per round, so the
+        loop runs about log2 of the top's largest exponent times.
         """
         r = self.top
         g = math.gcd(r, a // math.gcd(a, b))
         while g > 1:
             r //= g
-            g = math.gcd(r, g)
+            g = math.gcd(r, g * g)
         return math.lcm(b, r)
+
+    def _index_tables(self):
+        """``(members, position, meet, join, imp)``, or None for an
+        interval whose size squared exceeds DEFAULT_ENUMERATION_CAP.
+
+        ``members`` is the ascending member tuple and ``position`` maps
+        each member to its index in it; ``meet[i][j]`` is the position of
+        ``gcd(members[i], members[j])``, ``join`` and ``imp`` likewise for
+        ``lcm`` and ``_imp``.  Built on the first call and kept.
+        """
+        if self._tables is None:
+            if self.size() ** 2 > DEFAULT_ENUMERATION_CAP:
+                return None
+            self.members()  # lists them into _members
+            ms = self._members
+            position = {m: i for i, m in enumerate(ms)}
+
+            def table(op):
+                return tuple([tuple([position[op(a, b)] for b in ms]) for a in ms])
+
+            tables = (ms, position, table(math.gcd), table(math.lcm), table(self._imp))
+            object.__setattr__(self, "_tables", tables)
+        return self._tables
 
     def _require_member(self, a) -> int:
         if type(a) is not int or a < 1:

@@ -343,6 +343,7 @@ def test_an_over_cap_search_lists_no_member(monkeypatch):
         raise AssertionError("members listed")
 
     monkeypatch.setattr(Interval, "members", refuse)
+    monkeypatch.setattr(Interval, "_index_tables", refuse)
     with pytest.raises(SearchLimit):
         check_valid(Interval(1, 12), parse("p | q"), cap=35)
     with pytest.raises(SearchLimit):
@@ -733,7 +734,14 @@ def test_compiled_formulas_compute_without_the_checked_operations(monkeypatch, t
 
 
 NEGATION_HEAVY = ["~p | ~~p", "~~p -> p", "~(p & q) -> (~p | ~q)", "~(p | q) -> (~p & ~q)"]
-SMALL_INTERVALS = [Interval(bottom, top) for top in range(1, 37) for bottom in _divisors(top)]
+
+
+def _small_intervals():
+    """Every interval with top <= 36, built fresh: no tables listed yet."""
+    return [Interval(bottom, top) for top in range(1, 37) for bottom in _divisors(top)]
+
+
+SMALL_INTERVALS = _small_intervals()
 
 
 @pytest.mark.parametrize("text", NEGATION_HEAVY)
@@ -744,8 +752,58 @@ def test_negation_heavy_formulas_match_the_reference_in_every_small_interval(tex
 
 
 def test_a_corrupted_negation_kernel_changes_the_verdicts(monkeypatch):
-    cases = [(q, parse(text)) for q in SMALL_INTERVALS for text in NEGATION_HEAVY]
-    before = [check_valid(q, f) for q, f in cases]
+    """Fresh intervals on both sides, so the patched kernel reaches the
+    index tables of the two-variable searches too."""
+    texts = [*NEGATION_HEAVY, "~p | q"]
+
+    def verdicts():
+        return {text: [check_valid(q, parse(text)) for q in _small_intervals()] for text in texts}
+
+    before = verdicts()
     kernel = Interval._imp
     monkeypatch.setattr(Interval, "_imp", lambda self, a, b: self.bottom if b == self.bottom else kernel(self, a, b))
-    assert [check_valid(q, f) for q, f in cases] != before
+    after = verdicts()
+    assert all(after[text] != before[text] for text in texts)
+    flipped = [x != y for x, y in zip(before["~p | q"], after["~p | q"])]
+    assert sum(flipped) == 104 and len(flipped) == 140
+
+
+# -- the index-table path of multi-variable searches ---------------------------
+
+TABLE_FORMULAS = [
+    "(p -> q) | (q -> p)",
+    "~(p & q) -> (~p | ~q)",
+    "(p & 2 -> q | F) & (T -> ~q | 3)",
+    "(6 -> p) | ~(q & ~6) | (p & q -> 4)",
+    "((p -> q) -> r) -> ((r -> p) -> p)",
+    "(p -> q) | (q -> r) | (r -> p)",
+    "~(p & q & r) -> (~p | ~q | ~r)",
+    "(p & (q | r)) -> ((p & q) | 2 | ~~r) & (F -> T & r)",
+]
+
+
+@pytest.mark.parametrize("text", TABLE_FORMULAS)
+def test_table_searches_match_the_reference_in_every_small_interval(text):
+    f = parse(text)
+    for q in _small_intervals():
+        assert outcome(check_valid, q, f) == outcome(reference_check_valid, q, f), q
+        assert q._tables is not None, q
+
+
+def test_a_two_variable_search_past_the_table_bound_keeps_the_closures():
+    q = Interval(1, 2**9 * 3**3 * 5 * 7 * 11)  # 320 members, 320**2 > 100,000
+    assert q.size() == 320 and q._index_tables() is None
+    for text in ["(p -> q) | (q -> p)", "(p -> q) | (q -> 2 | p & 3)"]:
+        f = parse(text)
+        assert check_valid(q, f) == reference_check_valid(q, f)
+    assert q._tables is None
+
+
+def test_one_variable_and_variable_free_searches_build_no_table():
+    q = Interval(1, 36)
+    assert check_valid(q, parse("p | ~p")) == Counterexample((("p", 2),), 18)
+    assert check_valid(q, parse("~~p -> p")) == Counterexample((("p", 2),), 18)
+    assert check_valid(q, parse("4 -> 2 | T")) is None
+    assert q._tables is None
+    assert check_valid(q, parse("p -> q | p")) is None
+    assert q._tables is not None

@@ -149,6 +149,28 @@ def test_listed_members_leave_equality_hash_and_repr_alone():
     assert {listed: 1}[fresh] == 1
 
 
+def test_index_tables_leave_equality_hash_repr_and_pickling_alone():
+    tabled, fresh = Interval(2, 24), Interval(2, 24)
+    assert tabled._index_tables() is not None and fresh._tables is None
+    assert tabled == fresh and hash(tabled) == hash(fresh)
+    assert repr(tabled) == repr(fresh) == "Interval(bottom=2, top=24)"
+    copied = pickle.loads(pickle.dumps(tabled))
+    assert copied == tabled and copied._tables is None
+    assert copy.deepcopy(tabled) == tabled
+
+
+def test_index_tables_hold_the_operations_by_position():
+    q = Interval(2, 24)
+    ms, position, meet_t, join_t, imp_t = q._index_tables()
+    assert ms == tuple(q.members()) and position == {m: i for i, m in enumerate(ms)}
+    for i, a in enumerate(ms):
+        for j, b in enumerate(ms):
+            assert ms[meet_t[i][j]] == meet(a, b)
+            assert ms[join_t[i][j]] == join(a, b)
+            assert ms[imp_t[i][j]] == q.imp(a, b)
+    assert q._index_tables() is q._index_tables()
+
+
 def test_interval_is_an_immutable_value():
     q = Interval(2, 24)
     assert Interval(bottom=2, top=24) == q and hash(Interval(bottom=2, top=24)) == hash(q)
@@ -339,6 +361,27 @@ def test_closed_forms_follow_the_per_prime_rule(qab):
     assert q.imp(a, b) == _per_prime_imp(q, a, b)
     # negation is the same rule with the bottom in place of b
     assert q.neg(a) == _per_prime_imp(q, a, q.bottom)
+
+
+@pytest.mark.parametrize("e", [13000, 50000])
+def test_closed_forms_on_a_top_with_a_huge_exponent_follow_the_per_prime_rule(e):
+    """Construction accepts these intervals, since top / bottom is 6; the
+    kernel sheds a huge exponent in about log2(e) gcd rounds."""
+    q = Interval(2**e, 3 * 2 ** (e + 1))
+    exponents = [(e2, e3) for e2 in (e, e + 1) for e3 in (0, 1)]  # of 2 and of 3
+    top, bottom = (e + 1, 1), (e, 0)
+
+    def number(x):
+        return 2 ** x[0] * 3 ** x[1]
+
+    def rule(a, b):
+        return tuple(b_e if a_e > b_e else t_e for a_e, b_e, t_e in zip(a, b, top))
+
+    assert sorted(map(number, exponents)) == q.members()
+    for a in exponents:
+        assert q.neg(number(a)) == number(rule(a, bottom))
+        for b in exponents:
+            assert q.imp(number(a), number(b)) == number(rule(a, b))
 
 
 # -- Boolean intervals -------------------------------------------------------
