@@ -137,13 +137,33 @@ _NOT_LEVEL = len(_CONNECTIVES)
 
 def variables(formula: Formula) -> set[str]:
     """The set of variable names occurring in the formula."""
-    if isinstance(formula, Var):
-        return {formula.name}
-    if isinstance(formula, (And, Or, Imp)):
-        return variables(formula.left) | variables(formula.right)
-    if isinstance(formula, Not):
-        return variables(formula.child)
-    return set()
+    return _atoms(formula)[0]
+
+
+def _atoms(formula: Formula) -> tuple[set[str], list]:
+    """The formula's variable names, and its literals' values left to right."""
+    names, literals = set(), []
+
+    def walk(node):
+        if isinstance(node, Var):
+            names.add(node.name)
+        elif isinstance(node, Lit):
+            literals.append(node.value)
+        elif isinstance(node, _Binary):
+            walk(node.left)
+            walk(node.right)
+        elif isinstance(node, Not):
+            walk(node.child)
+
+    walk(formula)
+    return names, literals
+
+
+def _require_literals(q: Interval, literals: list) -> None:
+    """NotMember for the first literal outside ``q``."""
+    for value in literals:
+        if not q.contains(value):
+            raise NotMember(f"literal {shown(value)} is not in the interval {q}")
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +304,15 @@ def evaluate(q: Interval, formula: Formula, assignment: Mapping[str, int] | None
     interval (NotMember otherwise).
     """
     env = dict(assignment or {})
-    names = sorted(variables(formula))
+    names, literals = _atoms(formula)
+    names = sorted(names)
     for name in names:
         if name not in env:
             raise UnboundVariable(f"no value for variable {name!r}")
     for name, value in env.items():
         if not q.contains(value):
             raise NotMember(f"{name}={shown(value)} is not in the interval {q}")
+    _require_literals(q, literals)
     return _compile(q, formula, names)([env[name] for name in names])
 
 
@@ -298,19 +320,20 @@ def _compile(
     q: Interval, formula: Formula, names: list[str], tables=None
 ) -> Callable[[Sequence[int]], int]:
     """Turn ``formula`` into a function of the values of ``names``, in
-    order, which must be members.  Literals are checked here, left to
-    right, and no operand again: ``&`` is ``math.gcd``, ``|`` is
-    ``math.lcm``, ``->`` is the kernel ``q._imp`` and ``~x`` is ``x -> F``.
+    order.  The values and the literals must be members, and no operand
+    is checked: ``&`` is ``math.gcd``, ``|`` is ``math.lcm``, ``->`` is
+    the kernel ``q._imp`` and ``~x`` is ``x -> F``.
 
     Given ``q._index_tables()`` as ``tables``, the function computes on
     member positions instead: it takes and returns indices into the
-    member tuple, and each connective looks its result up in a table.
+    ascending member list, and each connective looks its result up in
+    a table.
     """
     position = {name: i for i, name in enumerate(names)}
     if tables is None:
         operations = ((And, math.gcd), (Or, math.lcm), (Imp, q._imp))
     else:
-        _, index, meet, join, imp = tables
+        index, meet, join, imp = tables
         operations = ((And, meet), (Or, join), (Imp, imp))
 
     def build(node):
@@ -319,8 +342,6 @@ def _compile(
             return lambda values: values[i]
         if isinstance(node, Lit):
             constant = node.value
-            if not q.contains(constant):
-                raise NotMember(f"literal {shown(constant)} is not in the interval {q}")
         elif isinstance(node, (Top, Bottom)):
             constant = q.top if isinstance(node, Top) else q.bottom
         else:
@@ -364,32 +385,42 @@ def check_valid(
     positive integer (NotNatural otherwise), bounds the search: the
     ``size ** k`` assignments are counted from the gaps, a factor at a
     time, and SearchLimit comes once they pass it, before any member or
-    table is listed.  A variable-free formula is evaluated once, with no
-    listing.  Two or more variables are searched over member positions
-    through the interval's index tables (``Interval._index_tables``),
-    built on its first such search and kept; one variable, or an
-    interval too large for tables, keeps the closures on members.
+    table is listed; a literal outside the interval raises NotMember
+    next.  A variable-free formula is evaluated once, with no listing.
+
+    A search over two or more variables runs on member positions
+    through the interval's index tables (``Interval._index_tables``)
+    once they pay: the searches before it, on the kernel closures, tell
+    the interval how many assignments they tried.  So a one-shot search
+    costs no table, and only an interval searched again gains.
     """
     if type(cap) is not int or cap < 1:
         as_natural(cap)
-    names = sorted(variables(formula))
+    names, literals = _atoms(formula)
+    names = sorted(names)
     k, size, total = len(names), q.size(), 1
     for _ in names:
         total *= size
         if total > cap:
             message = f"{size}**{k} assignments over {k} variables exceed the cap {shown(cap)}"
             raise SearchLimit(message)
+    _require_literals(q, literals)
     tables = q._index_tables() if k >= 2 else None
     value_of = _compile(q, formula, names, tables)
     if tables is None:
         domain, top = (q.members(cap) if k else ()), q.top
     else:
-        domain, top = range(size), tables[1][q.top]
+        domain, top = range(size), tables[0][q.top]
+    tried, found = 0, None
     for combo in itertools.product(domain, repeat=k):
+        tried += 1
         value = value_of(combo)
         if value != top:
             if tables is not None:  # positions back to members
-                members = tables[0]
+                members = q.members()
                 combo, value = [members[i] for i in combo], members[value]
-            return Counterexample(assignment=tuple(zip(names, combo)), value=value)
-    return None
+            found = Counterexample(assignment=tuple(zip(names, combo)), value=value)
+            break
+    if tables is None and k >= 2:
+        q._tried_on_closures(tried)
+    return found

@@ -12,10 +12,11 @@ No operand is factorized and nothing is searched.  The one
 factorization an interval takes is of ``top / bottom``, the exponent
 gaps that give its size, its Boolean-ness and its members.  An
 interval is an immutable ``errors.Value`` of its two bounds; the gaps,
-the members listed by the first ``members`` call within the cap, and
-the index tables built by the first ``_index_tables`` call (for
-multi-variable searches in ``divlog.formulas.check_valid``) sit in
-slots beside them.  Membership tests start with the exact-int
+the members listed by the first ``members`` call within the cap, the
+count of assignments that multi-variable searches in
+``divlog.formulas.check_valid`` have tried on the kernel, and the index
+tables those searches use once that count pays for them sit in slots
+beside them.  Membership tests start with the exact-int
 guard ``type(a) is int and a >= 1`` and fall back to ``as_natural``
 only when it fails, so a bad operand raises the same NotNatural as
 before.  The brute-force counterpart lives in ``divlog.oracle``.
@@ -33,6 +34,12 @@ from .factorization import as_natural, factorize
 # explode; enumeration refuses beyond this many elements by default.
 DEFAULT_ENUMERATION_CAP = 100_000
 
+# A ceiling on memory, not a speed threshold: an interval keeps index
+# tables only while each holds at most this many cells (316 members),
+# about 0.8 MB a table of references.  When they pay is up to the
+# count of assignments tried on the kernel, in _index_tables.
+TABLE_CELL_CAP = 100_000
+
 
 class Interval(Value):
     """All naturals divisible by ``bottom`` and dividing ``top``.
@@ -45,7 +52,7 @@ class Interval(Value):
     attribute raises AttributeError.
     """
 
-    __slots__ = ("bottom", "top", "_gaps", "_members", "_tables")
+    __slots__ = ("bottom", "top", "_gaps", "_members", "_tried", "_tables")
     _fields = ("bottom", "top")
     bottom: int
     top: int
@@ -65,7 +72,9 @@ class Interval(Value):
         object.__setattr__(self, "_gaps", factorize(top // bottom))
         # every member ascending, listed by the first members() call
         object.__setattr__(self, "_members", None)
-        # (members, position, meet, join, imp), built by the first _index_tables() call
+        # assignments that searches of two or more variables tried on the kernel
+        object.__setattr__(self, "_tried", 0)
+        # (position, meet, join, imp), built by _index_tables() once _tried pays
         object.__setattr__(self, "_tables", None)
 
     # -- membership and enumeration ------------------------------------
@@ -159,27 +168,36 @@ class Interval(Value):
         return math.lcm(b, r)
 
     def _index_tables(self):
-        """``(members, position, meet, join, imp)``, or None for an
-        interval whose size squared exceeds DEFAULT_ENUMERATION_CAP.
+        """``(position, meet, join, imp)`` once they pay, else None.
 
-        ``members`` is the ascending member tuple and ``position`` maps
-        each member to its index in it; ``meet[i][j]`` is the position of
-        ``gcd(members[i], members[j])``, ``join`` and ``imp`` likewise for
-        ``lcm`` and ``_imp``.  Built on the first call and kept.
+        ``position`` maps each member to its index in the ascending
+        member list; ``meet[i][j]`` is the position of the gcd of the
+        members at ``i`` and ``j``, ``join`` and ``imp`` likewise for
+        ``lcm`` and ``_imp``.  Building them costs about as much as
+        trying as many assignments on the kernel as a table has cells,
+        so the first call after ``_tried_on_closures`` has counted that
+        many builds and keeps them: a one-shot search builds none, and
+        an interval searched again spends on them at most about what it
+        already spent on the kernel.  Always None past TABLE_CELL_CAP.
         """
         if self._tables is None:
-            if self.size() ** 2 > DEFAULT_ENUMERATION_CAP:
+            cells = self.size() ** 2
+            if cells > TABLE_CELL_CAP or self._tried < cells:
                 return None
-            self.members()  # lists them into _members
-            ms = self._members
-            position = {m: i for i, m in enumerate(ms)}
+            members = self.members()
+            position = {m: i for i, m in enumerate(members)}
 
             def table(op):
-                return tuple([tuple([position[op(a, b)] for b in ms]) for a in ms])
+                return tuple([tuple([position[op(a, b)] for b in members]) for a in members])
 
-            tables = (ms, position, table(math.gcd), table(math.lcm), table(self._imp))
+            tables = (position, table(math.gcd), table(math.lcm), table(self._imp))
             object.__setattr__(self, "_tables", tables)
         return self._tables
+
+    def _tried_on_closures(self, assignments: int) -> None:
+        """Count ``assignments`` more tried on the kernel by a search
+        that ``_index_tables`` would serve."""
+        object.__setattr__(self, "_tried", self._tried + assignments)
 
     def _require_member(self, a) -> int:
         if type(a) is not int or a < 1:

@@ -751,13 +751,21 @@ def test_negation_heavy_formulas_match_the_reference_in_every_small_interval(tex
         assert check_valid(q, f) == reference_check_valid(q, f), q
 
 
+def _reused(q):
+    """``q`` after a full two-variable search, so the next one indexes
+    tables: ``p | q | T`` is valid everywhere and calls lcm only."""
+    assert check_valid(q, parse("p | q | T")) is None
+    return q
+
+
 def test_a_corrupted_negation_kernel_changes_the_verdicts(monkeypatch):
-    """Fresh intervals on both sides, so the patched kernel reaches the
-    index tables of the two-variable searches too."""
+    """Fresh, reused intervals on both sides, so the patched kernel
+    reaches the index tables of the two-variable searches too."""
     texts = [*NEGATION_HEAVY, "~p | q"]
 
     def verdicts():
-        return {text: [check_valid(q, parse(text)) for q in _small_intervals()] for text in texts}
+        intervals = [_reused(q) for q in _small_intervals()]
+        return {text: [check_valid(q, parse(text)) for q in intervals] for text in texts}
 
     before = verdicts()
     kernel = Interval._imp
@@ -784,23 +792,69 @@ TABLE_FORMULAS = [
 
 @pytest.mark.parametrize("text", TABLE_FORMULAS)
 def test_table_searches_match_the_reference_in_every_small_interval(text):
+    """On a fresh interval the search runs on the kernel; on a reused
+    one, on the tables, which an error leaves unlisted.  Both agree with
+    the reference, errors too."""
     f = parse(text)
-    for q in _small_intervals():
-        assert outcome(check_valid, q, f) == outcome(reference_check_valid, q, f), q
-        assert q._tables is not None, q
+    for fresh, reused in zip(_small_intervals(), map(_reused, _small_intervals())):
+        expected = outcome(reference_check_valid, fresh, f)
+        failed = isinstance(expected, tuple)  # (error class, message)
+        assert outcome(check_valid, fresh, f) == expected, fresh
+        assert fresh._tables is None, fresh
+        assert outcome(check_valid, reused, f) == expected, reused
+        assert (reused._tables is None) == failed, reused
+
+
+def test_a_one_shot_search_on_a_fresh_interval_builds_no_table(monkeypatch):
+    """An early exit on 288 members calls the kernel once per assignment
+    it tried, as before there were tables, and lists no table."""
+    calls = []
+    kernel = Interval._imp
+    monkeypatch.setattr(Interval, "_imp", lambda self, a, b: calls.append(a) or kernel(self, a, b))
+    q = Interval(1, 1441440)
+    assert q.size() == 288
+    for _ in range(2):
+        calls.clear()
+        assert check_valid(q, parse("p -> q")) == Counterexample((("p", 2), ("q", 1)), 45045)
+        assert len(calls) == 288 + 1 and q._tables is None
+    assert q._tried == 2 * 289 and q._index_tables() is None
+
+
+def test_tables_are_built_once_the_kernel_searches_tried_as_many_assignments_as_cells():
+    q = Interval(1, 12)  # 6 members, 36 cells
+    for _ in range(5):  # an early exit at the 7th assignment: 2 -> 1 is 3
+        assert check_valid(q, parse("p -> q")) == Counterexample((("p", 2), ("q", 1)), 3)
+    assert check_valid(q, parse("p | T")) is None  # one variable: not counted
+    assert q._tried == 35 and q._index_tables() is None
+    assert check_valid(q, parse("p -> q")) == Counterexample((("p", 2), ("q", 1)), 3)
+    assert q._tried == 42 and q._tables is None  # listed by the next search only
+    assert check_valid(q, parse("p -> q")) == Counterexample((("p", 2), ("q", 1)), 3)
+    assert q._tried == 42 and q._tables is not None
+
+
+def test_a_foreign_literal_raises_before_any_table_is_listed():
+    q = _reused(Interval(1, 12))
+    assert q._tables is None and q._tried == 36
+    with pytest.raises(NotMember, match="literal 5 is not in the interval"):
+        check_valid(q, parse("p | q | 5"))
+    assert q._tables is None
+    fresh = Interval(1, 1441440)
+    with pytest.raises(NotMember, match="literal 17 is not in the interval"):
+        check_valid(fresh, parse("p | 4 | 17"))
+    assert fresh._members is None and fresh._tables is None
 
 
 def test_a_two_variable_search_past_the_table_bound_keeps_the_closures():
     q = Interval(1, 2**9 * 3**3 * 5 * 7 * 11)  # 320 members, 320**2 > 100,000
-    assert q.size() == 320 and q._index_tables() is None
+    assert q.size() == 320
     for text in ["(p -> q) | (q -> p)", "(p -> q) | (q -> 2 | p & 3)"]:
         f = parse(text)
         assert check_valid(q, f) == reference_check_valid(q, f)
-    assert q._tables is None
+    assert q._tried >= 320**2 and q._index_tables() is None and q._tables is None
 
 
 def test_one_variable_and_variable_free_searches_build_no_table():
-    q = Interval(1, 36)
+    q = _reused(Interval(1, 36))
     assert check_valid(q, parse("p | ~p")) == Counterexample((("p", 2),), 18)
     assert check_valid(q, parse("~~p -> p")) == Counterexample((("p", 2),), 18)
     assert check_valid(q, parse("4 -> 2 | T")) is None

@@ -151,18 +151,30 @@ def test_listed_members_leave_equality_hash_and_repr_alone():
 
 def test_index_tables_leave_equality_hash_repr_and_pickling_alone():
     tabled, fresh = Interval(2, 24), Interval(2, 24)
+    tabled._tried_on_closures(tabled.size() ** 2)
     assert tabled._index_tables() is not None and fresh._tables is None
     assert tabled == fresh and hash(tabled) == hash(fresh)
     assert repr(tabled) == repr(fresh) == "Interval(bottom=2, top=24)"
     copied = pickle.loads(pickle.dumps(tabled))
-    assert copied == tabled and copied._tables is None
+    assert copied == tabled and copied._tables is None and copied._tried == 0
     assert copy.deepcopy(tabled) == tabled
+
+
+def test_index_tables_wait_for_as_many_assignments_tried_as_cells():
+    q = Interval(2, 24)  # 6 members, 36 cells
+    assert q._index_tables() is None
+    q._tried_on_closures(35)
+    assert q._index_tables() is None and q._members is None
+    q._tried_on_closures(1)
+    assert q._index_tables() is not None
 
 
 def test_index_tables_hold_the_operations_by_position():
     q = Interval(2, 24)
-    ms, position, meet_t, join_t, imp_t = q._index_tables()
-    assert ms == tuple(q.members()) and position == {m: i for i, m in enumerate(ms)}
+    q._tried_on_closures(q.size() ** 2)
+    position, meet_t, join_t, imp_t = q._index_tables()
+    ms = q.members()
+    assert position == {m: i for i, m in enumerate(ms)}
     for i, a in enumerate(ms):
         for j, b in enumerate(ms):
             assert ms[meet_t[i][j]] == meet(a, b)
