@@ -18,6 +18,15 @@ interval's Heyting implication kernel, ``~x`` being ``x -> F``, so
 classical tautologies may fail: validity means "evaluates to the top
 under every assignment of members to variables".
 
+Each connective acts on one prime at a time, so an interval is a
+product of Gödel chains, one per prime gap, and a formula of ``k``
+variables is valid in it exactly when it is valid on a chain of
+``min(G + 1, k + 2)`` members inside it, ``G`` the largest gap (Gödel
+1932; Dummett, JSL 24, 1959).  ``check_valid`` decides "valid" there
+first; a formula with an integer literal, and every counterexample,
+still come from the full search, and SearchLimit still counts the full
+search's ``size ** k`` assignments.
+
 ``parse`` refuses, at the token that goes deeper, a tree more than
 ``MAX_DEPTH`` (100) levels high (each ``~`` and binary connective above
 an atom is one level) and parentheses nested deeper than that; building
@@ -388,11 +397,24 @@ def check_valid(
     table is listed; a literal outside the interval raises NotMember
     next.  A variable-free formula is evaluated once, with no listing.
 
-    A search over two or more variables runs on member positions
-    through the interval's index tables (``Interval._index_tables``)
-    once they pay: the searches before it, on the kernel closures, tell
-    the interval how many assignments they tried.  So a one-shot search
-    costs no table, and only an interval searched again gains.
+    A formula of ``k >= 1`` variables and no integer literal is tried
+    first on the chain ``q._diagonal(k + 2)``, and is valid if it holds
+    on all of its at most ``(k + 2) ** k`` assignments.  Each connective
+    acts on one prime at a time, so the interval is a product of Gödel
+    chains ``C_(gap + 1)``, and a formula is valid in it exactly when it
+    is valid in ``C_(G + 1)``, ``G`` the largest gap; with ``k``
+    variables ``C_(k + 2)`` already decides every chain (Gödel 1932;
+    Dummett, JSL 24, 1959).  The diagonal is a subalgebra isomorphic to
+    ``C_n``, ``n = min(G + 1, k + 2)``.  A formula refuted there, or one
+    with a literal, runs the full search, which alone names the first
+    counterexample.
+
+    A search over two or more variables, the chain pass and the full
+    search alike, runs on member positions through the interval's index
+    tables (``Interval._index_tables``) once they pay: every assignment
+    such a search tried on the kernel closures before, on the chain or
+    in full, is counted by the interval.  So a one-shot search costs no
+    table, and only an interval searched again gains.
     """
     if type(cap) is not int or cap < 1:
         as_natural(cap)
@@ -407,20 +429,36 @@ def check_valid(
     _require_literals(q, literals)
     tables = q._index_tables() if k >= 2 else None
     value_of = _compile(q, formula, names, tables)
+    top = q.top if tables is None else tables[0][q.top]
+
+    def first_miss(domain):
+        """The first assignment over ``domain`` whose value is not the
+        top, with that value, or None; counts what it tried on the
+        kernel toward the tables."""
+        tried, miss = 0, None
+        for combo in itertools.product(domain, repeat=k):
+            tried += 1
+            value = value_of(combo)
+            if value != top:
+                miss = combo, value
+                break
+        if tables is None and k >= 2:
+            q._tried_on_closures(tried)
+        return miss
+
+    if k and not literals:  # valid on the chain is valid in the interval
+        chain = q._diagonal(k + 2)
+        if first_miss(chain if tables is None else [tables[0][d] for d in chain]) is None:
+            return None
     if tables is None:
-        domain, top = (q.members(cap) if k else ()), q.top
+        domain = q.members(cap) if k else ()
     else:
-        domain, top = range(size), tables[0][q.top]
-    tried, found = 0, None
-    for combo in itertools.product(domain, repeat=k):
-        tried += 1
-        value = value_of(combo)
-        if value != top:
-            if tables is not None:  # positions back to members
-                members = q.members()
-                combo, value = [members[i] for i in combo], members[value]
-            found = Counterexample(assignment=tuple(zip(names, combo)), value=value)
-            break
-    if tables is None and k >= 2:
-        q._tried_on_closures(tried)
-    return found
+        domain = range(size)
+    miss = first_miss(domain)
+    if miss is None:
+        return None
+    combo, value = miss
+    if tables is not None:  # positions back to members
+        members = q.members()
+        combo, value = [members[i] for i in combo], members[value]
+    return Counterexample(assignment=tuple(zip(names, combo)), value=value)

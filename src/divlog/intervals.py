@@ -14,7 +14,8 @@ gaps that give its size, its Boolean-ness and its members.  An
 interval is an immutable ``errors.Value`` of its two bounds; the gaps,
 the members listed by the first ``members`` call within the cap, the
 count of assignments that multi-variable searches in
-``divlog.formulas.check_valid`` have tried on the kernel, and the index
+``divlog.formulas.check_valid`` have tried on the kernel, on the
+diagonal chain that decides valid formulas or in full, and the index
 tables those searches use once that count pays for them sit in slots
 beside them.  Membership tests start with the exact-int
 guard ``type(a) is int and a >= 1`` and fall back to ``as_natural``
@@ -167,6 +168,23 @@ class Interval(Value):
             g = math.gcd(r, g * g)
         return math.lcm(b, r)
 
+    def _diagonal(self, length: int) -> list[int]:
+        """The chain ``d_0 < ... < d_(n-2) < top`` of ``n = min(G + 1,
+        length)`` members, ``G`` the largest gap: ``d_i = gcd(top,
+        bottom * r**i)``, where ``r`` is the product of the primes with
+        a positive gap.  Per prime, ``d_i`` sits ``min(i, gap)`` above
+        the bottom, a top truncation, which keeps meet, join and ``->``;
+        so the chain is a subalgebra isomorphic to the Gödel chain
+        ``C_n``: ``d_i -> d_j`` is the top when ``i <= j``, else ``d_j``.
+        """
+        r = math.prod(self._gaps)
+        chain, d = [], self.bottom
+        for _ in range(min(max(self._gaps.values(), default=0) + 1, length) - 1):
+            chain.append(d)
+            d = math.gcd(self.top, d * r)
+        chain.append(self.top)
+        return chain
+
     def _index_tables(self):
         """``(position, meet, join, imp)`` once they pay, else None.
 
@@ -178,7 +196,10 @@ class Interval(Value):
         so the first call after ``_tried_on_closures`` has counted that
         many builds and keeps them: a one-shot search builds none, and
         an interval searched again spends on them at most about what it
-        already spent on the kernel.  Always None past TABLE_CELL_CAP.
+        already spent on the kernel.  The count takes every assignment
+        that a ``check_valid`` search of two or more variables tried on
+        the kernel, on the ``_diagonal`` chain or in full, since the
+        tables serve both passes.  Always None past TABLE_CELL_CAP.
         """
         if self._tables is None:
             cells = self.size() ** 2

@@ -1,4 +1,4 @@
-"""Acceptance gate: eight exhaustive checks the package must pass.
+"""Acceptance gate: nine exhaustive checks the package must pass.
 
 Every tolerance is an exact zero-counterexample count; the one timing
 budget is a 60 second ceiling on the full lattice-law sweep.  Each test
@@ -40,7 +40,7 @@ def heyting_reports():
 def announce(capsys):
     def _announce(index, label, ok):
         with capsys.disabled():
-            print(f"[acceptance {index}/8] {label}: {'PASS' if ok else 'FAIL'}")
+            print(f"[acceptance {index}/9] {label}: {'PASS' if ok else 'FAIL'}")
 
     return _announce
 
@@ -221,3 +221,30 @@ def test_08_round_trip_and_euclid_agreement(announce):
 
     announce(8, "round trip to 10^5, Euclid agreement on [1,1000]^2", not problems)
     assert not problems, "; ".join(problems)
+
+
+def test_09_goedel_chains_decide_linearity_and_excluded_middle(announce):
+    """Each interval is a product of Gödel chains C_(gap + 1).  Linearity
+    holds in every chain, so in every interval; ``p | ~p`` holds in C_n
+    exactly for n < 3 (its threshold n* = 3), so exactly in the intervals
+    whose gaps are all at most 1: the Boolean ones."""
+    linearity, excluded_middle = parse("(p -> q) | (q -> p)"), parse("p | ~p")
+    problems = []
+    swept = 0
+    for top in range(1, 201):
+        for bottom in _divisors(top):
+            q = Interval(bottom, top)
+            swept += 1
+            found = check_valid(q, linearity)
+            if found is not None:
+                problems.append(f"{q}: linearity fails at {found}")
+            if (check_valid(q, excluded_middle) is None) != q.is_boolean():
+                problems.append(f"{q}: p | ~p decided against is_boolean={q.is_boolean()}")
+    if swept != 1098:
+        problems.append(f"swept {swept} intervals, expected 1098")
+    threshold = [n for n in range(1, 9) if check_valid(Interval(1, 2 ** (n - 1)), excluded_middle)]
+    if threshold != list(range(3, 9)):
+        problems.append(f"p | ~p refuted in the chains C_n for n in {threshold}, expected 3..8")
+
+    announce(9, f"linearity in all {swept} intervals, p | ~p iff Boolean (n* = 3)", not problems)
+    assert not problems, "; ".join(problems[:5])

@@ -33,6 +33,7 @@ from divlog import (
     format_formula,
     join,
     meet,
+    oracle_imp,
     parse,
     variables,
 )
@@ -753,8 +754,10 @@ def test_negation_heavy_formulas_match_the_reference_in_every_small_interval(tex
 
 def _reused(q):
     """``q`` after a full two-variable search, so the next one indexes
-    tables: ``p | q | T`` is valid everywhere and calls lcm only."""
-    assert check_valid(q, parse("p | q | T")) is None
+    tables: ``p | q | T | <bottom>`` is valid everywhere and calls lcm
+    only, and its literal sends it to the full search of size**2
+    assignments, where the chain pass would try at most 4**2."""
+    assert check_valid(q, parse(f"p | q | T | {q.bottom}")) is None
     return q
 
 
@@ -807,7 +810,9 @@ def test_table_searches_match_the_reference_in_every_small_interval(text):
 
 def test_a_one_shot_search_on_a_fresh_interval_builds_no_table(monkeypatch):
     """An early exit on 288 members calls the kernel once per assignment
-    it tried, as before there were tables, and lists no table."""
+    it tried, as before there were tables, after the chain pass refuted
+    the formula at its fifth assignment; both passes count toward the
+    tables, and none is listed."""
     calls = []
     kernel = Interval._imp
     monkeypatch.setattr(Interval, "_imp", lambda self, a, b: calls.append(a) or kernel(self, a, b))
@@ -816,20 +821,23 @@ def test_a_one_shot_search_on_a_fresh_interval_builds_no_table(monkeypatch):
     for _ in range(2):
         calls.clear()
         assert check_valid(q, parse("p -> q")) == Counterexample((("p", 2), ("q", 1)), 45045)
-        assert len(calls) == 288 + 1 and q._tables is None
-    assert q._tried == 2 * 289 and q._index_tables() is None
+        assert len(calls) == 5 + 288 + 1 and q._tables is None
+    assert q._tried == 2 * (5 + 289) and q._index_tables() is None
 
 
 def test_tables_are_built_once_the_kernel_searches_tried_as_many_assignments_as_cells():
-    q = Interval(1, 12)  # 6 members, 36 cells
-    for _ in range(5):  # an early exit at the 7th assignment: 2 -> 1 is 3
-        assert check_valid(q, parse("p -> q")) == Counterexample((("p", 2), ("q", 1)), 3)
+    q = Interval(1, 12)  # 6 members, 36 cells; the chain is 1 < 6 < 12
+    for _ in range(3):  # valid on the chain: its 9 assignments
+        assert check_valid(q, parse("(p -> q) | (q -> p)")) is None
+    for _ in range(2):  # refuted on the chain at (1, 6), then in full at (1, 2)
+        assert check_valid(q, parse("q -> p")) == Counterexample((("p", 1), ("q", 2)), 3)
     assert check_valid(q, parse("p | T")) is None  # one variable: not counted
-    assert q._tried == 35 and q._index_tables() is None
+    assert q._tried == 3 * 9 + 2 * (2 + 2) == 35 and q._index_tables() is None
+    # refuted on the chain at (6, 1), then in full at the 7th: 2 -> 1 is 3
     assert check_valid(q, parse("p -> q")) == Counterexample((("p", 2), ("q", 1)), 3)
-    assert q._tried == 42 and q._tables is None  # listed by the next search only
+    assert q._tried == 35 + 4 + 7 and q._tables is None  # listed by the next search only
     assert check_valid(q, parse("p -> q")) == Counterexample((("p", 2), ("q", 1)), 3)
-    assert q._tried == 42 and q._tables is not None
+    assert q._tried == 46 and q._tables is not None
 
 
 def test_a_foreign_literal_raises_before_any_table_is_listed():
@@ -847,7 +855,8 @@ def test_a_foreign_literal_raises_before_any_table_is_listed():
 def test_a_two_variable_search_past_the_table_bound_keeps_the_closures():
     q = Interval(1, 2**9 * 3**3 * 5 * 7 * 11)  # 320 members, 320**2 > 100,000
     assert q.size() == 320
-    for text in ["(p -> q) | (q -> p)", "(p -> q) | (q -> 2 | p & 3)"]:
+    # the literal 1 keeps linearity off the chain pass: a full search
+    for text in ["(p -> q) | (q -> p) | 1", "(p -> q) | (q -> 2 | p & 3)"]:
         f = parse(text)
         assert check_valid(q, f) == reference_check_valid(q, f)
     assert q._tried >= 320**2 and q._index_tables() is None and q._tables is None
@@ -861,3 +870,82 @@ def test_one_variable_and_variable_free_searches_build_no_table():
     assert q._tables is None
     assert check_valid(q, parse("p -> q | p")) is None
     assert q._tables is not None
+
+
+# -- the diagonal chain that decides valid formulas ----------------------------
+
+# valid in every chain, so in every interval: the chain pass decides them
+GODEL_DUMMETT = [
+    "(p -> q) | (q -> p)",
+    "((p -> q) -> q) -> ((q -> p) -> p)",
+    "(p -> (q | r)) -> ((p -> q) | (p -> r))",
+    "(p -> q) | (q -> r) | (r -> p)",
+]
+# bounded depth: valid in the chain C_n exactly when n < k + 2, k the
+# variable count, so no shorter chain than k + 2 members can decide them
+BOUNDED_DEPTH = ["p | ~p", "q | (q -> p | ~p)", "r | (r -> q | (q -> p | ~p))"]
+
+
+@pytest.mark.parametrize("text", [*NEGATION_HEAVY, *GODEL_DUMMETT, *BOUNDED_DEPTH])
+def test_chain_verdicts_match_the_reference_in_every_small_interval(text):
+    """Fresh intervals run the chain pass on the kernel, reused ones on
+    the index tables; both agree with the reference."""
+    f = parse(text)
+    for fresh, reused in zip(_small_intervals(), map(_reused, _small_intervals())):
+        expected = reference_check_valid(fresh, f)
+        assert check_valid(fresh, f) == expected, fresh
+        assert check_valid(reused, f) == expected, reused
+
+
+@pytest.mark.parametrize("k, text", enumerate(BOUNDED_DEPTH, 1))
+def test_a_formula_of_k_variables_needs_a_chain_of_k_plus_2_members(k, text):
+    f = parse(text)
+    for n in range(1, k + 5):
+        chain = Interval(1, 2 ** (n - 1))  # the Gödel chain C_n
+        assert (check_valid(chain, f) is None) == (n < k + 2), n
+        assert (check_valid(chain, f) is None) == (reference_check_valid(chain, f) is None), n
+
+
+def test_the_diagonal_is_a_subalgebra_isomorphic_to_a_goedel_chain():
+    """Per prime, d_i sits min(i, gap) above the bottom: a chain from the
+    bottom to the top, closed under meet, join and the oracle's ->, where
+    d_i -> d_j is the top for i <= j and d_j otherwise."""
+    cases = 0
+    for top in range(1, 121):
+        for bottom in _divisors(top):
+            q = Interval(bottom, top)
+            longest = max(q._gaps.values(), default=0) + 1
+            full = q._diagonal(longest + 3)
+            assert len(full) == longest and full[0] == bottom and full[-1] == top, q
+            for length in range(1, longest + 1):
+                assert q._diagonal(length) == full[: length - 1] + [top], (q, length)
+            for i, a in enumerate(full):
+                for j, b in enumerate(full):
+                    assert (i < j) == (a != b and divides(a, b)), (q, a, b)
+                    assert meet(a, b) == full[min(i, j)] and join(a, b) == full[max(i, j)], (q, a, b)
+                    assert oracle_imp(q, a, b) == (top if i <= j else b), (q, a, b)
+                    cases += 1
+    assert cases == 3_405
+
+
+def test_a_valid_formula_is_decided_on_the_chain_without_the_search(monkeypatch):
+    """On 288 members linearity tries the 4**2 assignments of the chain
+    1 < 30030 < 180180 < 1441440 and lists no member; an invalid formula
+    still gets the full search's first counterexample."""
+    calls = []
+    kernel = Interval._imp
+    monkeypatch.setattr(Interval, "_imp", lambda self, a, b: calls.append(a) or kernel(self, a, b))
+    q = Interval(1, 1441440)
+    assert q._diagonal(4) == [1, 30030, 180180, 1441440]
+    assert check_valid(q, parse("(p -> q) | (q -> p)")) is None
+    assert len(calls) == 2 * 4**2 and q._members is None and q._tried == 4**2
+    assert check_valid(q, parse("p -> q")) == Counterexample((("p", 2), ("q", 1)), 45045)
+
+    def refuse(self, *args):
+        raise AssertionError("listed before the cap was checked")
+
+    for name in ("members", "_index_tables", "_diagonal"):
+        monkeypatch.setattr(Interval, name, refuse)
+    over = Interval(1, 2**4 * 3**4 * 5**4)  # 125 members: 125**3 > 10**6
+    with pytest.raises(SearchLimit):
+        check_valid(over, parse("((p -> q) | (q -> r)) | (r -> p)"))
