@@ -6,7 +6,10 @@ disjoint from ``a``, implication as the greatest element whose meet
 with ``a`` stays below ``b``.  The oracle finds those maxima by folding
 join over every qualifying member and then asserting the fold result
 qualifies itself, which simultaneously produces the maximum and proves
-the candidate set has one.
+the candidate set has one.  ``oracle_neg`` and ``oracle_imp`` check
+their operands and list the members, then run one unchecked fold each,
+``_neg_fold`` and ``_imp_fold``, which the Heyting sweep calls directly
+with the members it listed once per interval.
 
 The ``verify_*`` functions run whole-range sweeps through one law
 runner, ``_run_laws``.  A law is a name, its parameter entries and a
@@ -15,6 +18,17 @@ laws, one ``x`` for the projective identity, one interval within the
 size cap for the Heyting laws.  The runner hands every slice to every
 check, sums the case counts, keeps the counterexamples in sweep order
 and returns one LawReport per law, ready for structured output.
+
+The sweeps verify the ``meet``, ``join`` and ``divides`` this module
+binds.  The lattice and projective sweeps take ``meet`` and ``join``
+when they start and call them once per distinct pair of ``[1, n]``,
+filling a ``_Table`` row on first use; they read a cell wherever an
+operand is an exact int in ``[1, n]`` and call the function per case
+for any other operand, such as an lcm above ``n``.  A table keeps at
+most TABLE_CELL_CAP cells, the interval index tables' ceiling; a row
+past it is filled again whenever a case needs it.  The Heyting sweep
+and the oracle call ``meet``, ``join`` and ``divides`` per member
+scanned.
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ from typing import Any
 
 from .errors import NoGreatestElement, Value, shown
 from .factorization import as_natural, divides
-from .intervals import Interval
+from .intervals import TABLE_CELL_CAP, Interval
 from .lattice import join, meet
 
 DEFAULT_SIZE_CAP = 512  # verify_heyting skips (and lists) larger intervals
@@ -71,15 +85,7 @@ def oracle_neg(q: Interval, a) -> int:
     """Greatest member disjoint from ``a``, by exhaustive scan; ``a`` must
     be a member, checked as by ``q.neg``."""
     a = q._require_member(a)
-    best = q.bottom  # always qualifies: meet(a, bottom) == bottom
-    for c in q.members():
-        if meet(a, c) == q.bottom:
-            best = join(best, c)
-    if meet(a, best) != q.bottom or not q.contains(best):
-        raise NoGreatestElement(
-            f"join of candidates disjoint from {shown(a)} in {q} does not qualify"
-        )
-    return best
+    return _neg_fold(q, q.members(), a)
 
 
 def oracle_imp(q: Interval, a, b) -> int:
@@ -87,8 +93,29 @@ def oracle_imp(q: Interval, a, b) -> int:
     scan; ``a`` and ``b`` must be members, checked as by ``q.imp``."""
     a = q._require_member(a)
     b = q._require_member(b)
+    return _imp_fold(q, q.members(), a, b)
+
+
+def _neg_fold(q: Interval, members, a: int) -> int:
+    """``oracle_neg`` on a member ``a`` of ``q``, unchecked, scanning
+    ``members``: every member of ``q``."""
+    bottom = q.bottom
+    best = bottom  # always qualifies: meet(a, bottom) == bottom
+    for c in members:
+        if meet(a, c) == bottom:
+            best = join(best, c)
+    if meet(a, best) != bottom or not q.contains(best):
+        raise NoGreatestElement(
+            f"join of candidates disjoint from {shown(a)} in {q} does not qualify"
+        )
+    return best
+
+
+def _imp_fold(q: Interval, members, a: int, b: int) -> int:
+    """``oracle_imp`` on members ``a`` and ``b`` of ``q``, unchecked,
+    scanning ``members``: every member of ``q``."""
     best = q.bottom
-    for c in q.members():
+    for c in members:
         if divides(meet(a, c), b):
             best = join(best, c)
     if not divides(meet(a, best), b) or not q.contains(best):
@@ -135,8 +162,43 @@ def _divisors(n: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Global lattice-law sweeps: one slice per value ``a`` (``x`` for the
-# projective identity), the other variables range over ``values``
+# projective identity), the other variables range over ``values``, and
+# meet and join are read from tables of the sweep
 # ---------------------------------------------------------------------------
+
+
+class _Table:
+    """One lattice operation over [1, n]^2 for one sweep, a row at a time.
+
+    ``row(x)`` is None unless ``x`` is an exact int in [1, n]; then it
+    is a list whose entry ``y`` holds ``op(x, y)`` for each ``y`` in
+    [1, n] (entry 0 is unused).  A row is filled by ``n`` calls when a
+    case first needs it and kept while the kept rows hold at most
+    TABLE_CELL_CAP cells; a row past that is filled again whenever a
+    case needs it.  The laws read a cell only at exact ints in [1, n]
+    and call ``op`` on any other value, so every result is the call's.
+    """
+
+    __slots__ = ("op", "n", "rows", "room")
+
+    def __init__(self, op, n: int):
+        self.op = op
+        self.n = n
+        self.rows = {}  # x -> row, for the rows kept
+        self.room = TABLE_CELL_CAP // n  # rows that may still be kept
+
+    def row(self, x):
+        if type(x) is not int or not 0 < x <= self.n:
+            return None
+        r = self.rows.get(x)
+        if r is None:
+            op = self.op
+            r = [None]
+            r += [op(x, y) for y in range(1, self.n + 1)]
+            if self.room:
+                self.room -= 1
+                self.rows[x] = r
+        return r
 
 
 def verify_lattice_laws(max_value) -> list[LawReport]:
@@ -147,12 +209,15 @@ def verify_lattice_laws(max_value) -> list[LawReport]:
     distributivity both dual forms over all triples, so its declared
     domain is twice the triple count.  Each law is written once over
     an operation and its dual and run for meet, then join, so a value
-    ``a`` lists its meet counterexamples before its join ones.
+    ``a`` lists its meet counterexamples before its join ones.  Every
+    slice reads the same two tables, of the ``meet`` and ``join`` this
+    module binds when the sweep starts.
     """
     n = as_natural(max_value)
     values = range(1, n + 1)
+    ops = (("meet", _Table(meet, n)), ("join", _Table(join, n)))
     return _run_laws(
-        ((a, values) for a in values),
+        ((a, values, ops) for a in values),
         {"max": n},
         [
             ("idempotency", {"domain": f"[1,{n}]"}, _idempotency),
@@ -167,69 +232,101 @@ def verify_lattice_laws(max_value) -> list[LawReport]:
     )
 
 
-def _idempotency(a, values, found) -> int:
-    for name, op in (("meet", meet), ("join", join)):
-        if op(a, a) != a:
-            found.append({"a": a, "identity": name, "lhs": op(a, a), "rhs": a})
+def _idempotency(a, values, ops, found) -> int:
+    for name, t in ops:
+        aa = t.row(a)[a]
+        if aa != a:
+            found.append({"a": a, "identity": name, "lhs": aa, "rhs": a})
     return 1
 
 
-def _commutativity(a, values, found) -> int:
-    for name, op in (("meet", meet), ("join", join)):
+def _commutativity(a, values, ops, found) -> int:
+    for name, t in ops:
+        row = t.row
+        ra = row(a)
         for b in values:
-            lhs, rhs = op(a, b), op(b, a)
+            lhs, rhs = ra[b], row(b)[a]
             if lhs != rhs:
                 found.append({"a": a, "b": b, "identity": name, "lhs": lhs, "rhs": rhs})
     return len(values)
 
 
-def _associativity(a, values, found) -> int:
-    for name, op in (("meet", meet), ("join", join)):
+def _associativity(a, values, ops, found) -> int:
+    n = len(values)
+    for name, t in ops:
+        op, row = t.op, t.row
+        ra = row(a)
         for b in values:
-            ab = op(a, b)
+            ab, rb = ra[b], row(b)
+            rab = row(ab)
             for c in values:
-                lhs, rhs = op(ab, c), op(a, op(b, c))
+                lhs = op(ab, c) if rab is None else rab[c]
+                bc = rb[c]
+                rhs = ra[bc] if type(bc) is int and 0 < bc <= n else op(a, bc)
                 if lhs != rhs:
                     found.append(
                         {"a": a, "b": b, "c": c, "identity": name, "lhs": lhs, "rhs": rhs}
                     )
-    return len(values) ** 2
+    return n * n
 
 
-def _distributivity(a, values, found) -> int:
+def _distributivity(a, values, ops, found) -> int:
     # Both dual forms are part of the declared domain, hence 2 cases per (b, c).
-    for form, op, dual in (("meet_over_join", meet, join), ("join_over_meet", join, meet)):
+    n = len(values)
+    (_, m), (_, j) = ops
+    for form, t, d in (("meet_over_join", m, j), ("join_over_meet", j, m)):
+        op, dual = t.op, d.op
+        ra = t.row(a)
         for b in values:
-            ab = op(a, b)
+            ab, rb = ra[b], d.row(b)
+            rab = d.row(ab)
             for c in values:
-                lhs, rhs = op(a, dual(b, c)), dual(ab, op(a, c))
+                bc = rb[c]
+                lhs = ra[bc] if type(bc) is int and 0 < bc <= n else op(a, bc)
+                ac = ra[c]
+                if rab is not None and type(ac) is int and 0 < ac <= n:
+                    rhs = rab[ac]
+                else:
+                    rhs = dual(ab, ac)
                 if lhs != rhs:
                     found.append({"a": a, "b": b, "c": c, "form": form, "lhs": lhs, "rhs": rhs})
-    return 2 * len(values) ** 2
+    return 2 * n * n
 
 
 def verify_projective(max_value) -> LawReport:
     """Check meet(x, join(z, y)) == join(meet(x, z), y) for every triple
-    in [1, max_value]^3 with y dividing x."""
+    in [1, max_value]^3 with y dividing x.
+
+    Every slice reads a table of ``meet`` and one of ``join`` with its
+    operands swapped, whose row ``y`` is join's column ``y``; both are
+    the functions this module binds when the sweep starts.
+    """
     n = as_natural(max_value)
     values = range(1, n + 1)
+    join_ = join
+    meets, joins = _Table(meet, n), _Table(lambda y, z: join_(z, y), n)
     domain = {"domain": f"triples in [1,{n}]^3 with y | x"}
     return _run_laws(
-        ((x, values) for x in values),
+        ((x, values, meets, joins) for x in values),
         {"max": n},
         [("projective_identity", domain, _projective)],
     )[0]
 
 
-def _projective(x, values, found) -> int:
+def _projective(x, values, meets, joins, found) -> int:
+    n = len(values)
     ys = _divisors(x)
+    rx = meets.row(x)
     for y in ys:
+        ry = joins.row(y)  # ry[z] == join(z, y)
         for z in values:
-            lhs = meet(x, join(z, y))
-            rhs = join(meet(x, z), y)
+            zy = ry[z]
+            lhs = rx[zy] if type(zy) is int and 0 < zy <= n else meets.op(x, zy)
+            xz = rx[z]
+            rhs = ry[xz] if type(xz) is int and 0 < xz <= n else joins.op(y, xz)
             if lhs != rhs:
                 found.append({"x": x, "y": y, "z": z, "lhs": lhs, "rhs": rhs})
-    return len(ys) * len(values)
+    return len(ys) * n
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +408,7 @@ def _scan(oracle, *args):
 def _neg_vs_oracle(q, ms, imp, by_bottom, found) -> int:
     for a in ms:
         formula = q.neg(a)
-        key, scanned = _scan(oracle_neg, q, a)
+        key, scanned = _scan(_neg_fold, q, ms, a)
         if formula != scanned:
             found.append(
                 {"bottom": q.bottom, "top": q.top, "a": a, "formula": formula, key: scanned}
@@ -322,7 +419,7 @@ def _neg_vs_oracle(q, ms, imp, by_bottom, found) -> int:
 def _imp_vs_oracle(q, ms, imp, by_bottom, found) -> int:
     for a in ms:
         for b in ms:
-            key, scanned = _scan(oracle_imp, q, a, b)
+            key, scanned = _scan(_imp_fold, q, ms, a, b)
             if imp[a, b] != scanned:
                 found.append(
                     {"bottom": q.bottom, "top": q.top, "a": a, "b": b,
@@ -366,6 +463,8 @@ def _imp_bottom_independence(q, ms, imp, by_bottom, found) -> int:
     coarser_bottoms = _divisors(q.bottom)[:-1]  # proper divisors
     for coarser_bottom in coarser_bottoms:
         coarse = by_bottom[coarser_bottom]
+        # q's members are members of coarse; the oracle scans [1, top] only
+        coarse_ms = coarse.members() if coarser_bottom == 1 else None
         for a in ms:
             for b in ms:
                 expected = imp[a, b]
@@ -373,7 +472,7 @@ def _imp_bottom_independence(q, ms, imp, by_bottom, found) -> int:
                 ok = recomputed == expected
                 error = {}
                 if ok and coarser_bottom == 1:
-                    key, scanned = _scan(oracle_imp, coarse, a, b)
+                    key, scanned = _scan(_imp_fold, coarse, coarse_ms, a, b)
                     ok = scanned == expected
                     if key == "oracle_error":
                         error = {key: scanned}

@@ -3,20 +3,26 @@
 import math
 import re
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+import divlog.oracle
 from divlog import (
     DivlogError,
     Interval,
     LawReport,
+    NoGreatestElement,
+    NotNatural,
     oracle_imp,
     oracle_neg,
     verify_heyting,
     verify_lattice_laws,
     verify_projective,
 )
+from divlog.errors import shown
+from divlog.lattice import join as lattice_join
 
 HEYTING_REPORT_NAMES = [
     "neg_formula_vs_oracle",
@@ -383,3 +389,286 @@ def test_sweeps_take_their_domain_one_slice_at_a_time(monkeypatch, sweep, first_
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# -- the per-case sweeps, kept as the reference ------------------------------
+#
+# These are the sweeps as they were before the laws read meet and join from
+# tables and the Heyting sweep called the oracle's unchecked folds: every case
+# calls ``divlog.oracle.meet`` and ``join`` as the module binds them at that
+# moment, and the oracle scans ``q.members()`` behind the public checks.
+
+
+def _report(name, parameters, cases, found, skipped=()):
+    return LawReport(name, parameters, cases, tuple(found), tuple(skipped))
+
+
+def reference_verify_lattice_laws(n):
+    meet, join = divlog.oracle.meet, divlog.oracle.join
+    values = range(1, n + 1)
+    ops = (("meet", meet), ("join", join))
+    idem, comm, assoc, dist = [], [], [], []
+    for a in values:
+        for name, op in ops:
+            if op(a, a) != a:
+                idem.append({"a": a, "identity": name, "lhs": op(a, a), "rhs": a})
+        for name, op in ops:
+            for b in values:
+                lhs, rhs = op(a, b), op(b, a)
+                if lhs != rhs:
+                    comm.append({"a": a, "b": b, "identity": name, "lhs": lhs, "rhs": rhs})
+        for name, op in ops:
+            for b in values:
+                ab = op(a, b)
+                for c in values:
+                    lhs, rhs = op(ab, c), op(a, op(b, c))
+                    if lhs != rhs:
+                        assoc.append(
+                            {"a": a, "b": b, "c": c, "identity": name, "lhs": lhs, "rhs": rhs}
+                        )
+        for form, op, dual in (("meet_over_join", meet, join), ("join_over_meet", join, meet)):
+            for b in values:
+                ab = op(a, b)
+                for c in values:
+                    lhs, rhs = op(a, dual(b, c)), dual(ab, op(a, c))
+                    if lhs != rhs:
+                        dist.append({"a": a, "b": b, "c": c, "form": form, "lhs": lhs, "rhs": rhs})
+    return [
+        _report("idempotency", {"max": n, "domain": f"[1,{n}]"}, n, idem),
+        _report("commutativity", {"max": n, "domain": f"[1,{n}]^2"}, n**2, comm),
+        _report("associativity", {"max": n, "domain": f"[1,{n}]^3"}, n**3, assoc),
+        _report(
+            "mutual_distributivity",
+            {"max": n, "domain": f"2 x [1,{n}]^3", "forms": ["meet_over_join", "join_over_meet"]},
+            2 * n**3,
+            dist,
+        ),
+    ]
+
+
+def reference_verify_projective(n):
+    meet, join = divlog.oracle.meet, divlog.oracle.join
+    values = range(1, n + 1)
+    found, cases = [], 0
+    for x in values:
+        ys = _divisors(x)
+        for y in ys:
+            for z in values:
+                lhs = meet(x, join(z, y))
+                rhs = join(meet(x, z), y)
+                if lhs != rhs:
+                    found.append({"x": x, "y": y, "z": z, "lhs": lhs, "rhs": rhs})
+        cases += len(ys) * n
+    domain = f"triples in [1,{n}]^3 with y | x"
+    return _report("projective_identity", {"max": n, "domain": domain}, cases, found)
+
+
+def reference_oracle_neg(q, a):
+    a = q._require_member(a)
+    meet, join = divlog.oracle.meet, divlog.oracle.join
+    best = q.bottom
+    for c in q.members():
+        if meet(a, c) == q.bottom:
+            best = join(best, c)
+    if meet(a, best) != q.bottom or not q.contains(best):
+        raise NoGreatestElement(
+            f"join of candidates disjoint from {shown(a)} in {q} does not qualify"
+        )
+    return best
+
+
+def reference_oracle_imp(q, a, b):
+    a, b = q._require_member(a), q._require_member(b)
+    meet, join, divides = divlog.oracle.meet, divlog.oracle.join, divlog.oracle.divides
+    best = q.bottom
+    for c in q.members():
+        if divides(meet(a, c), b):
+            best = join(best, c)
+    if not divides(meet(a, best), b) or not q.contains(best):
+        raise NoGreatestElement(
+            f"join of candidates for {shown(a)} -> {shown(b)} in {q} does not qualify"
+        )
+    return best
+
+
+def _reference_scan(oracle, *args):
+    try:
+        return "oracle", oracle(*args)
+    except NoGreatestElement as err:
+        return "oracle_error", str(err)
+
+
+def reference_verify_heyting(n, size_cap=512):
+    meet, join = divlog.oracle.meet, divlog.oracle.join
+    skipped = []
+    found = {name: [] for name in HEYTING_REPORT_NAMES}
+    cases = dict.fromkeys(HEYTING_REPORT_NAMES, 0)
+    for top in range(1, n + 1):
+        by_bottom = {bottom: Interval(bottom, top) for bottom in _divisors(top)}
+        for bottom, q in by_bottom.items():
+            if q.size() > size_cap:
+                skipped.append({"bottom": bottom, "top": top, "size": q.size()})
+                continue
+            ms = q.members()
+            imp = {(a, b): q.imp(a, b) for a in ms for b in ms}
+            where = {"bottom": bottom, "top": top}
+
+            for a in ms:
+                formula = q.neg(a)
+                key, scanned = _reference_scan(reference_oracle_neg, q, a)
+                if formula != scanned:
+                    found["neg_formula_vs_oracle"].append(
+                        {**where, "a": a, "formula": formula, key: scanned}
+                    )
+            for a in ms:
+                for b in ms:
+                    key, scanned = _reference_scan(reference_oracle_imp, q, a, b)
+                    if imp[a, b] != scanned:
+                        found["imp_formula_vs_oracle"].append(
+                            {**where, "a": a, "b": b, "formula": imp[a, b], key: scanned}
+                        )
+            for a in ms:
+                for b in ms:
+                    m_ab = meet(a, b)
+                    for c in ms:
+                        if (c % m_ab == 0) != (imp[b, c] % a == 0):
+                            found["residuation_adjunction"].append(
+                                {**where, "a": a, "b": b, "c": c,
+                                 "meet_ab": m_ab, "imp_bc": imp[b, c]}
+                            )
+
+            by_gaps = q.is_boolean()
+            by_excluded_middle = all(join(a, q.neg(a)) == top for a in ms)
+            by_formula = all(top * bottom % a == 0 and q.neg(a) == top * bottom // a for a in ms)
+            ok = by_gaps == by_excluded_middle == by_formula
+            if ok and by_gaps:
+                ok = all(q.complement(a) == q.neg(a) for a in ms)
+            if not ok:
+                found["boolean_equivalences"].append(
+                    {**where, "exponent_gaps": by_gaps,
+                     "excluded_middle": by_excluded_middle, "complement_formula": by_formula}
+                )
+
+            coarser_bottoms = _divisors(bottom)[:-1]
+            for coarser_bottom in coarser_bottoms:
+                coarse = by_bottom[coarser_bottom]
+                for a in ms:
+                    for b in ms:
+                        expected, recomputed = imp[a, b], coarse.imp(a, b)
+                        ok, error = recomputed == expected, {}
+                        if ok and coarser_bottom == 1:
+                            key, scanned = _reference_scan(reference_oracle_imp, coarse, a, b)
+                            ok = scanned == expected
+                            if key == "oracle_error":
+                                error = {key: scanned}
+                        if not ok:
+                            found["imp_bottom_independence"].append(
+                                {**where, "coarser_bottom": coarser_bottom, "a": a, "b": b,
+                                 "expected": expected, "recomputed": recomputed, **error}
+                            )
+
+            size = len(ms)
+            for name, count in zip(
+                HEYTING_REPORT_NAMES,
+                (size, size**2, size**3, 1, len(coarser_bottoms) * size**2),
+            ):
+                cases[name] += count
+    domains = (
+        "(interval, member) pairs",
+        "(interval, member, member) triples",
+        "(interval, a, b, c) member triples",
+        "intervals",
+        "(interval, proper coarser bottom, member pair) tuples",
+    )
+    return [
+        _report(name, {"top_max": n, "size_cap": size_cap, "domain": domain},
+                cases[name], found[name], skipped)
+        for name, domain in zip(HEYTING_REPORT_NAMES, domains)
+    ]
+
+
+def _join_zero_at_2_3(a, b):
+    return 0 if (a, b) == (2, 3) else lattice_join(a, b)
+
+
+# every corruption the tests above apply, and those that reach the edges
+# of the tables: a result below [1, n], raised on or carried along, one
+# above it, operand order off the table, and rows past the cell ceiling,
+# filled again whenever a case needs them
+CORRUPTIONS = {
+    "clean": {},
+    "join is the product": {"divlog.oracle.join": lambda a, b: a * b},
+    "meet is 1": {"divlog.oracle.meet": lambda a, b: 1},
+    "meet is its first operand": {"divlog.oracle.meet": lambda a, b: a},
+    "join is the distance": {"divlog.oracle.join": lambda a, b: abs(a - b) or 1},
+    "neg is the top": {"divlog.intervals.Interval.neg": lambda self, a: self.top},
+    "imp is the top": {"divlog.intervals.Interval.imp": lambda self, a, b: self.top},
+    "join(2, 3) is 0": {"divlog.oracle.join": _join_zero_at_2_3},
+    "meet is gcd + 1": {"divlog.oracle.meet": lambda a, b: math.gcd(a, b) + 1},
+    "join(2, 3) is 0, which gcd and lcm take": {
+        "divlog.oracle.meet": math.gcd,
+        "divlog.oracle.join": lambda a, b: 0 if (a, b) == (2, 3) else math.lcm(a, b),
+    },
+    "meet is gcd + 1, join its first operand": {
+        "divlog.oracle.meet": lambda a, b: math.gcd(a, b) + 1,
+        "divlog.oracle.join": lambda a, b: a,
+    },
+    "rows of 40 cells": {"divlog.oracle.TABLE_CELL_CAP": 40},
+    "no row kept": {"divlog.oracle.TABLE_CELL_CAP": 1},
+}
+
+SWEEPS = [
+    *[(verify_lattice_laws, reference_verify_lattice_laws, (n,)) for n in (1, 2, 6, 9, 24)],
+    *[(verify_projective, reference_verify_projective, (n,)) for n in (1, 6, 17, 40)],
+    *[(verify_heyting, reference_verify_heyting, args) for args in ((1,), (16, 4), (48,))],
+]
+
+
+def _outcome(sweep, args):
+    """The report documents, or the error class and message."""
+    try:
+        reports = sweep(*args)
+    except DivlogError as err:
+        return type(err), str(err)
+    return [r.to_dict() for r in (reports if isinstance(reports, list) else [reports])]
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+@pytest.mark.parametrize(
+    "sweep, reference, args",
+    SWEEPS,
+    ids=[f"{sweep.__name__}{args}" for sweep, _, args in SWEEPS],
+)
+def test_sweeps_match_the_per_case_reference(monkeypatch, corruption, sweep, reference, args):
+    for target, value in CORRUPTIONS[corruption].items():
+        monkeypatch.setattr(target, value)
+    assert _outcome(sweep, args) == _outcome(reference, args)
+
+
+def test_a_join_result_of_zero_raises_as_the_call_does(monkeypatch):
+    monkeypatch.setattr("divlog.oracle.join", _join_zero_at_2_3)
+    for sweep in (verify_lattice_laws, verify_projective, verify_heyting):
+        with pytest.raises(NotNatural, match="got 0"):
+            sweep(6)
+
+
+@pytest.mark.parametrize("cap, kept", [(100_000, 24), (48, 2)])
+def test_lattice_laws_fill_each_kept_row_once(monkeypatch, cap, kept):
+    """The sweep keeps the rows of meet that fit in ``cap`` cells, the
+    first ones it needs, and fills each of them with one call per pair;
+    a row past that is filled again whenever a case needs it.  Every
+    other call has an operand outside [1, 24], a join result above it."""
+    calls = []
+
+    def meet(a, b):
+        calls.append((a, b))
+        return math.gcd(a, b)
+
+    monkeypatch.setattr("divlog.oracle.meet", meet)
+    monkeypatch.setattr("divlog.oracle.TABLE_CELL_CAP", cap)
+    assert all(r.passed for r in verify_lattice_laws(24))
+    inside = Counter((a, b) for a, b in calls if a <= 24 and b <= 24)
+    assert sorted(inside) == [(a, b) for a in range(1, 25) for b in range(1, 25)]
+    assert {a for (a, b), count in inside.items() if count == 1} == set(range(1, kept + 1))
+    # the per-case sweep's own calls outside [1, 24], of its 99,096 in all
+    assert len(calls) - inside.total() == 21_558
