@@ -18,13 +18,16 @@ interval's Heyting implication kernel, ``~x`` being ``x -> F``, so
 classical tautologies may fail: validity means "evaluates to the top
 under every assignment of members to variables".
 
-Each connective acts on one prime at a time, so an interval is a
-product of Gödel chains, one per prime gap, and a formula of ``k``
-variables is valid in it exactly when it is valid on a chain of
-``min(G + 1, k + 2)`` members inside it, ``G`` the largest gap (Gödel
-1932; Dummett, JSL 24, 1959).  ``check_valid`` decides "valid" there
-first; a formula with an integer literal, and every counterexample,
-still come from the full search, and SearchLimit still counts the full
+A formula compiles once into a function of its variables' values and
+an algebra ``(meet, join, imp, top, bottom)``, so the same compiled
+formula runs on an interval's members and on the integers of a Gödel
+chain.  Each connective acts on one prime at a time, so an interval is
+a product of Gödel chains, one per prime gap, and a formula of ``k``
+variables is valid in it exactly when it is valid in the chain
+``C_n``, ``n = min(G + 1, k + 2)``, ``G`` the largest gap (Gödel 1932;
+Dummett, JSL 24, 1959).  ``check_valid`` decides "valid" there first;
+a formula with an integer literal, and every counterexample, still
+come from the full search, and SearchLimit still counts the full
 search's ``size ** k`` assignments.
 
 ``parse`` refuses, at the token that goes deeper, a tree more than
@@ -322,50 +325,43 @@ def evaluate(q: Interval, formula: Formula, assignment: Mapping[str, int] | None
         if not q.contains(value):
             raise NotMember(f"{name}={shown(value)} is not in the interval {q}")
     _require_literals(q, literals)
-    return _compile(q, formula, names)([env[name] for name in names])
+    return _compile(formula, names)([env[name] for name in names], _algebra(q))
 
 
-def _compile(
-    q: Interval, formula: Formula, names: list[str], tables=None
-) -> Callable[[Sequence[int]], int]:
-    """Turn ``formula`` into a function of the values of ``names``, in
-    order.  The values and the literals must be members, and no operand
-    is checked: ``&`` is ``math.gcd``, ``|`` is ``math.lcm``, ``->`` is
-    the kernel ``q._imp`` and ``~x`` is ``x -> F``.
+def _algebra(q: Interval) -> tuple:
+    """``(meet, join, imp, top, bottom)`` of ``q`` on members, unchecked."""
+    return math.gcd, math.lcm, q._imp, q.top, q.bottom
 
-    Given ``q._index_tables()`` as ``tables``, the function computes on
-    member positions instead: it takes and returns indices into the
-    ascending member list, and each connective looks its result up in
-    a table.
+
+def _compile(formula: Formula, names: list[str]) -> Callable[[Sequence, tuple], object]:
+    """Turn ``formula`` into ``value_of(values, algebra)``, its value
+    when ``names`` take ``values``, in order, in ``algebra = (meet,
+    join, imp, top, bottom)``: ``&``, ``|`` and ``->`` call the first
+    three, ``T`` and ``F`` are the last two and ``~x`` is ``imp(x,
+    bottom)``.  Nothing is checked: the values and the literals must be
+    elements of the algebra, so only an interval's takes a literal.
     """
     position = {name: i for i, name in enumerate(names)}
-    if tables is None:
-        operations = ((And, math.gcd), (Or, math.lcm), (Imp, q._imp))
-    else:
-        index, meet, join, imp = tables
-        operations = ((And, meet), (Or, join), (Imp, imp))
 
     def build(node):
         if isinstance(node, Var):
             i = position[node.name]
-            return lambda values: values[i]
+            return lambda values, algebra: values[i]
         if isinstance(node, Lit):
             constant = node.value
-        elif isinstance(node, (Top, Bottom)):
-            constant = q.top if isinstance(node, Top) else q.bottom
-        else:
-            if isinstance(node, Not):  # as high as the Not, so no NestingLimit
-                node = Imp(node.child, BOTTOM)
-            for node_class, operation in operations:
-                if isinstance(node, node_class):
-                    left, right = build(node.left), build(node.right)
-                    if tables is None:
-                        return lambda values: operation(left(values), right(values))
-                    return lambda values: operation[left(values)][right(values)]
-            raise TypeError(f"not a formula node: {node!r}")
-        if tables is not None:
-            constant = index[constant]
-        return lambda values: constant
+            return lambda values, algebra: constant
+        if isinstance(node, Top):
+            return lambda values, algebra: algebra[3]
+        if isinstance(node, Bottom):
+            return lambda values, algebra: algebra[4]
+        if isinstance(node, Not):
+            child = build(node.child)
+            return lambda values, algebra: algebra[2](child(values, algebra), algebra[4])
+        for slot, node_class in enumerate((And, Or, Imp)):
+            if isinstance(node, node_class):
+                left, right = build(node.left), build(node.right)
+                return lambda values, algebra: algebra[slot](left(values, algebra), right(values, algebra))
+        raise TypeError(f"not a formula node: {node!r}")
 
     return build(formula)
 
@@ -393,28 +389,23 @@ def check_valid(
     (variables sorted by name, member values ascending).  ``cap``, a
     positive integer (NotNatural otherwise), bounds the search: the
     ``size ** k`` assignments are counted from the gaps, a factor at a
-    time, and SearchLimit comes once they pass it, before any member or
-    table is listed; a literal outside the interval raises NotMember
-    next.  A variable-free formula is evaluated once, with no listing.
+    time, and SearchLimit comes once they pass it, before any member is
+    listed; a literal outside the interval raises NotMember next.  A
+    variable-free formula is evaluated once, with no listing.
 
-    A formula of ``k >= 1`` variables and no integer literal is tried
-    first on the chain ``q._diagonal(k + 2)``, and is valid if it holds
-    on all of its at most ``(k + 2) ** k`` assignments.  Each connective
-    acts on one prime at a time, so the interval is a product of Gödel
-    chains ``C_(gap + 1)``, and a formula is valid in it exactly when it
-    is valid in ``C_(G + 1)``, ``G`` the largest gap; with ``k``
-    variables ``C_(k + 2)`` already decides every chain (Gödel 1932;
-    Dummett, JSL 24, 1959).  The diagonal is a subalgebra isomorphic to
-    ``C_n``, ``n = min(G + 1, k + 2)``.  A formula refuted there, or one
-    with a literal, runs the full search, which alone names the first
-    counterexample.
-
-    A search over two or more variables, the chain pass and the full
-    search alike, runs on member positions through the interval's index
-    tables (``Interval._index_tables``) once they pay: every assignment
-    such a search tried on the kernel closures before, on the chain or
-    in full, is counted by the interval.  So a one-shot search costs no
-    table, and only an interval searched again gains.
+    The formula is compiled once.  With ``k >= 1`` variables and no
+    integer literal it is first tried on the Gödel chain ``C_n``, the
+    integers ``0..n-1`` with ``min``, ``max`` and ``a -> b`` the top
+    ``n - 1`` when ``a <= b``, else ``b``, where ``n = min(G + 1, k +
+    2)`` and ``G`` is the largest gap; it is valid if it holds on all
+    ``n ** k`` assignments.  Each connective acts on one prime at a
+    time, so the interval is a product of chains ``C_(gap + 1)``, and a
+    formula is valid in it exactly when it is valid in ``C_(G + 1)``;
+    with ``k`` variables ``C_(k + 2)`` already decides every chain
+    (Gödel 1932; Dummett, JSL 24, 1959).  The chain pass needs no
+    member and no kernel.  A formula refuted there, or one with a
+    literal, runs the full search over the members, which alone names
+    the first counterexample.
     """
     if type(cap) is not int or cap < 1:
         as_natural(cap)
@@ -427,38 +418,18 @@ def check_valid(
             message = f"{size}**{k} assignments over {k} variables exceed the cap {shown(cap)}"
             raise SearchLimit(message)
     _require_literals(q, literals)
-    tables = q._index_tables() if k >= 2 else None
-    value_of = _compile(q, formula, names, tables)
-    top = q.top if tables is None else tables[0][q.top]
-
-    def first_miss(domain):
-        """The first assignment over ``domain`` whose value is not the
-        top, with that value, or None; counts what it tried on the
-        kernel toward the tables."""
-        tried, miss = 0, None
-        for combo in itertools.product(domain, repeat=k):
-            tried += 1
-            value = value_of(combo)
-            if value != top:
-                miss = combo, value
+    value_of = _compile(formula, names)
+    if k and not literals:  # valid in C_n is valid in the interval
+        last = min(max(q._gaps.values(), default=0), k + 1)  # n - 1, the top
+        chain = (min, max, lambda a, b: last if a <= b else b, last, 0)
+        for combo in itertools.product(range(last + 1), repeat=k):
+            if value_of(combo, chain) != last:
                 break
-        if tables is None and k >= 2:
-            q._tried_on_closures(tried)
-        return miss
-
-    if k and not literals:  # valid on the chain is valid in the interval
-        chain = q._diagonal(k + 2)
-        if first_miss(chain if tables is None else [tables[0][d] for d in chain]) is None:
+        else:
             return None
-    if tables is None:
-        domain = q.members(cap) if k else ()
-    else:
-        domain = range(size)
-    miss = first_miss(domain)
-    if miss is None:
-        return None
-    combo, value = miss
-    if tables is not None:  # positions back to members
-        members = q.members()
-        combo, value = [members[i] for i in combo], members[value]
-    return Counterexample(assignment=tuple(zip(names, combo)), value=value)
+    algebra, top = _algebra(q), q.top
+    for combo in itertools.product(q.members(cap) if k else (), repeat=k):
+        value = value_of(combo, algebra)
+        if value != top:
+            return Counterexample(assignment=tuple(zip(names, combo)), value=value)
+    return None

@@ -10,17 +10,15 @@ and ``neg(a) = imp(a, bottom)``.  Both check their operands, then call
 one unchecked kernel, ``_imp``, which compiled formulas call directly.
 No operand is factorized and nothing is searched.  The one
 factorization an interval takes is of ``top / bottom``, the exponent
-gaps that give its size, its Boolean-ness and its members.  An
-interval is an immutable ``errors.Value`` of its two bounds; the gaps,
-the members listed by the first ``members`` call within the cap, the
-count of assignments that multi-variable searches in
-``divlog.formulas.check_valid`` have tried on the kernel, on the
-diagonal chain that decides valid formulas or in full, and the index
-tables those searches use once that count pays for them sit in slots
-beside them.  Membership tests start with the exact-int
-guard ``type(a) is int and a >= 1`` and fall back to ``as_natural``
-only when it fails, so a bad operand raises the same NotNatural as
-before.  The brute-force counterpart lives in ``divlog.oracle``.
+gaps that give its size, its Boolean-ness, its members and, through
+the largest gap, the Gödel chain on which
+``divlog.formulas.check_valid`` decides valid formulas.  An interval
+is an immutable ``errors.Value`` of its two bounds; the gaps and the
+members listed by the first ``members`` call within the cap sit in
+slots beside them.  Membership tests start with the exact-int guard
+``type(a) is int and a >= 1`` and fall back to ``as_natural`` only
+when it fails, so a bad operand raises the same NotNatural as before.
+The brute-force counterpart lives in ``divlog.oracle``.
 """
 
 from __future__ import annotations
@@ -35,12 +33,6 @@ from .factorization import as_natural, factorize
 # explode; enumeration refuses beyond this many elements by default.
 DEFAULT_ENUMERATION_CAP = 100_000
 
-# A ceiling on memory, not a speed threshold: an interval keeps index
-# tables only while each holds at most this many cells (316 members),
-# about 0.8 MB a table of references.  When they pay is up to the
-# count of assignments tried on the kernel, in _index_tables.
-TABLE_CELL_CAP = 100_000
-
 
 class Interval(Value):
     """All naturals divisible by ``bottom`` and dividing ``top``.
@@ -53,7 +45,7 @@ class Interval(Value):
     attribute raises AttributeError.
     """
 
-    __slots__ = ("bottom", "top", "_gaps", "_members", "_tried", "_tables")
+    __slots__ = ("bottom", "top", "_gaps", "_members")
     _fields = ("bottom", "top")
     bottom: int
     top: int
@@ -73,10 +65,6 @@ class Interval(Value):
         object.__setattr__(self, "_gaps", factorize(top // bottom))
         # every member ascending, listed by the first members() call
         object.__setattr__(self, "_members", None)
-        # assignments that searches of two or more variables tried on the kernel
-        object.__setattr__(self, "_tried", 0)
-        # (position, meet, join, imp), built by _index_tables() once _tried pays
-        object.__setattr__(self, "_tables", None)
 
     # -- membership and enumeration ------------------------------------
 
@@ -167,58 +155,6 @@ class Interval(Value):
             r //= g
             g = math.gcd(r, g * g)
         return math.lcm(b, r)
-
-    def _diagonal(self, length: int) -> list[int]:
-        """The chain ``d_0 < ... < d_(n-2) < top`` of ``n = min(G + 1,
-        length)`` members, ``G`` the largest gap: ``d_i = gcd(top,
-        bottom * r**i)``, where ``r`` is the product of the primes with
-        a positive gap.  Per prime, ``d_i`` sits ``min(i, gap)`` above
-        the bottom, a top truncation, which keeps meet, join and ``->``;
-        so the chain is a subalgebra isomorphic to the Gödel chain
-        ``C_n``: ``d_i -> d_j`` is the top when ``i <= j``, else ``d_j``.
-        """
-        r = math.prod(self._gaps)
-        chain, d = [], self.bottom
-        for _ in range(min(max(self._gaps.values(), default=0) + 1, length) - 1):
-            chain.append(d)
-            d = math.gcd(self.top, d * r)
-        chain.append(self.top)
-        return chain
-
-    def _index_tables(self):
-        """``(position, meet, join, imp)`` once they pay, else None.
-
-        ``position`` maps each member to its index in the ascending
-        member list; ``meet[i][j]`` is the position of the gcd of the
-        members at ``i`` and ``j``, ``join`` and ``imp`` likewise for
-        ``lcm`` and ``_imp``.  Building them costs about as much as
-        trying as many assignments on the kernel as a table has cells,
-        so the first call after ``_tried_on_closures`` has counted that
-        many builds and keeps them: a one-shot search builds none, and
-        an interval searched again spends on them at most about what it
-        already spent on the kernel.  The count takes every assignment
-        that a ``check_valid`` search of two or more variables tried on
-        the kernel, on the ``_diagonal`` chain or in full, since the
-        tables serve both passes.  Always None past TABLE_CELL_CAP.
-        """
-        if self._tables is None:
-            cells = self.size() ** 2
-            if cells > TABLE_CELL_CAP or self._tried < cells:
-                return None
-            members = self.members()
-            position = {m: i for i, m in enumerate(members)}
-
-            def table(op):
-                return tuple([tuple([position[op(a, b)] for b in members]) for a in members])
-
-            tables = (position, table(math.gcd), table(math.lcm), table(self._imp))
-            object.__setattr__(self, "_tables", tables)
-        return self._tables
-
-    def _tried_on_closures(self, assignments: int) -> None:
-        """Count ``assignments`` more tried on the kernel by a search
-        that ``_index_tables`` would serve."""
-        object.__setattr__(self, "_tried", self._tried + assignments)
 
     def _require_member(self, a) -> int:
         if type(a) is not int or a < 1:

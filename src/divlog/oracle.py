@@ -25,10 +25,9 @@ when they start and call them once per distinct pair of ``[1, n]``,
 filling a ``_Table`` row on first use; they read a cell wherever an
 operand is an exact int in ``[1, n]`` and call the function per case
 for any other operand, such as an lcm above ``n``.  A table keeps at
-most TABLE_CELL_CAP cells, the interval index tables' ceiling; a row
-past it is filled again whenever a case needs it.  The Heyting sweep
-and the oracle call ``meet``, ``join`` and ``divides`` per member
-scanned.
+most TABLE_CELL_CAP cells; a row past it is filled again whenever a
+case needs it.  The Heyting sweep and the oracle call ``meet``,
+``join`` and ``divides`` per member scanned.
 """
 
 from __future__ import annotations
@@ -37,10 +36,15 @@ from typing import Any
 
 from .errors import NoGreatestElement, Value, shown
 from .factorization import as_natural, divides
-from .intervals import TABLE_CELL_CAP, Interval
+from .intervals import Interval
 from .lattice import join, meet
 
 DEFAULT_SIZE_CAP = 512  # verify_heyting skips (and lists) larger intervals
+
+# A ceiling on memory, not a speed threshold: the kept rows of a sweep's
+# _Table hold at most this many cells, about 0.8 MB of references
+# (every row for n up to 316).
+TABLE_CELL_CAP = 100_000
 
 
 class LawReport(Value):

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -344,7 +345,6 @@ def test_an_over_cap_search_lists_no_member(monkeypatch):
         raise AssertionError("members listed")
 
     monkeypatch.setattr(Interval, "members", refuse)
-    monkeypatch.setattr(Interval, "_index_tables", refuse)
     with pytest.raises(SearchLimit):
         check_valid(Interval(1, 12), parse("p | q"), cap=35)
     with pytest.raises(SearchLimit):
@@ -738,7 +738,7 @@ NEGATION_HEAVY = ["~p | ~~p", "~~p -> p", "~(p & q) -> (~p | ~q)", "~(p | q) -> 
 
 
 def _small_intervals():
-    """Every interval with top <= 36, built fresh: no tables listed yet."""
+    """Every interval with top <= 36, built fresh: no member listed yet."""
     return [Interval(bottom, top) for top in range(1, 37) for bottom in _divisors(top)]
 
 
@@ -753,35 +753,43 @@ def test_negation_heavy_formulas_match_the_reference_in_every_small_interval(tex
 
 
 def _reused(q):
-    """``q`` after a full two-variable search, so the next one indexes
-    tables: ``p | q | T | <bottom>`` is valid everywhere and calls lcm
-    only, and its literal sends it to the full search of size**2
-    assignments, where the chain pass would try at most 4**2."""
+    """``q`` after a full two-variable search, so its members are
+    listed: ``p | q | T | <bottom>`` is valid everywhere and calls lcm
+    only, and its literal keeps it off the chain pass."""
     assert check_valid(q, parse(f"p | q | T | {q.bottom}")) is None
     return q
 
 
 def test_a_corrupted_negation_kernel_changes_the_verdicts(monkeypatch):
-    """Fresh, reused intervals on both sides, so the patched kernel
-    reaches the index tables of the two-variable searches too."""
+    """A kernel whose ``x -> F`` is always the bottom reaches every full
+    search, on fresh and reused intervals alike, and changes every
+    counterexample.  A valid verdict comes from the chain pass, which
+    calls no kernel, so none changes; three of the formulas are valid in
+    every interval."""
     texts = [*NEGATION_HEAVY, "~p | q"]
 
     def verdicts():
         intervals = [_reused(q) for q in _small_intervals()]
+        intervals += _small_intervals()
         return {text: [check_valid(q, parse(text)) for q in intervals] for text in texts}
 
     before = verdicts()
     kernel = Interval._imp
     monkeypatch.setattr(Interval, "_imp", lambda self, a, b: self.bottom if b == self.bottom else kernel(self, a, b))
     after = verdicts()
-    assert all(after[text] != before[text] for text in texts)
-    flipped = [x != y for x, y in zip(before["~p | q"], after["~p | q"])]
-    assert sum(flipped) == 104 and len(flipped) == 140
+    for text in texts:
+        for q, x, y in zip(_small_intervals() * 2, before[text], after[text]):
+            assert (x != y) == (x is not None), (text, q)
+    refuted = {text: sum(x is not None for x in before[text]) for text in texts}
+    assert refuted == {"~p | ~~p": 0, "~~p -> p": 62, "~(p & q) -> (~p | ~q)": 0,
+                       "~(p | q) -> (~p & ~q)": 0, "~p | q": 208}
+    assert len(before["~p | q"]) == 280
 
 
-# -- the index-table path of multi-variable searches ---------------------------
+# -- searches on fresh and reused intervals ------------------------------------
 
-TABLE_FORMULAS = [
+# formulas of two and three variables, with and without literals
+SEARCH_FORMULAS = [
     "(p -> q) | (q -> p)",
     "~(p & q) -> (~p | ~q)",
     "(p & 2 -> q | F) & (T -> ~q | 3)",
@@ -793,26 +801,23 @@ TABLE_FORMULAS = [
 ]
 
 
-@pytest.mark.parametrize("text", TABLE_FORMULAS)
-def test_table_searches_match_the_reference_in_every_small_interval(text):
-    """On a fresh interval the search runs on the kernel; on a reused
-    one, on the tables, which an error leaves unlisted.  Both agree with
-    the reference, errors too."""
+@pytest.mark.parametrize("text", SEARCH_FORMULAS)
+def test_searches_match_the_reference_on_fresh_and_reused_intervals(text):
+    """A fresh interval lists its members in the search, a reused one
+    has them listed already; both agree with the reference, errors too."""
     f = parse(text)
     for fresh, reused in zip(_small_intervals(), map(_reused, _small_intervals())):
+        got = outcome(check_valid, fresh, f)  # before the reference lists its members
         expected = outcome(reference_check_valid, fresh, f)
-        failed = isinstance(expected, tuple)  # (error class, message)
-        assert outcome(check_valid, fresh, f) == expected, fresh
-        assert fresh._tables is None, fresh
+        assert got == expected, fresh
         assert outcome(check_valid, reused, f) == expected, reused
-        assert (reused._tables is None) == failed, reused
 
 
-def test_a_one_shot_search_on_a_fresh_interval_builds_no_table(monkeypatch):
-    """An early exit on 288 members calls the kernel once per assignment
-    it tried, as before there were tables, after the chain pass refuted
-    the formula at its fifth assignment; both passes count toward the
-    tables, and none is listed."""
+def test_a_refuted_formula_reaches_the_kernel_only_in_the_full_search(monkeypatch):
+    """On 288 members ``p -> q`` is refuted on the chain, which calls no
+    kernel; the full search then calls it once per assignment it tries,
+    the 288 with p = 1 and one more, on the fresh interval and again on
+    the reused one."""
     calls = []
     kernel = Interval._imp
     monkeypatch.setattr(Interval, "_imp", lambda self, a, b: calls.append(a) or kernel(self, a, b))
@@ -821,58 +826,50 @@ def test_a_one_shot_search_on_a_fresh_interval_builds_no_table(monkeypatch):
     for _ in range(2):
         calls.clear()
         assert check_valid(q, parse("p -> q")) == Counterexample((("p", 2), ("q", 1)), 45045)
-        assert len(calls) == 5 + 288 + 1 and q._tables is None
-    assert q._tried == 2 * (5 + 289) and q._index_tables() is None
+        assert len(calls) == 288 + 1 and q._members is not None
 
 
-def test_tables_are_built_once_the_kernel_searches_tried_as_many_assignments_as_cells():
-    q = Interval(1, 12)  # 6 members, 36 cells; the chain is 1 < 6 < 12
-    for _ in range(3):  # valid on the chain: its 9 assignments
+def test_searches_repeated_on_one_interval_keep_their_verdicts():
+    q = Interval(1, 12)  # 6 members; the chain is C_3
+    for _ in range(3):  # valid on the chain
         assert check_valid(q, parse("(p -> q) | (q -> p)")) is None
-    for _ in range(2):  # refuted on the chain at (1, 6), then in full at (1, 2)
+    for _ in range(2):  # refuted on the chain, then in full at (1, 2)
         assert check_valid(q, parse("q -> p")) == Counterexample((("p", 1), ("q", 2)), 3)
-    assert check_valid(q, parse("p | T")) is None  # one variable: not counted
-    assert q._tried == 3 * 9 + 2 * (2 + 2) == 35 and q._index_tables() is None
-    # refuted on the chain at (6, 1), then in full at the 7th: 2 -> 1 is 3
-    assert check_valid(q, parse("p -> q")) == Counterexample((("p", 2), ("q", 1)), 3)
-    assert q._tried == 35 + 4 + 7 and q._tables is None  # listed by the next search only
-    assert check_valid(q, parse("p -> q")) == Counterexample((("p", 2), ("q", 1)), 3)
-    assert q._tried == 46 and q._tables is not None
+    assert check_valid(q, parse("p | T")) is None
+    for _ in range(2):  # refuted in full at the 7th assignment: 2 -> 1 is 3
+        assert check_valid(q, parse("p -> q")) == Counterexample((("p", 2), ("q", 1)), 3)
 
 
-def test_a_foreign_literal_raises_before_any_table_is_listed():
+def test_a_foreign_literal_raises_before_any_member_is_listed():
     q = _reused(Interval(1, 12))
-    assert q._tables is None and q._tried == 36
     with pytest.raises(NotMember, match="literal 5 is not in the interval"):
         check_valid(q, parse("p | q | 5"))
-    assert q._tables is None
     fresh = Interval(1, 1441440)
     with pytest.raises(NotMember, match="literal 17 is not in the interval"):
         check_valid(fresh, parse("p | 4 | 17"))
-    assert fresh._members is None and fresh._tables is None
+    assert fresh._members is None
 
 
-def test_a_two_variable_search_past_the_table_bound_keeps_the_closures():
-    q = Interval(1, 2**9 * 3**3 * 5 * 7 * 11)  # 320 members, 320**2 > 100,000
+def test_a_two_variable_full_search_on_320_members_matches_the_reference():
+    q = Interval(1, 2**9 * 3**3 * 5 * 7 * 11)
     assert q.size() == 320
     # the literal 1 keeps linearity off the chain pass: a full search
     for text in ["(p -> q) | (q -> p) | 1", "(p -> q) | (q -> 2 | p & 3)"]:
         f = parse(text)
-        assert check_valid(q, f) == reference_check_valid(q, f)
-    assert q._tried >= 320**2 and q._index_tables() is None and q._tables is None
+        expected = reference_check_valid(q, f)
+        assert check_valid(Interval(q.bottom, q.top), f) == expected
+        assert check_valid(q, f) == expected
 
 
-def test_one_variable_and_variable_free_searches_build_no_table():
-    q = _reused(Interval(1, 36))
-    assert check_valid(q, parse("p | ~p")) == Counterexample((("p", 2),), 18)
-    assert check_valid(q, parse("~~p -> p")) == Counterexample((("p", 2),), 18)
-    assert check_valid(q, parse("4 -> 2 | T")) is None
-    assert q._tables is None
-    assert check_valid(q, parse("p -> q | p")) is None
-    assert q._tables is not None
+def test_one_variable_and_variable_free_searches_on_fresh_and_reused_intervals():
+    for q in (Interval(1, 36), _reused(Interval(1, 36))):
+        assert check_valid(q, parse("p | ~p")) == Counterexample((("p", 2),), 18)
+        assert check_valid(q, parse("~~p -> p")) == Counterexample((("p", 2),), 18)
+        assert check_valid(q, parse("4 -> 2 | T")) is None
+        assert check_valid(q, parse("p -> q | p")) is None
 
 
-# -- the diagonal chain that decides valid formulas ----------------------------
+# -- the Gödel chain that decides valid formulas -------------------------------
 
 # valid in every chain, so in every interval: the chain pass decides them
 GODEL_DUMMETT = [
@@ -884,12 +881,17 @@ GODEL_DUMMETT = [
 # bounded depth: valid in the chain C_n exactly when n < k + 2, k the
 # variable count, so no shorter chain than k + 2 members can decide them
 BOUNDED_DEPTH = ["p | ~p", "q | (q -> p | ~p)", "r | (r -> q | (q -> p | ~p))"]
+# every literal-free formula of the corpora above
+LITERAL_FREE = [
+    text
+    for text in dict.fromkeys([*NEGATION_HEAVY, *GODEL_DUMMETT, *BOUNDED_DEPTH, *SEARCH_FORMULAS])
+    if not any(c.isdigit() for c in text)
+]
 
 
 @pytest.mark.parametrize("text", [*NEGATION_HEAVY, *GODEL_DUMMETT, *BOUNDED_DEPTH])
 def test_chain_verdicts_match_the_reference_in_every_small_interval(text):
-    """Fresh intervals run the chain pass on the kernel, reused ones on
-    the index tables; both agree with the reference."""
+    """Fresh and reused intervals alike agree with the reference."""
     f = parse(text)
     for fresh, reused in zip(_small_intervals(), map(_reused, _small_intervals())):
         expected = reference_check_valid(fresh, f)
@@ -906,6 +908,23 @@ def test_a_formula_of_k_variables_needs_a_chain_of_k_plus_2_members(k, text):
         assert (check_valid(chain, f) is None) == (reference_check_valid(chain, f) is None), n
 
 
+def _diagonal(q, length):
+    """The chain ``d_0 < ... < d_(n-2) < top`` of ``n = min(G + 1,
+    length)`` members of ``q``, ``G`` the largest gap: ``d_i = gcd(top,
+    bottom * r**i)``, where ``r`` is the product of the primes with a
+    positive gap.  Per prime, ``d_i`` sits ``min(i, gap)`` above the
+    bottom, a top truncation, so the chain is a subalgebra of ``q``
+    isomorphic to the Gödel chain ``C_n`` on which ``check_valid``
+    decides valid formulas: ``d_i`` stands for ``i``."""
+    r = math.prod(q._gaps)
+    chain, d = [], q.bottom
+    for _ in range(min(max(q._gaps.values(), default=0) + 1, length) - 1):
+        chain.append(d)
+        d = math.gcd(q.top, d * r)
+    chain.append(q.top)
+    return chain
+
+
 def test_the_diagonal_is_a_subalgebra_isomorphic_to_a_goedel_chain():
     """Per prime, d_i sits min(i, gap) above the bottom: a chain from the
     bottom to the top, closed under meet, join and the oracle's ->, where
@@ -915,10 +934,10 @@ def test_the_diagonal_is_a_subalgebra_isomorphic_to_a_goedel_chain():
         for bottom in _divisors(top):
             q = Interval(bottom, top)
             longest = max(q._gaps.values(), default=0) + 1
-            full = q._diagonal(longest + 3)
+            full = _diagonal(q, longest + 3)
             assert len(full) == longest and full[0] == bottom and full[-1] == top, q
             for length in range(1, longest + 1):
-                assert q._diagonal(length) == full[: length - 1] + [top], (q, length)
+                assert _diagonal(q, length) == full[: length - 1] + [top], (q, length)
             for i, a in enumerate(full):
                 for j, b in enumerate(full):
                     assert (i < j) == (a != b and divides(a, b)), (q, a, b)
@@ -928,24 +947,77 @@ def test_the_diagonal_is_a_subalgebra_isomorphic_to_a_goedel_chain():
     assert cases == 3_405
 
 
+class _Refused(Exception):
+    """Raised by a refused interval method; no DivlogError."""
+
+
+def _refused_call(self, *args):
+    raise _Refused
+
+
 def test_a_valid_formula_is_decided_on_the_chain_without_the_search(monkeypatch):
-    """On 288 members linearity tries the 4**2 assignments of the chain
-    1 < 30030 < 180180 < 1441440 and lists no member; an invalid formula
-    still gets the full search's first counterexample."""
+    """On 288 members linearity is decided on the chain C_4, with no
+    kernel call and no member listed; an invalid formula still gets the
+    full search's first counterexample."""
     calls = []
     kernel = Interval._imp
     monkeypatch.setattr(Interval, "_imp", lambda self, a, b: calls.append(a) or kernel(self, a, b))
     q = Interval(1, 1441440)
-    assert q._diagonal(4) == [1, 30030, 180180, 1441440]
     assert check_valid(q, parse("(p -> q) | (q -> p)")) is None
-    assert len(calls) == 2 * 4**2 and q._members is None and q._tried == 4**2
+    assert calls == [] and q._members is None
     assert check_valid(q, parse("p -> q")) == Counterexample((("p", 2), ("q", 1)), 45045)
 
-    def refuse(self, *args):
-        raise AssertionError("listed before the cap was checked")
-
-    for name in ("members", "_index_tables", "_diagonal"):
-        monkeypatch.setattr(Interval, name, refuse)
+    for name in ("members", "_imp"):
+        monkeypatch.setattr(Interval, name, _refused_call)
     over = Interval(1, 2**4 * 3**4 * 5**4)  # 125 members: 125**3 > 10**6
     with pytest.raises(SearchLimit):
         check_valid(over, parse("((p -> q) | (q -> r)) | (r -> p)"))
+
+
+def test_valid_verdicts_call_no_kernel_and_list_no_member(monkeypatch):
+    """With the kernel and the member list refused, every valid verdict
+    of a literal-free formula in an interval with top <= 36 still comes
+    back, and every refuted formula reaches a refusal."""
+    valid = {text: [check_valid(q, parse(text)) is None for q in SMALL_INTERVALS] for text in LITERAL_FREE}
+    for name in ("members", "_imp"):
+        monkeypatch.setattr(Interval, name, _refused_call)
+    for text in LITERAL_FREE:
+        f = parse(text)
+        for q, expected in zip(_small_intervals(), valid[text]):
+            try:
+                assert check_valid(q, f) is None and expected, (text, q)
+            except _Refused:
+                assert not expected, (text, q)
+    assert sum(map(sum, valid.values())) == 1_684 and len(valid) * len(SMALL_INTERVALS) == 1_820
+
+
+# too many members for a full search of two variables, and gaps up to
+# 40, within the factorization ceiling of 2**63 - 1 for top / bottom
+HUGE_GAPS = [
+    Interval(1, 2**30 * 3**10 * 5**3 * 7**2),
+    Interval(5**2 * 11, 2**40 * 3**8 * 5**4 * 11),
+    Interval(1, (2 * 3 * 5 * 7 * 11 * 13 * 17 * 19) ** 2),  # G = 2: C_3 decides
+    Interval(13, 13 * (2 * 3 * 5 * 7 * 11 * 13 * 17) ** 3),  # G = 3: C_4 decides
+]
+
+
+@pytest.mark.parametrize("text", LITERAL_FREE)
+def test_the_chain_pass_agrees_with_the_diagonal_in_intervals_too_big_to_search(monkeypatch, text):
+    """The verdict on the abstract chain ``C_n`` against the path it
+    replaced: every assignment over the diagonal inside the interval,
+    evaluated through the interval's kernel.  A formula refuted on the
+    chain goes on to list the members for the full search, out of reach
+    here, so a refused listing reads as refuted."""
+    f = parse(text)
+    names = sorted(variables(f))
+    k = len(names)
+    monkeypatch.setattr(Interval, "members", _refused_call)
+    for q in HUGE_GAPS:
+        assert q.size() ** 2 > DEFAULT_SEARCH_CAP
+        diagonal = itertools.product(_diagonal(q, k + 2), repeat=k)
+        on_diagonal = all(evaluate(q, f, dict(zip(names, combo))) == q.top for combo in diagonal)
+        try:
+            on_chain = check_valid(q, f, cap=q.size() ** k) is None
+        except _Refused:
+            on_chain = False
+        assert on_chain == on_diagonal, q
