@@ -11,9 +11,12 @@ Whitespace is what ``str.isspace`` accepts.  An integer is a run of
 decimal digits, as ``int()`` reads them.  An identifier is a letter or
 ``_`` followed by letters, digits or ``_``, as ``str.isalpha`` and
 ``str.isalnum`` read them.  ``T`` and ``F`` are reserved: they are the
-interval's top and bottom.  An integer literal denotes itself and must
-be a member of the evaluation interval.  Operands are checked once, at
-the boundary; connectives compute with gcd (meet), lcm (join) and the
+interval's top and bottom.  ``parse`` reads the tokens with one regex
+``findall``, without offsets; a failure reads them again with offsets,
+so a token error anywhere wins over a parse error.  Nothing is cached
+between calls.  An integer literal denotes itself and must be a member
+of the evaluation interval.  Operands are checked once, at the
+boundary; connectives compute with gcd (meet), lcm (join) and the
 interval's Heyting implication kernel, ``~x`` being ``x -> F``, so
 classical tautologies may fail: validity means "evaluates to the top
 under every assignment of members to variables".
@@ -155,19 +158,18 @@ def variables(formula: Formula) -> set[str]:
 def _atoms(formula: Formula) -> tuple[set[str], list]:
     """The formula's variable names, and its literals' values left to right."""
     names, literals = set(), []
-
-    def walk(node):
-        if isinstance(node, Var):
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Var:
             names.add(node.name)
-        elif isinstance(node, Lit):
+        elif kind is Lit:
             literals.append(node.value)
-        elif isinstance(node, _Binary):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Not):
-            walk(node.child)
-
-    walk(formula)
+        elif kind is Not:
+            stack.append(node.child)
+        elif kind is And or kind is Or or kind is Imp:
+            stack += node.right, node.left  # the left is popped first
     return names, literals
 
 
@@ -191,76 +193,85 @@ _BINARY = {
 }
 
 
-def _tokenize(text: str) -> list[tuple[object, Formula | None, int]]:
-    """``text`` as (value, atom, offset) triples, closed by (None, None,
-    len(text)).  ``value`` is the operator, int or name as messages
-    show it; ``atom`` is the node an integer or a name denotes, None
-    for an operator."""
+def _tokenize(text: str) -> list[tuple[object, int]]:
+    """``text`` as (value, offset) pairs, closed by (None, len(text)),
+    ``value`` the operator, int or name as messages show it; the first
+    token that is none of these raises FormulaSyntaxError."""
     tokens = []
     for match in _TOKEN.finditer(text):
         group = match.lastindex
         value, position = match[group], match.start(group)
-        if group == 1:
-            tokens.append((value, None, position))
-        elif group == 2:
+        if group == 2:
             try:
                 value = int(value)
             except ValueError:  # past the interpreter's limit on digits
                 raise FormulaSyntaxError(f"integer literal of {len(value)} digits is too long", position) from None
-            tokens.append((value, Lit(value), position))
-        elif group == 3 and (value[0].isalpha() or value[0] == "_"):
-            tokens.append((value, _KEYWORDS.get(value) or Var(value), position))
-        else:  # any other character, or a \w run led by a digit int() refuses, as ² or ½
+        elif group > 2 and not (value[0].isalpha() or value[0] == "_"):
+            # any other character, or a \w run led by a digit int() refuses, as ² or ½
             raise FormulaSyntaxError(f"unexpected character {value[0]!r}", position)
-    tokens.append((None, None, len(text)))
+        tokens.append((value, position))
+    tokens.append((None, len(text)))
     return tokens
 
 
-def _nest(depth: int, position: int) -> int:
-    if depth > MAX_DEPTH:
-        raise FormulaSyntaxError(f"formula nests deeper than {MAX_DEPTH} levels", position)
-    return depth
-
-
 def parse(text: str) -> Formula:
-    """Parse formula text; FormulaSyntaxError reports the bad offset."""
-    tokens = _tokenize(text)
-    pos = parens = 0  # the current token; parentheses open at it
+    """Parse formula text; FormulaSyntaxError reports the bad offset.
+
+    One ``_TOKEN.findall`` pass reads the tokens, without offsets, and
+    an atom is classified where it is read, one ``Var`` built per name.
+    A failure reads the text again with ``_tokenize``, for the offset and
+    so that a token error anywhere wins; nothing is cached between calls."""
+    tokens = _TOKEN.findall(text)
+    tokens.append(("", "", "", ""))  # the end: every group empty
+    pos = parens = 0  # the current token's index; parentheses open at it
+    names = dict(_KEYWORDS)  # name -> its node, a Var built once
+
+    def fail(index: int, message: str):
+        """Raise ``message``, its ``{}`` showing token ``index``, there."""
+        value, offset = _tokenize(text)[index]
+        raise FormulaSyntaxError(message.format("end of input" if value is None else repr(value)), offset)
+
+    def nest(depth: int, index: int) -> int:
+        return depth if depth <= MAX_DEPTH else fail(index, f"formula nests deeper than {MAX_DEPTH} levels")
 
     def climb(level: int, depth: int) -> Formula:
         """A formula whose binary connectives all bind at ``level`` or
         tighter, ``depth`` levels below the root."""
         nonlocal pos, parens
-        value, node, position = tokens[pos]
+        op, digits, word, _ = tokens[pos]
         pos += 1
-        # no name or int reads as an operator, so ``value`` alone tells them
-        if value == "~":
-            node = Not(climb(_NOT_LEVEL, _nest(depth + 1, position)))
-        elif value == "(":
-            parens = _nest(parens + 1, position)
+        if op == "~":
+            node = Not(climb(_NOT_LEVEL, nest(depth + 1, pos - 1)))
+        elif op == "(":
+            parens = nest(parens + 1, pos - 1)
             node = climb(0, depth)
             if tokens[pos][0] != ")":
-                raise FormulaSyntaxError("expected ')'", tokens[pos][2])
+                fail(pos, "expected ')'")
             pos += 1
             parens -= 1
-        elif node is None:  # an operator or the end, where a formula belongs
-            shown = "end of input" if value is None else repr(value)
-            raise FormulaSyntaxError(f"expected a formula, found {shown}", position)
+        elif word[:1].isalpha() or word[:1] == "_":
+            node = names.get(word) or names.setdefault(word, Var(word))
+        elif digits:
+            node = Lit(int(digits))  # ValueError past the digit limit
+        else:  # an operator or the end where a formula belongs, or a bad token
+            fail(pos - 1, "expected a formula, found {}")
         while (row := _BINARY.get(tokens[pos][0])) and row[1] >= level:
             node_class, own, right_assoc = row
-            position = tokens[pos][2]
-            pos += 1
-            right = climb(own if right_assoc else own + 1, _nest(depth + 1, position))
+            at, pos = pos, pos + 1
+            right = climb(own if right_assoc else own + 1, nest(depth + 1, at))
             # checked before building, so a tree past the bound is a
             # FormulaSyntaxError at this operator, never a NestingLimit
-            _nest(depth + 1 + max(node.height, right.height), position)
+            nest(depth + 1 + max(node.height, right.height), at)
             node = node_class(node, right)
         return node
 
-    node = climb(0, 0)
-    value, _, position = tokens[pos]
-    if value is not None:
-        raise FormulaSyntaxError(f"unexpected trailing input {value!r}", position)
+    try:
+        node = climb(0, 0)
+    except ValueError:  # int() refused a literal, which _tokenize reports
+        _tokenize(text)
+        raise
+    if pos < len(tokens) - 1:
+        fail(pos, "unexpected trailing input {}")
     return node
 
 
@@ -280,10 +291,10 @@ def _format(formula: Formula, level: int) -> str:
     if isinstance(formula, (Var, Lit)):
         text = str(formula.name) if isinstance(formula, Var) else shown(formula.value)
         try:
-            atoms = [atom for _, atom, _ in _tokenize(text)]
+            back = parse(text)
         except FormulaSyntaxError:
-            atoms = []
-        if atoms != [formula, None]:  # one token, and it denotes this atom
+            back = None
+        if back != formula:
             raise ValueError(f"{formula!r} prints as {text!r}, which does not parse back to it")
         return text
     if isinstance(formula, Top):
@@ -344,23 +355,24 @@ def _compile(formula: Formula, names: list[str]) -> Callable[[Sequence, tuple], 
     position = {name: i for i, name in enumerate(names)}
 
     def build(node):
-        if isinstance(node, Var):
+        kind = type(node)
+        if kind is Var:
             i = position[node.name]
             return lambda values, algebra: values[i]
-        if isinstance(node, Lit):
-            constant = node.value
-            return lambda values, algebra: constant
-        if isinstance(node, Top):
-            return lambda values, algebra: algebra[3]
-        if isinstance(node, Bottom):
-            return lambda values, algebra: algebra[4]
-        if isinstance(node, Not):
+        if kind is And or kind is Or or kind is Imp:
+            slot = 0 if kind is And else 1 if kind is Or else 2
+            left, right = build(node.left), build(node.right)
+            return lambda values, algebra: algebra[slot](left(values, algebra), right(values, algebra))
+        if kind is Not:
             child = build(node.child)
             return lambda values, algebra: algebra[2](child(values, algebra), algebra[4])
-        for slot, node_class in enumerate((And, Or, Imp)):
-            if isinstance(node, node_class):
-                left, right = build(node.left), build(node.right)
-                return lambda values, algebra: algebra[slot](left(values, algebra), right(values, algebra))
+        if kind is Lit:
+            constant = node.value
+            return lambda values, algebra: constant
+        if kind is Top:
+            return lambda values, algebra: algebra[3]
+        if kind is Bottom:
+            return lambda values, algebra: algebra[4]
         raise TypeError(f"not a formula node: {node!r}")
 
     return build(formula)

@@ -9,7 +9,9 @@ qualifies itself, which simultaneously produces the maximum and proves
 the candidate set has one.  ``oracle_neg`` and ``oracle_imp`` check
 their operands and list the members, then run one unchecked fold each,
 ``_neg_fold`` and ``_imp_fold``, which the Heyting sweep calls directly
-with the members it listed once per interval.
+with the members it listed once per interval.  Each top keeps one table
+of the implication folds on ``[1, top]``, filled on first use, which the
+oracle check and the bottom-independence check share.
 
 The ``verify_*`` functions run whole-range sweeps through one law
 runner, ``_run_laws``.  A law is a name, its parameter entries and a
@@ -385,18 +387,18 @@ def verify_heyting(top_max, size_cap: int = DEFAULT_SIZE_CAP) -> list[LawReport]
 
 
 def _intervals(n: int, size_cap: int, skipped: list):
-    """Yield ``(q, members, imp table, {bottom: interval})`` for every
-    interval with top <= n and at most ``size_cap`` members, each built
-    once per top; append the larger ones to ``skipped``."""
+    """Yield ``(q, members, imp table, {bottom: interval}, folds)`` for
+    every interval with top <= n and at most ``size_cap`` members, the
+    last two built once per top; append the larger ones to ``skipped``."""
     for top in range(1, n + 1):
-        by_bottom = {bottom: Interval(bottom, top) for bottom in _divisors(top)}
+        by_bottom, folds = {bottom: Interval(bottom, top) for bottom in _divisors(top)}, {}
         for bottom, q in by_bottom.items():
             size = q.size()
             if size > size_cap:
                 skipped.append({"bottom": bottom, "top": top, "size": size})
                 continue
             ms = q.members()
-            yield q, ms, {(a, b): q.imp(a, b) for a in ms for b in ms}, by_bottom
+            yield q, ms, {(a, b): q.imp(a, b) for a in ms for b in ms}, by_bottom, folds
 
 
 def _scan(oracle, *args):
@@ -409,7 +411,17 @@ def _scan(oracle, *args):
         return "oracle_error", str(err)
 
 
-def _neg_vs_oracle(q, ms, imp, by_bottom, found) -> int:
+def _imp_scan(q, ms, a, b, folds):
+    """``_scan(_imp_fold, q, ms, a, b)``; on ``[1, top]`` it is kept in
+    ``folds``, the table its top's slices share, and folded on first use."""
+    if q.bottom != 1:
+        return _scan(_imp_fold, q, ms, a, b)
+    if (a, b) not in folds:
+        folds[a, b] = _scan(_imp_fold, q, ms, a, b)
+    return folds[a, b]
+
+
+def _neg_vs_oracle(q, ms, imp, by_bottom, folds, found) -> int:
     for a in ms:
         formula = q.neg(a)
         key, scanned = _scan(_neg_fold, q, ms, a)
@@ -420,10 +432,10 @@ def _neg_vs_oracle(q, ms, imp, by_bottom, found) -> int:
     return len(ms)
 
 
-def _imp_vs_oracle(q, ms, imp, by_bottom, found) -> int:
+def _imp_vs_oracle(q, ms, imp, by_bottom, folds, found) -> int:
     for a in ms:
         for b in ms:
-            key, scanned = _scan(_imp_fold, q, ms, a, b)
+            key, scanned = _imp_scan(q, ms, a, b, folds)
             if imp[a, b] != scanned:
                 found.append(
                     {"bottom": q.bottom, "top": q.top, "a": a, "b": b,
@@ -432,7 +444,7 @@ def _imp_vs_oracle(q, ms, imp, by_bottom, found) -> int:
     return len(ms) ** 2
 
 
-def _residuation(q, ms, imp, by_bottom, found) -> int:
+def _residuation(q, ms, imp, by_bottom, folds, found) -> int:
     for a in ms:
         for b in ms:
             m_ab = meet(a, b)
@@ -445,7 +457,7 @@ def _residuation(q, ms, imp, by_bottom, found) -> int:
     return len(ms) ** 3
 
 
-def _boolean_equivalences(q, ms, imp, by_bottom, found) -> int:
+def _boolean_equivalences(q, ms, imp, by_bottom, folds, found) -> int:
     bottom, top = q.bottom, q.top
     by_gaps = q.is_boolean()
     by_excluded_middle = all(join(a, q.neg(a)) == top for a in ms)
@@ -463,7 +475,7 @@ def _boolean_equivalences(q, ms, imp, by_bottom, found) -> int:
     return 1
 
 
-def _imp_bottom_independence(q, ms, imp, by_bottom, found) -> int:
+def _imp_bottom_independence(q, ms, imp, by_bottom, folds, found) -> int:
     coarser_bottoms = _divisors(q.bottom)[:-1]  # proper divisors
     for coarser_bottom in coarser_bottoms:
         coarse = by_bottom[coarser_bottom]
@@ -476,7 +488,7 @@ def _imp_bottom_independence(q, ms, imp, by_bottom, found) -> int:
                 ok = recomputed == expected
                 error = {}
                 if ok and coarser_bottom == 1:
-                    key, scanned = _scan(_imp_fold, coarse, coarse_ms, a, b)
+                    key, scanned = _imp_scan(coarse, coarse_ms, a, b, folds)
                     ok = scanned == expected
                     if key == "oracle_error":
                         error = {key: scanned}

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -605,6 +606,33 @@ NESTED_TOO = {
 def test_parse_matches_the_reference_on_nesting(shape):
     for n in range(131):
         assert_parsers_agree(NESTED_TOO[shape](n))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p ) $", "unexpected character '$' (at position 4)"),
+        ("p ) ²", "unexpected character '²' (at position 4)"),
+        ("(p " + "7" * 5000, "integer literal of 5000 digits is too long (at position 3)"),
+    ],
+    ids=["dollar", "superscript", "long literal"],
+)
+def test_a_token_error_wins_over_an_earlier_parse_error(text, message):
+    assert_parsers_agree(text)
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+def test_a_repeated_variable_parses_like_the_tree_built_from_the_node_classes():
+    text = "(p & q) -> (p | ~q) -> p"
+    built = Imp(And(Var("p"), Var("q")), Imp(Or(Var("p"), Not(Var("q"))), Var("p")))
+    f = parse(text)
+    assert f.left.left is f.right.left.left is f.right.right  # one Var per name
+    assert f == built and hash(f) == hash(built) and repr(f) == repr(built)
+    assert pickle.loads(pickle.dumps(f)) == built
+    assert repr(pickle.loads(pickle.dumps(f))) == repr(built)
+    assert f == reference_parse(text)
 
 
 @pytest.mark.parametrize("text", [b"p", None])

@@ -645,6 +645,50 @@ def test_sweeps_match_the_per_case_reference(monkeypatch, corruption, sweep, ref
     assert _outcome(sweep, args) == _outcome(reference, args)
 
 
+@pytest.mark.parametrize(
+    "args, top, a, b, imp_reports",
+    [
+        ((12,), 12, 4, 6, 1),  # [1, 12] is swept: the oracle check folds (4, 6) first
+        ((60, 6), 60, 12, 20, 0),  # [1, 60] is skipped: only [4, 60] needs the fold
+    ],
+)
+def test_an_implication_fold_on_one_to_top_is_run_once_and_reported_by_both_laws(
+    monkeypatch, args, top, a, b, imp_reports
+):
+    """The folds on [1, top] sit in one table per top, shared by the
+    oracle check and the bottom-independence check and filled on first
+    use: a fold that finds no greatest element for one pair is run
+    once, and both laws report it as the per-case reference does."""
+    message = f"join of candidates for {a} -> {b} in [1, {top}] does not qualify"
+
+    def refusing(fold, calls):
+        def patched(q, *args):
+            if (q.bottom, q.top, *args[-2:]) == (1, top, a, b):
+                calls.append(args[-2:])
+                raise NoGreatestElement(message)
+            return fold(q, *args)
+        return patched
+
+    swept, per_case = [], []
+    monkeypatch.setattr("divlog.oracle._imp_fold", refusing(divlog.oracle._imp_fold, swept))
+    monkeypatch.setitem(globals(), "reference_oracle_imp", refusing(reference_oracle_imp, per_case))
+    reports = _outcome(verify_heyting, args)
+    assert reports == _outcome(reference_verify_heyting, args)
+    assert (swept, per_case) == ([(a, b)], [(a, b)] * (imp_reports + 1))
+    errors = {
+        r["law_name"]: [c for c in r["counterexamples"] if "oracle_error" in c] for r in reports
+    }
+    one = Interval(1, top)
+    assert errors["imp_formula_vs_oracle"] == [
+        {"bottom": 1, "top": top, "a": a, "b": b, "formula": one.imp(a, b), "oracle_error": message}
+    ][:imp_reports]
+    assert errors["imp_bottom_independence"] == [
+        {"bottom": math.gcd(a, b), "top": top, "coarser_bottom": 1, "a": a, "b": b,
+         "expected": Interval(math.gcd(a, b), top).imp(a, b), "recomputed": one.imp(a, b),
+         "oracle_error": message}
+    ]
+
+
 def test_a_join_result_of_zero_raises_as_the_call_does(monkeypatch):
     monkeypatch.setattr("divlog.oracle.join", _join_zero_at_2_3)
     for sweep in (verify_lattice_laws, verify_projective, verify_heyting):
