@@ -11,15 +11,14 @@ Whitespace is what ``str.isspace`` accepts.  An integer is a run of
 decimal digits, as ``int()`` reads them.  An identifier is a letter or
 ``_`` followed by letters, digits or ``_``, as ``str.isalpha`` and
 ``str.isalnum`` read them.  ``T`` and ``F`` are reserved: they are the
-interval's top and bottom.  ``parse`` reads the tokens with one regex
-``findall``, without offsets; a failure reads them again with offsets,
-so a token error anywhere wins over a parse error.  Nothing is cached
-between calls.  An integer literal denotes itself and must be a member
-of the evaluation interval.  Operands are checked once, at the
-boundary; connectives compute with gcd (meet), lcm (join) and the
-interval's Heyting implication kernel, ``~x`` being ``x -> F``, so
-classical tautologies may fail: validity means "evaluates to the top
-under every assignment of members to variables".
+interval's top and bottom.  Each connective's symbol, precedence level,
+associativity and algebra slot are attributes of its node class, which
+the parser, printer and compiler read.  An integer literal denotes
+itself and must be a member of the evaluation interval.  Operands are
+checked once, at the boundary; connectives compute with gcd (meet),
+lcm (join) and the interval's Heyting implication kernel, ``~x`` being
+``x -> F``, so classical tautologies may fail: validity means
+"evaluates to the top under every assignment of members to variables".
 
 A formula compiles once into a function of its variables' values and
 an algebra ``(meet, join, imp, top, bottom)``, so the same compiled
@@ -40,6 +39,10 @@ a node that high from the node classes raises NestingLimit, so no tree
 in hand is deeper than the walkers can recurse.  ``format_formula``
 raises ValueError for a ``Var`` or ``Lit`` whose text would not parse
 back as that atom alone, such as ``Var("T")`` or ``Lit(-3)``.
+``variables``, ``format_formula``, ``evaluate`` and ``check_valid``
+take only the eight node classes: anything else in a tree, a subclass's
+instance too, raises TypeError before UnboundVariable, SearchLimit or
+NotMember.
 
 The nodes and ``Counterexample`` are immutable ``errors.Value``s, so
 ``Lit(10**5000)`` prints as ``Lit(value=<16610-bit integer>)``.
@@ -69,7 +72,9 @@ class _Node(Value):
     """Base of the node classes.  ``height`` counts the connectives on
     the longest path down to an atom: 0 for an atom, a slot that each
     connective's constructor fills.  It is no field, so ``==``,
-    ``hash``, ``repr`` and pickling ignore it."""
+    ``hash``, ``repr`` and pickling ignore it.  Each connective's class
+    declares the facts it has: ``symbol``, ``level`` (0 binds loosest),
+    ``right_assoc`` and ``slot``, its index in ``_compile``'s algebra."""
 
     __slots__ = ()
     height = 0
@@ -99,10 +104,12 @@ class Lit(_Node):
 
 class Top(_Node):
     __slots__ = ()
+    symbol, slot = "T", 3
 
 
 class Bottom(_Node):
     __slots__ = ()
+    symbol, slot = "F", 4
 
 
 class _Binary(_Node):
@@ -120,19 +127,23 @@ class _Binary(_Node):
 
 class And(_Binary):
     __slots__ = ()
+    symbol, level, right_assoc, slot = "&", 2, False, 0
 
 
 class Or(_Binary):
     __slots__ = ()
+    symbol, level, right_assoc, slot = "|", 1, False, 1
 
 
 class Imp(_Binary):
     __slots__ = ()
+    symbol, level, right_assoc, slot = "->", 0, True, 2
 
 
 class Not(_Node):
     __slots__ = ("child", "height")
     _fields = ("child",)
+    symbol, level = "~", 3
 
     def __init__(self, child: Formula):
         object.__setattr__(self, "height", _above(child.height if isinstance(child, _Node) else 0))
@@ -143,11 +154,6 @@ Formula = Union[Var, Lit, Top, Bottom, And, Or, Imp, Not]
 
 TOP = Top()
 BOTTOM = Bottom()
-
-# (node class, symbol, right-associative), loosest first; a row's index is
-# its level, ``~`` binds at the next level and atoms at the one after
-_CONNECTIVES = ((Imp, "->", True), (Or, "|", False), (And, "&", False))
-_NOT_LEVEL = len(_CONNECTIVES)
 
 
 def variables(formula: Formula) -> set[str]:
@@ -170,6 +176,8 @@ def _atoms(formula: Formula) -> tuple[set[str], list]:
             stack.append(node.child)
         elif kind is And or kind is Or or kind is Imp:
             stack += node.right, node.left  # the left is popped first
+        elif kind is not Top and kind is not Bottom:
+            raise TypeError(f"not a formula node: {node!r}")
     return names, literals
 
 
@@ -184,13 +192,9 @@ def _require_literals(q: Interval, literals: list) -> None:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_KEYWORDS = {"T": TOP, "F": BOTTOM}
+_KEYWORDS = {node.symbol: node for node in (TOP, BOTTOM)}
+_BINARY = {kind.symbol: kind for kind in (Imp, Or, And)}
 _TOKEN = re.compile(r"\s*(?:(->|[|&~()])|(\d+)|(\w+)|(\S))")
-# symbol -> (node class, level, right-associative), read off _CONNECTIVES
-_BINARY = {
-    symbol: (node_class, level, right_assoc)
-    for level, (node_class, symbol, right_assoc) in enumerate(_CONNECTIVES)
-}
 
 
 def _tokenize(text: str) -> list[tuple[object, int]]:
@@ -241,7 +245,7 @@ def parse(text: str) -> Formula:
         op, digits, word, _ = tokens[pos]
         pos += 1
         if op == "~":
-            node = Not(climb(_NOT_LEVEL, nest(depth + 1, pos - 1)))
+            node = Not(climb(Not.level, nest(depth + 1, pos - 1)))
         elif op == "(":
             parens = nest(parens + 1, pos - 1)
             node = climb(0, depth)
@@ -255,14 +259,13 @@ def parse(text: str) -> Formula:
             node = Lit(int(digits))  # ValueError past the digit limit
         else:  # an operator or the end where a formula belongs, or a bad token
             fail(pos - 1, "expected a formula, found {}")
-        while (row := _BINARY.get(tokens[pos][0])) and row[1] >= level:
-            node_class, own, right_assoc = row
+        while (kind := _BINARY.get(tokens[pos][0])) and kind.level >= level:
             at, pos = pos, pos + 1
-            right = climb(own if right_assoc else own + 1, nest(depth + 1, at))
+            right = climb(kind.level if kind.right_assoc else kind.level + 1, nest(depth + 1, at))
             # checked before building, so a tree past the bound is a
             # FormulaSyntaxError at this operator, never a NestingLimit
             nest(depth + 1 + max(node.height, right.height), at)
-            node = node_class(node, right)
+            node = kind(node, right)
         return node
 
     try:
@@ -288,8 +291,9 @@ def format_formula(formula: Formula) -> str:
 
 def _format(formula: Formula, level: int) -> str:
     """Render ``formula`` where the context binds at ``level``."""
-    if isinstance(formula, (Var, Lit)):
-        text = str(formula.name) if isinstance(formula, Var) else shown(formula.value)
+    kind = type(formula)
+    if kind is Var or kind is Lit:
+        text = str(formula.name) if kind is Var else shown(formula.value)
         try:
             back = parse(text)
         except FormulaSyntaxError:
@@ -297,21 +301,17 @@ def _format(formula: Formula, level: int) -> str:
         if back != formula:
             raise ValueError(f"{formula!r} prints as {text!r}, which does not parse back to it")
         return text
-    if isinstance(formula, Top):
-        return "T"
-    if isinstance(formula, Bottom):
-        return "F"
-    if isinstance(formula, Not):
-        text, own = "~" + _format(formula.child, _NOT_LEVEL), _NOT_LEVEL
+    if kind is Top or kind is Bottom:
+        return kind.symbol
+    if kind is Not:
+        text = kind.symbol + _format(formula.child, kind.level)
+    elif kind is And or kind is Or or kind is Imp:
+        own = kind.level
+        left, right = (own + 1, own) if kind.right_assoc else (own, own + 1)
+        text = f"{_format(formula.left, left)} {kind.symbol} {_format(formula.right, right)}"
     else:
-        for own, (node_class, symbol, right_assoc) in enumerate(_CONNECTIVES):
-            if isinstance(formula, node_class):
-                break
-        else:
-            raise TypeError(f"not a formula node: {formula!r}")
-        left, right = (own + 1, own) if right_assoc else (own, own + 1)
-        text = f"{_format(formula.left, left)} {symbol} {_format(formula.right, right)}"
-    return f"({text})" if own < level else text
+        raise TypeError(f"not a formula node: {formula!r}")
+    return f"({text})" if kind.level < level else text
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +353,7 @@ def _compile(formula: Formula, names: list[str]) -> Callable[[Sequence, tuple], 
     elements of the algebra, so only an interval's takes a literal.
     """
     position = {name: i for i, name in enumerate(names)}
+    imp, bottom = Imp.slot, Bottom.slot  # ~x is x -> F
 
     def build(node):
         kind = type(node)
@@ -360,19 +361,18 @@ def _compile(formula: Formula, names: list[str]) -> Callable[[Sequence, tuple], 
             i = position[node.name]
             return lambda values, algebra: values[i]
         if kind is And or kind is Or or kind is Imp:
-            slot = 0 if kind is And else 1 if kind is Or else 2
+            slot = kind.slot
             left, right = build(node.left), build(node.right)
             return lambda values, algebra: algebra[slot](left(values, algebra), right(values, algebra))
         if kind is Not:
             child = build(node.child)
-            return lambda values, algebra: algebra[2](child(values, algebra), algebra[4])
+            return lambda values, algebra: algebra[imp](child(values, algebra), algebra[bottom])
         if kind is Lit:
             constant = node.value
             return lambda values, algebra: constant
-        if kind is Top:
-            return lambda values, algebra: algebra[3]
-        if kind is Bottom:
-            return lambda values, algebra: algebra[4]
+        if kind is Top or kind is Bottom:
+            slot = kind.slot
+            return lambda values, algebra: algebra[slot]
         raise TypeError(f"not a formula node: {node!r}")
 
     return build(formula)

@@ -26,10 +26,11 @@ binds.  The lattice and projective sweeps take ``meet`` and ``join``
 when they start and call them once per distinct pair of ``[1, n]``,
 filling a ``_Table`` row on first use; they read a cell wherever an
 operand is an exact int in ``[1, n]`` and call the function per case
-for any other operand, such as an lcm above ``n``.  A table keeps at
-most TABLE_CELL_CAP cells; a row past it is filled again whenever a
-case needs it.  The Heyting sweep and the oracle call ``meet``,
-``join`` and ``divides`` per member scanned.
+for any other operand, such as an lcm above ``n``.  A table keeps row
+``x`` when ``x <= TABLE_CELL_CAP // n``, the rows a sweep asks for
+first; another row is filled again whenever a case needs it.  The
+Heyting sweep and the oracle call ``meet``, ``join`` and ``divides``
+per member scanned.
 """
 
 from __future__ import annotations
@@ -179,19 +180,19 @@ class _Table:
     ``row(x)`` is None unless ``x`` is an exact int in [1, n]; then it
     is a list whose entry ``y`` holds ``op(x, y)`` for each ``y`` in
     [1, n] (entry 0 is unused).  A row is filled by ``n`` calls when a
-    case first needs it and kept while the kept rows hold at most
-    TABLE_CELL_CAP cells; a row past that is filled again whenever a
-    case needs it.  The laws read a cell only at exact ints in [1, n]
-    and call ``op`` on any other value, so every result is the call's.
+    case first needs it and kept when ``x <= TABLE_CELL_CAP // n``, as
+    every sweep first asks for its rows in ascending order.  The laws
+    read a cell only at exact ints in [1, n] and call ``op`` on any
+    other value, so every result is the call's.
     """
 
-    __slots__ = ("op", "n", "rows", "room")
+    __slots__ = ("op", "n", "rows", "kept")
 
     def __init__(self, op, n: int):
         self.op = op
         self.n = n
         self.rows = {}  # x -> row, for the rows kept
-        self.room = TABLE_CELL_CAP // n  # rows that may still be kept
+        self.kept = TABLE_CELL_CAP // n  # the last row kept
 
     def row(self, x):
         if type(x) is not int or not 0 < x <= self.n:
@@ -201,8 +202,7 @@ class _Table:
             op = self.op
             r = [None]
             r += [op(x, y) for y in range(1, self.n + 1)]
-            if self.room:
-                self.room -= 1
+            if x <= self.kept:
                 self.rows[x] = r
         return r
 

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -39,7 +40,7 @@ from divlog import (
     parse,
     variables,
 )
-from divlog.formulas import DEFAULT_SEARCH_CAP, MAX_DEPTH
+from divlog.formulas import DEFAULT_SEARCH_CAP, MAX_DEPTH, _algebra
 
 
 def _divisors(n):
@@ -443,13 +444,49 @@ def test_height_leaves_equality_hash_and_repr_alone():
     )
 
 
-def test_non_node_children_reach_the_walkers_type_error():
-    f = Or(Var("p"), Not(5))
-    assert f.height == 2
-    with pytest.raises(TypeError, match="not a formula node: 5"):
-        format_formula(f)
-    with pytest.raises(TypeError, match="not a formula node: 5"):
-        evaluate(Interval(1, 12), f, {"p": 2})
+class _Meet(And):
+    """A subclass of a node class, which no walker takes for a node."""
+
+    __slots__ = ()
+
+
+class _Name(Var):
+    __slots__ = ()
+
+
+WALKERS = {
+    "variables": variables,
+    "format_formula": format_formula,
+    "evaluate": lambda f: evaluate(Interval(1, 12), f, {"p": 2, "q": 3}),
+    "check_valid": lambda f: check_valid(Interval(1, 12), f),
+}
+
+
+@pytest.mark.parametrize("walker", WALKERS)
+@pytest.mark.parametrize(
+    "f, shown_as",
+    [("p & q", "'p & q'"), (Or(Var("p"), Not(5)), "5"), (_Meet(Var("p"), Var("q")), "_Meet("),
+     (Not(_Name("p")), "_Name(")],
+    ids=["text", "non-node child", "subclass", "atom subclass"],
+)
+def test_non_node_children_reach_the_walkers_type_error(walker, f, shown_as):
+    with pytest.raises(TypeError, match="not a formula node: " + re.escape(shown_as)):
+        WALKERS[walker](f)
+
+
+def test_a_non_node_is_refused_before_the_domain_errors():
+    q, f = Interval(1, 12), Or(Imp(Lit(5), And(Var("p"), Var("q"))), Not(5))
+    assert f.right.height == 1  # a non-node child counts as an atom
+    with pytest.raises(UnboundVariable):
+        evaluate(q, f.left, {"p": 2})
+    with pytest.raises(SearchLimit):
+        check_valid(q, f.left, cap=35)
+    with pytest.raises(NotMember):
+        check_valid(q, f.left)
+    for refuse in (lambda: evaluate(q, f, {"p": 2}), lambda: check_valid(q, f, cap=35),
+                   lambda: check_valid(q, f)):
+        with pytest.raises(TypeError, match="not a formula node: 5"):
+            refuse()
 
 
 # -- the parser against the recursive descent it replaced ----------------------
@@ -556,6 +593,19 @@ def reference_parse(text):
     if kind != "end":
         raise FormulaSyntaxError(f"unexpected trailing input {value!r}", position)
     return node
+
+
+def test_the_node_classes_declare_the_reference_rows_and_the_algebra_slots():
+    binary = sorted((Imp, Or, And), key=lambda kind: kind.level)
+    assert tuple((kind, kind.symbol, kind.right_assoc) for kind in binary) == ReferenceParser.rows
+    assert [kind.level for kind in binary] == [0, 1, 2]
+    assert Not.level == len(ReferenceParser.rows)
+    assert (Not.symbol, Top.symbol, Bottom.symbol) == ("~", "T", "F")
+    q = Interval(2, 36)
+    algebra = _algebra(q)
+    assert algebra[And.slot] is math.gcd and algebra[Or.slot] is math.lcm
+    assert algebra[Imp.slot] == q._imp
+    assert algebra[Top.slot] == q.top and algebra[Bottom.slot] == q.bottom
 
 
 def parsed(parse_text, text):
