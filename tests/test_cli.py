@@ -115,11 +115,19 @@ def test_taut_valid(capsys):
     assert run_cli(capsys, "taut", "--bottom", "6", "--top", "12", "p | ~p")[:2] == (0, "valid\n")
 
 
-def test_taut_counterexample(capsys):
-    code, out, _ = run_cli(
-        capsys, "taut", "--bottom", "1", "--top", "4", "((p->q)->p)->p"
-    )
-    assert (code, out) == (0, "counterexample: p=2 q=1 (value 2)\n")
+@pytest.mark.parametrize(
+    "top, text, line",
+    [
+        ("4", "((p->q)->p)->p", "counterexample: p=2 q=1 (value 2)"),
+        # refuted on the chain, then found by the full search over 288 members
+        ("1441440", "((p -> q) -> p) -> p", "counterexample: p=2 q=1 (value 90090)"),
+        ("36", "((p -> q) -> r) -> ((r -> p) -> p)", "counterexample: p=2 q=1 r=1 (value 18)"),
+    ],
+    ids=["four members", "288 members", "three variables"],
+)
+def test_taut_counterexample(capsys, top, text, line):
+    code, out, _ = run_cli(capsys, "taut", "--bottom", "1", "--top", top, text)
+    assert (code, out) == (0, line + "\n")
 
 
 @pytest.mark.parametrize(
@@ -180,10 +188,23 @@ def test_verify_heyting_json_reports(capsys):
 # -- output document contract -------------------------------------------------
 
 
-def test_json_document_shape(capsys):
-    code, out, _ = run_cli(capsys, "--json", "gcd", "12", "18")
+@pytest.mark.parametrize(
+    "argv, result",
+    [
+        (["gcd", "12", "18"], 6),
+        (["factor", "360"], {"n": 360, "factors": {"2": 3, "3": 2, "5": 1}}),
+        (
+            ["taut", "--bottom", "1", "--top", "4", "p | ~p"],
+            {"valid": False, "counterexample": {"p": 2}, "value": 2},
+        ),
+        (["taut", "--bottom", "1", "--top", "36", "~p | ~~p"], {"valid": True}),
+    ],
+    ids=["gcd", "factor", "taut counterexample", "taut valid"],
+)
+def test_json_document_shape(capsys, argv, result):
+    code, out, _ = run_cli(capsys, "--json", *argv)
     assert code == 0
-    assert json.loads(out) == {"command": ["--json", "gcd", "12", "18"], "result": 6}
+    assert json.loads(out) == {"command": ["--json", *argv], "result": result}
 
 
 def test_json_flag_works_in_both_positions(capsys):
@@ -207,11 +228,26 @@ def test_identical_argv_is_byte_identical(capsys):
 # -- errors and exit statuses -------------------------------------------------
 
 
-def test_domain_error_text_mode(capsys):
-    code, out, err = run_cli(capsys, "interval", "--bottom", "5", "--top", "24", "size")
-    assert code == 1
-    assert out == ""
-    assert "InvalidInterval" in err
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["interval", "--bottom", "5", "--top", "24", "size"],
+            "error[InvalidInterval]: 5 does not divide 24",
+        ),
+        (
+            ["taut", "--bottom", "1", "--top", "4", "p & (q"],
+            "error[SyntaxError]: expected ')' (at position 6)",
+        ),
+        (
+            ["taut", "--bottom", "1", "--top", "4", "p ) $"],
+            "error[SyntaxError]: unexpected character '$' (at position 4)",
+        ),
+    ],
+    ids=["interval", "unclosed parenthesis", "bad character"],
+)
+def test_domain_error_text_mode(capsys, argv, line):
+    assert run_cli(capsys, *argv) == (1, "", line + "\n")
 
 
 def test_domain_error_json_mode(capsys):
@@ -228,12 +264,13 @@ def test_not_member_error(capsys):
     assert json.loads(out)["error"]["name"] == "NotMember"
 
 
-def test_syntax_error_carries_position(capsys):
-    code, out, _ = run_cli(capsys, "--json", "eval", "--bottom", "1", "--top", "12", "p &")
+@pytest.mark.parametrize("text, position", [("p &", 3), ("p & (q", 6)])
+def test_syntax_error_carries_position(capsys, text, position):
+    code, out, _ = run_cli(capsys, "--json", "eval", "--bottom", "1", "--top", "12", text)
     doc = json.loads(out)
     assert code == 1
     assert doc["error"]["name"] == "SyntaxError"
-    assert doc["error"]["position"] == 3
+    assert doc["error"]["position"] == position
 
 
 @pytest.mark.parametrize(
@@ -262,9 +299,10 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_enum_cap_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("DIVLOG_ENUM_CAP", "3")
-    code, out, _ = run_cli(capsys, "--json", "interval", "--bottom", "1", "--top", "30", "list")
+@pytest.mark.parametrize("raw, top", [("3", "30"), ("1", "4")])  # 8 and 3 members
+def test_enum_cap_env_override(monkeypatch, capsys, raw, top):
+    monkeypatch.setenv("DIVLOG_ENUM_CAP", raw)
+    code, out, _ = run_cli(capsys, "--json", "interval", "--bottom", "1", "--top", top, "list")
     assert code == 1
     assert json.loads(out)["error"]["name"] == "EnumerationLimit"
 
@@ -365,14 +403,19 @@ def test_failed_sweep_exits_one_with_the_usual_output(monkeypatch, capsys):
     assert [r["law_name"] for r in doc["report"] if r["counterexamples"]] == failed
 
 
-def test_module_entry_point_runs():
+@pytest.mark.parametrize("module", ["divlog.cli", "divlog"])
+def test_module_entry_point_runs(module):
     proc = subprocess.run(
-        [sys.executable, "-m", "divlog.cli", "factor", "97"],
+        [sys.executable, "-m", module, "factor", "97"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
     assert proc.stdout == "97 = 97\n"
+    # no command is a usage error
+    proc = subprocess.run([sys.executable, "-m", module], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "the following arguments are required: COMMAND" in proc.stderr
 
 
 @pytest.mark.parametrize(

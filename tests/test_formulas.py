@@ -834,7 +834,7 @@ def _reused(q):
     """``q`` after a full two-variable search, so its members are
     listed: ``p | q | T | <bottom>`` is valid everywhere and calls lcm
     only, and its literal keeps it off the chain pass."""
-    assert check_valid(q, parse(f"p | q | T | {q.bottom}")) is None
+    assert check_valid(q, parse(f"p | q | T | {q.bottom}")) is None and q._members is not None
     return q
 
 

@@ -1,5 +1,6 @@
 """Brute-force oracle semantics and the sweep reports."""
 
+import json
 import math
 import re
 import tracemalloc
@@ -21,6 +22,7 @@ from divlog import (
     verify_lattice_laws,
     verify_projective,
 )
+from divlog.cli import main
 from divlog.errors import shown
 from divlog.lattice import join as lattice_join
 
@@ -234,6 +236,36 @@ def test_heyting_documents_are_pinned():
         _doc(name, {**params, "domain": domain}, cases, SKIPPED_16_4)
         for name, domain, cases in expected
     ]
+
+
+# the domains the benchmark's oracle-sweep workload runs, and their case counts
+BENCHMARK_SWEEPS = {
+    "laws": (
+        ["--max", "32"],
+        {"idempotency": 32, "commutativity": 1_024, "associativity": 32_768, "mutual_distributivity": 65_536},
+    ),
+    "projective": (["--max", "60"], {"projective_identity": 15_660}),
+    "heyting": (
+        ["--top-max", "48"],
+        {
+            "neg_formula_vs_oracle": 540,
+            "imp_formula_vs_oracle": 2_090,
+            "residuation_adjunction": 10_686,
+            "boolean_equivalences": 198,
+            "imp_bottom_independence": 1_712,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("sweep", BENCHMARK_SWEEPS)
+def test_the_benchmark_domains_pass_with_every_case_counted(capsys, sweep):
+    options, cases = BENCHMARK_SWEEPS[sweep]
+    assert main(["--json", "verify", sweep, *options]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"] == {"passed": True}
+    assert all(r["counterexamples"] == [] and r["skipped"] == [] for r in doc["report"])
+    assert {r["law_name"]: r["cases_checked"] for r in doc["report"]} == cases
 
 
 def test_sweeps_flag_a_corrupted_join(monkeypatch):

@@ -32,17 +32,26 @@ def test_unknown_name_is_the_usual_attribute_error():
     assert not hasattr(divlog, "no_such_name")
 
 
-def test_import_loads_a_submodule_only_on_first_use():
+@pytest.mark.parametrize(
+    "use, loaded, cached",
+    [
+        ("divlog.meet", ["divlog.errors", "divlog.factorization", "divlog.lattice"], True),
+        # the formula language computes with math.gcd and math.lcm, not the lattice module
+        (
+            "import divlog.formulas",
+            ["divlog.errors", "divlog.factorization", "divlog.formulas", "divlog.intervals"],
+            False,
+        ),
+    ],
+    ids=["public name", "formulas"],
+)
+def test_import_loads_a_submodule_only_on_first_use(use, loaded, cached):
     code = (
         "import sys, divlog\n"
         "print(sorted(m for m in sys.modules if m.startswith('divlog')))\n"
-        "divlog.meet\n"
+        f"{use}\n"
         "print(sorted(m for m in sys.modules if m.startswith('divlog')))\n"
         "print('meet' in vars(divlog))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.stdout.splitlines() == [
-        "['divlog']",
-        "['divlog', 'divlog.errors', 'divlog.factorization', 'divlog.lattice']",
-        "True",
-    ]
+    assert proc.stdout.splitlines() == ["['divlog']", str(["divlog", *loaded]), str(cached)]
