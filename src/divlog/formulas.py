@@ -20,17 +20,19 @@ lcm (join) and the interval's Heyting implication kernel, ``~x`` being
 ``x -> F``, so classical tautologies may fail: validity means
 "evaluates to the top under every assignment of members to variables".
 
-A formula compiles once into a function of its variables' values and
-an algebra ``(meet, join, imp, top, bottom)``, so the same compiled
-formula runs on an interval's members and on the integers of a Gödel
-chain.  Each connective acts on one prime at a time, so an interval is
-a product of Gödel chains, one per prime gap, and a formula of ``k``
-variables is valid in it exactly when it is valid in the chain
-``C_n``, ``n = min(G + 1, k + 2)``, ``G`` the largest gap (Gödel 1932;
-Dummett, JSL 24, 1959).  ``check_valid`` decides "valid" there first;
-a formula with an integer literal, and every counterexample, still
-come from the full search, and SearchLimit still counts the full
-search's ``size ** k`` assignments.
+A formula compiles into a function of its variables' values and an
+algebra ``(meet, join, imp, top, bottom)``, which ``evaluate`` and the
+full search of ``check_valid`` run on an interval's members.  Each
+connective acts on one prime at a time, so an interval is a product of
+Gödel chains, one per prime gap, and a formula of ``k`` variables is
+valid in it exactly when it is valid in the chain ``C_n``, ``n = min(G
++ 1, k + 2)``, ``G`` the largest gap (Gödel 1932; Dummett, JSL 24,
+1959).  ``check_valid`` decides "valid" there first, compiling
+nothing: one walk of the tree over bitsets, one bit per assignment
+(bitslicing: Biham, FSE 1997; Knuth, TAOCP 4A 7.1.3), in blocks of at
+most ``_BLOCK_BITS`` bits.  A formula with an integer literal, and
+every counterexample, still come from the full search, and SearchLimit
+still counts the full search's ``size ** k`` assignments.
 
 ``parse`` refuses, at the token that goes deeper, a tree more than
 ``MAX_DEPTH`` (100) levels high (each ``~`` and binary connective above
@@ -50,6 +52,7 @@ The nodes and ``Counterexample`` are immutable ``errors.Value``s, so
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -71,7 +74,8 @@ MAX_DEPTH = 100
 class _Node(Value):
     """Base of the node classes.  ``height`` counts the connectives on
     the longest path down to an atom: 0 for an atom, a slot that each
-    connective's constructor fills.  It is no field, so ``==``,
+    connective's constructor fills, and ``parse`` with the height it has
+    already checked.  It is no field, so ``==``,
     ``hash``, ``repr`` and pickling ignore it.  Each connective's class
     declares the facts it has: ``symbol``, ``level`` (0 binds loosest),
     ``right_assoc`` and ``slot``, its index in ``_compile``'s algebra."""
@@ -195,6 +199,11 @@ def _require_literals(q: Interval, literals: list) -> None:
 _KEYWORDS = {node.symbol: node for node in (TOP, BOTTOM)}
 _BINARY = {kind.symbol: kind for kind in (Imp, Or, And)}
 _TOKEN = re.compile(r"\s*(?:(->|[|&~()])|(\d+)|(\w+)|(\S))")
+# parse builds a connective at the height it has checked: the bare
+# object, each slot then set through its descriptor
+_new = object.__new__
+_set_left, _set_right, _set_height = [_Binary.__dict__[slot].__set__ for slot in _Binary.__slots__]
+_set_child, _set_not_height = [Not.__dict__[slot].__set__ for slot in Not.__slots__]
 
 
 def _tokenize(text: str) -> list[tuple[object, int]]:
@@ -235,19 +244,28 @@ def parse(text: str) -> Formula:
         value, offset = _tokenize(text)[index]
         raise FormulaSyntaxError(message.format("end of input" if value is None else repr(value)), offset)
 
-    def nest(depth: int, index: int) -> int:
-        return depth if depth <= MAX_DEPTH else fail(index, f"formula nests deeper than {MAX_DEPTH} levels")
+    def nest(index: int):
+        fail(index, f"formula nests deeper than {MAX_DEPTH} levels")
 
     def climb(level: int, depth: int) -> Formula:
         """A formula whose binary connectives all bind at ``level`` or
-        tighter, ``depth`` levels below the root."""
+        tighter, ``depth`` levels below the root.  A node is built at
+        the height checked here, ``depth`` plus its height never past
+        MAX_DEPTH, so no constructor checks it again."""
         nonlocal pos, parens
         op, digits, word, _ = tokens[pos]
         pos += 1
         if op == "~":
-            node = Not(climb(Not.level, nest(depth + 1, pos - 1)))
+            if depth >= MAX_DEPTH:
+                nest(pos - 1)
+            child = climb(Not.level, depth + 1)
+            node = _new(Not)
+            _set_child(node, child)
+            _set_not_height(node, child.height + 1)
         elif op == "(":
-            parens = nest(parens + 1, pos - 1)
+            if parens >= MAX_DEPTH:
+                nest(pos - 1)
+            parens += 1
             node = climb(0, depth)
             if tokens[pos][0] != ")":
                 fail(pos, "expected ')'")
@@ -261,11 +279,18 @@ def parse(text: str) -> Formula:
             fail(pos - 1, "expected a formula, found {}")
         while (kind := _BINARY.get(tokens[pos][0])) and kind.level >= level:
             at, pos = pos, pos + 1
-            right = climb(kind.level if kind.right_assoc else kind.level + 1, nest(depth + 1, at))
+            if depth >= MAX_DEPTH:
+                nest(at)
+            right = climb(kind.level if kind.right_assoc else kind.level + 1, depth + 1)
+            height = node.height if node.height > right.height else right.height
             # checked before building, so a tree past the bound is a
             # FormulaSyntaxError at this operator, never a NestingLimit
-            nest(depth + 1 + max(node.height, right.height), at)
-            node = kind(node, right)
+            if depth + height >= MAX_DEPTH:
+                nest(at)
+            left, node = node, _new(kind)
+            _set_left(node, left)
+            _set_right(node, right)
+            _set_height(node, height + 1)
         return node
 
     try:
@@ -351,6 +376,8 @@ def _compile(formula: Formula, names: list[str]) -> Callable[[Sequence, tuple], 
     three, ``T`` and ``F`` are the last two and ``~x`` is ``imp(x,
     bottom)``.  Nothing is checked: the values and the literals must be
     elements of the algebra, so only an interval's takes a literal.
+    ``evaluate`` calls it once, the full search once per assignment; the
+    chain pass walks the tree itself (``_sliced``).
     """
     position = {name: i for i, name in enumerate(names)}
     imp, bottom = Imp.slot, Bottom.slot  # ~x is x -> F
@@ -376,6 +403,77 @@ def _compile(formula: Formula, names: list[str]) -> Callable[[Sequence, tuple], 
         raise TypeError(f"not a formula node: {node!r}")
 
     return build(formula)
+
+
+# ---------------------------------------------------------------------------
+# The Gödel chain, bitsliced
+# ---------------------------------------------------------------------------
+
+# the widest threshold bitset of the chain pass, in bits; the leading
+# variables past it take their values one block at a time
+_BLOCK_BITS = 1 << 12
+
+
+@functools.lru_cache(maxsize=32)
+def _chain_slices(k: int, n: int) -> tuple[int, list[tuple], list[tuple]]:
+    """``(leading, trailing, constants)``, all that the chain pass of
+    ``k`` variables over ``C_n``, ``n >= 2``, needs, built once.
+
+    A value of ``C_n`` is ``n - 1`` ints, its thresholds ``v >= j`` for
+    ``j = 1 .. n-1``, in which bit ``i`` stands for the ``i``-th tuple of
+    ``product(range(n), repeat=t)``: the last ``t`` variables, the most
+    with ``n ** t <= _BLOCK_BITS``, are ``trailing``, each threshold one
+    period repeated by a repunit.  The ``leading = k - t`` others take
+    each of the ``n`` ``constants``, thresholds all ones or all zeros."""
+    t, width = 0, 1
+    while t < k and width * n <= _BLOCK_BITS:
+        t, width = t + 1, width * n
+    full = (1 << width) - 1
+    trailing = []
+    for step in [n**e for e in reversed(range(t))]:  # the last variable runs fastest
+        period = n * step  # a run of step bits for each value 0 .. n-1
+        repunit = full // ((1 << period) - 1)
+        trailing.append(tuple([(((1 << (period - j * step)) - 1) << (j * step)) * repunit for j in range(1, n)]))
+    constants = [tuple([full if v >= j else 0 for j in range(1, n)]) for v in range(n)]
+    return k - t, trailing, constants
+
+
+def _holds_on_chain(formula: Formula, names: list[str], n: int) -> bool:
+    """Whether ``formula``, free of literals, is the top ``n - 1`` of
+    ``C_n`` under every assignment to ``names``: one walk of the tree
+    per block of assignments, up to the first block that refutes it."""
+    leading, trailing, constants = _chain_slices(len(names), n)
+    full = constants[-1][0]
+    for combo in itertools.product(constants, repeat=leading):
+        if _sliced(formula, dict(zip(names, [*combo, *trailing])), constants)[-1] != full:
+            return False
+    return True
+
+
+def _sliced(node: Formula, env: dict, constants: list[tuple]) -> Sequence[int]:
+    """The thresholds of ``node``'s value, ``env`` giving each
+    variable's: ``&`` and ``|`` act on each threshold, ``a -> b`` is
+    ``LE | B_j`` with ``LE`` the assignments where ``a <= b``, so ``~a``,
+    which is ``a -> F``, is ``LE`` at every threshold: where ``a`` is 0."""
+    kind = type(node)
+    if kind is Var:
+        return env[node.name]
+    if kind is Not:
+        a = _sliced(node.child, env, constants)
+        return [constants[-1][0] & ~a[0]] * len(a)
+    if kind is Top:
+        return constants[-1]
+    if kind is Bottom:
+        return constants[0]
+    a, b = _sliced(node.left, env, constants), _sliced(node.right, env, constants)
+    if kind is And:
+        return [x & y for x, y in zip(a, b)]
+    if kind is Or:
+        return [x | y for x, y in zip(a, b)]
+    le = constants[-1][0]
+    for x, y in zip(a, b):
+        le &= ~x | y
+    return [le | y for y in b]
 
 
 # ---------------------------------------------------------------------------
@@ -405,19 +503,20 @@ def check_valid(
     listed; a literal outside the interval raises NotMember next.  A
     variable-free formula is evaluated once, with no listing.
 
-    The formula is compiled once.  With ``k >= 1`` variables and no
-    integer literal it is first tried on the Gödel chain ``C_n``, the
-    integers ``0..n-1`` with ``min``, ``max`` and ``a -> b`` the top
-    ``n - 1`` when ``a <= b``, else ``b``, where ``n = min(G + 1, k +
-    2)`` and ``G`` is the largest gap; it is valid if it holds on all
-    ``n ** k`` assignments.  Each connective acts on one prime at a
-    time, so the interval is a product of chains ``C_(gap + 1)``, and a
-    formula is valid in it exactly when it is valid in ``C_(G + 1)``;
-    with ``k`` variables ``C_(k + 2)`` already decides every chain
-    (Gödel 1932; Dummett, JSL 24, 1959).  The chain pass needs no
-    member and no kernel.  A formula refuted there, or one with a
-    literal, runs the full search over the members, which alone names
-    the first counterexample.
+    With ``k >= 1`` variables and no integer literal the formula is
+    first tried on the Gödel chain ``C_n``, the integers ``0..n-1`` with
+    ``min``, ``max`` and ``a -> b`` the top ``n - 1`` when ``a <= b``,
+    else ``b``, where ``n = min(G + 1, k + 2)`` and ``G`` is the largest
+    gap; it is valid if it holds on all ``n ** k`` assignments.  Each
+    connective acts on one prime at a time, so the interval is a product
+    of chains ``C_(gap + 1)``, and a formula is valid in it exactly when
+    it is valid in ``C_(G + 1)``; with ``k`` variables ``C_(k + 2)``
+    already decides every chain (Gödel 1932; Dummett, JSL 24, 1959).
+    The chain pass walks the tree once per block of assignments, over
+    threshold bitsets no wider than ``_BLOCK_BITS``, and needs no
+    member, no kernel and no compiled formula.  A formula refuted
+    there, or one with a literal, is compiled once and runs the full
+    search over the members, which alone names the first counterexample.
     """
     if type(cap) is not int or cap < 1:
         as_natural(cap)
@@ -430,16 +529,11 @@ def check_valid(
             message = f"{size}**{k} assignments over {k} variables exceed the cap {shown(cap)}"
             raise SearchLimit(message)
     _require_literals(q, literals)
-    value_of = _compile(formula, names)
     if k and not literals:  # valid in C_n is valid in the interval
         last = min(max(q._gaps.values(), default=0), k + 1)  # n - 1, the top
-        chain = (min, max, lambda a, b: last if a <= b else b, last, 0)
-        for combo in itertools.product(range(last + 1), repeat=k):
-            if value_of(combo, chain) != last:
-                break
-        else:
+        if not last or _holds_on_chain(formula, names, last + 1):
             return None
-    algebra, top = _algebra(q), q.top
+    value_of, algebra, top = _compile(formula, names), _algebra(q), q.top
     for combo in itertools.product(q.members(cap) if k else (), repeat=k):
         value = value_of(combo, algebra)
         if value != top:

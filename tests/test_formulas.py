@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -40,7 +41,7 @@ from divlog import (
     parse,
     variables,
 )
-from divlog.formulas import DEFAULT_SEARCH_CAP, MAX_DEPTH, _algebra
+from divlog.formulas import DEFAULT_SEARCH_CAP, MAX_DEPTH, _algebra, _chain_slices, _compile, _holds_on_chain
 
 
 def _divisors(n):
@@ -1053,12 +1054,13 @@ def test_a_valid_formula_is_decided_on_the_chain_without_the_search(monkeypatch)
 
 
 def test_valid_verdicts_call_no_kernel_and_list_no_member(monkeypatch):
-    """With the kernel and the member list refused, every valid verdict
-    of a literal-free formula in an interval with top <= 36 still comes
-    back, and every refuted formula reaches a refusal."""
+    """With the kernel, the member list and the compiler refused, every
+    valid verdict of a literal-free formula in an interval with top <=
+    36 still comes back, and every refuted formula reaches a refusal."""
     valid = {text: [check_valid(q, parse(text)) is None for q in SMALL_INTERVALS] for text in LITERAL_FREE}
     for name in ("members", "_imp"):
         monkeypatch.setattr(Interval, name, _refused_call)
+    monkeypatch.setattr("divlog.formulas._compile", _refused_call)
     for text in LITERAL_FREE:
         f = parse(text)
         for q, expected in zip(_small_intervals(), valid[text]):
@@ -1099,3 +1101,130 @@ def test_the_chain_pass_agrees_with_the_diagonal_in_intervals_too_big_to_search(
         except _Refused:
             on_chain = False
         assert on_chain == on_diagonal, q
+
+
+# -- the bitsliced chain pass against the closures it replaced -----------------
+
+
+def reference_holds_on_chain(f, names, n):
+    """Whether ``f`` is the top ``n - 1`` of ``C_n`` under every
+    assignment to ``names``: one call of the compiled closures per
+    assignment, as the chain pass ran before it was bitsliced."""
+    last = n - 1
+    chain = (min, max, lambda a, b: last if a <= b else b, last, 0)
+    value_of = _compile(f, names)
+    return all(value_of(combo, chain) == last for combo in itertools.product(range(n), repeat=len(names)))
+
+
+def holds_on_chain(f, names, n, block_bits=None):
+    """The bitsliced verdict on ``C_n``, its blocks ``block_bits`` wide
+    (the default when None); ``C_1`` is a one-member interval, which
+    ``check_valid`` decides without a pass."""
+    if n == 1:
+        return check_valid(Interval(7, 7), f) is None
+    with pytest.MonkeyPatch.context() as patch:
+        if block_bits:
+            patch.setattr("divlog.formulas._BLOCK_BITS", block_bits)
+        _chain_slices.cache_clear()  # the tables are built for one width
+        try:
+            return _holds_on_chain(f, names, n)
+        finally:
+            _chain_slices.cache_clear()
+
+
+chain_formulas = st.recursive(
+    st.one_of(st.builds(Var, names), st.just(TOP), st.just(BOTTOM)),
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Imp, sub, sub),
+    ),
+    max_leaves=12,
+)
+
+
+@pytest.mark.parametrize("text", LITERAL_FREE)
+def test_the_bitsliced_chain_pass_matches_the_closures_on_the_corpora(text):
+    """On every chain up to ``C_(k+3)``, at the default block width, and
+    at widths of 1 and 8 bits, where leading variables iterate."""
+    f = parse(text)
+    names = sorted(variables(f))
+    for n in range(1, len(names) + 4):
+        expected = reference_holds_on_chain(f, names, n)
+        for block_bits in (None, 1, 8):
+            assert holds_on_chain(f, names, n, block_bits) == expected, (n, block_bits)
+
+
+@given(chain_formulas)
+def test_the_bitsliced_chain_pass_matches_the_closures(f):
+    names = sorted(variables(f))
+    for n in range(1, len(names) + 4):
+        expected = reference_holds_on_chain(f, names, n)
+        assert holds_on_chain(f, names, n) == expected == holds_on_chain(f, names, n, 8), n
+
+
+def test_the_chain_pass_keeps_its_bitsets_to_a_block():
+    """A 6-variable linearity cycle on ``C_8`` takes 8**6 = 262,144 chain
+    assignments: two leading variables iterate over 64 blocks of 8**4
+    bits.  One block of all of them would take 32 KB per threshold, and
+    the six variables' 42 thresholds alone 1.3 MB."""
+    names = [f"p{i}" for i in range(6)]
+    f = parse(" | ".join(f"({a} -> {b})" for a, b in zip(names, names[1:] + names[:1])))
+    q = Interval(1, 2**7)  # C_8
+    assert _chain_slices(6, 8)[0] == 2
+    _chain_slices.cache_clear()  # the table's build is measured too
+    tracemalloc.start()
+    try:
+        assert check_valid(q, f, cap=8**6) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q._members is None and peak < 2**20, peak
+
+
+# -- parser heights against the constructors ------------------------------------
+
+
+def assert_heights_match_the_constructors(f):
+    """``parse`` builds connectives without their constructors: the tree
+    rebuilt through them by a pickle round trip is equal, hashes alike
+    and has the same height at every node."""
+    built = pickle.loads(pickle.dumps(f))
+    assert f == built and hash(f) == hash(built)
+    pairs = [(f, built)]
+    while pairs:
+        node, twin = pairs.pop()
+        assert node.height == twin.height, (node, twin)
+        pairs += [(getattr(node, field), getattr(twin, field)) for field in type(node)._fields
+                  if field in ("left", "right", "child")]
+
+
+@pytest.mark.parametrize("text", [*NEGATION_HEAVY, *SEARCH_FORMULAS, *GODEL_DUMMETT, *BOUNDED_DEPTH])
+def test_parsed_heights_match_the_constructors_on_the_corpora(text):
+    assert_heights_match_the_constructors(parse(text))
+
+
+@given(formulas)
+def test_parsed_heights_match_the_constructors(f):
+    assert_heights_match_the_constructors(parse(format_formula(f)))
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_TOO))
+def test_parsed_heights_up_to_the_bound_and_the_offset_past_it(shape):
+    """Every tree of the shape within the bound has the constructors'
+    heights, the tallest one MAX_DEPTH high; the first text past it is
+    refused at the reference parser's offset."""
+    tallest = 0
+    for n in itertools.count():
+        text = NESTED_TOO[shape](n)
+        try:
+            f = parse(text)
+        except FormulaSyntaxError as err:
+            with pytest.raises(FormulaSyntaxError) as expected:
+                reference_parse(text)
+            assert (str(err), err.position) == (str(expected.value), expected.value.position)
+            break
+        assert_heights_match_the_constructors(f)
+        tallest = f.height
+    assert tallest == (0 if shape == "parentheses" else MAX_DEPTH)
