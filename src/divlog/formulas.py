@@ -11,28 +11,28 @@ Whitespace is what ``str.isspace`` accepts.  An integer is a run of
 decimal digits, as ``int()`` reads them.  An identifier is a letter or
 ``_`` followed by letters, digits or ``_``, as ``str.isalpha`` and
 ``str.isalnum`` read them.  ``T`` and ``F`` are reserved: they are the
-interval's top and bottom.  Each connective's symbol, precedence level,
-associativity and algebra slot are attributes of its node class, which
-the parser, printer and compiler read.  An integer literal denotes
-itself and must be a member of the evaluation interval.  Operands are
-checked once, at the boundary; connectives compute with gcd (meet),
-lcm (join) and the interval's Heyting implication kernel, ``~x`` being
-``x -> F``, so classical tautologies may fail: validity means
-"evaluates to the top under every assignment of members to variables".
+interval's top and bottom.  Each connective's symbol, precedence level
+and associativity are attributes of its node class, which the parser
+and printer read.  An integer literal denotes itself and must be a
+member of the evaluation interval.  Operands are checked once, at the
+boundary; connectives compute with gcd (meet), lcm (join) and the
+interval's Heyting implication kernel, ``~x`` being ``x -> F``, so
+classical tautologies may fail: validity means "evaluates to the top
+under every assignment of members to variables".
 
-A formula compiles into a function of its variables' values and an
-algebra ``(meet, join, imp, top, bottom)``, which ``evaluate`` and the
-full search of ``check_valid`` run on an interval's members.  Each
-connective acts on one prime at a time, so an interval is a product of
-Gödel chains, one per prime gap, and a formula of ``k`` variables is
-valid in it exactly when it is valid in the chain ``C_n``, ``n = min(G
-+ 1, k + 2)``, ``G`` the largest gap (Gödel 1932; Dummett, JSL 24,
-1959).  ``check_valid`` decides "valid" there first, compiling
-nothing: one walk of the tree over bitsets, one bit per assignment
-(bitslicing: Biham, FSE 1997; Knuth, TAOCP 4A 7.1.3), in blocks of at
-most ``_BLOCK_BITS`` bits.  A formula with an integer literal, and
-every counterexample, still come from the full search, and SearchLimit
-still counts the full search's ``size ** k`` assignments.
+A formula compiles, bound to one interval, into a function of its
+variables' values, which ``evaluate`` and the full search of
+``check_valid`` run on that interval's members.  Each connective acts
+on one prime at a time, so an interval is a product of Gödel chains,
+one per prime gap, and a formula of ``k`` variables is valid in it
+exactly when it is valid in the chain ``C_n``, ``n = min(G + 1, k +
+2)``, ``G`` the largest gap (Gödel 1932; Dummett, JSL 24, 1959).
+``check_valid`` decides "valid" there first, compiling nothing: one
+walk of the tree over bitsets, one bit per assignment (bitslicing:
+Biham, FSE 1997; Knuth, TAOCP 4A 7.1.3), in blocks of at most
+``_BLOCK_BITS`` bits.  A formula with an integer literal, and every
+counterexample, still come from the full search, and SearchLimit still
+counts the full search's ``size ** k`` assignments.
 
 ``parse`` refuses, at the token that goes deeper, a tree more than
 ``MAX_DEPTH`` (100) levels high (each ``~`` and binary connective above
@@ -77,8 +77,8 @@ class _Node(Value):
     connective's constructor fills, and ``parse`` with the height it has
     already checked.  It is no field, so ``==``,
     ``hash``, ``repr`` and pickling ignore it.  Each connective's class
-    declares the facts it has: ``symbol``, ``level`` (0 binds loosest),
-    ``right_assoc`` and ``slot``, its index in ``_compile``'s algebra."""
+    declares the facts it has: ``symbol``, ``level`` (0 binds loosest)
+    and ``right_assoc``."""
 
     __slots__ = ()
     height = 0
@@ -108,12 +108,12 @@ class Lit(_Node):
 
 class Top(_Node):
     __slots__ = ()
-    symbol, slot = "T", 3
+    symbol = "T"
 
 
 class Bottom(_Node):
     __slots__ = ()
-    symbol, slot = "F", 4
+    symbol = "F"
 
 
 class _Binary(_Node):
@@ -131,17 +131,17 @@ class _Binary(_Node):
 
 class And(_Binary):
     __slots__ = ()
-    symbol, level, right_assoc, slot = "&", 2, False, 0
+    symbol, level, right_assoc = "&", 2, False
 
 
 class Or(_Binary):
     __slots__ = ()
-    symbol, level, right_assoc, slot = "|", 1, False, 1
+    symbol, level, right_assoc = "|", 1, False
 
 
 class Imp(_Binary):
     __slots__ = ()
-    symbol, level, right_assoc, slot = "->", 0, True, 2
+    symbol, level, right_assoc = "->", 0, True
 
 
 class Not(_Node):
@@ -361,45 +361,36 @@ def evaluate(q: Interval, formula: Formula, assignment: Mapping[str, int] | None
         if not q.contains(value):
             raise NotMember(f"{name}={shown(value)} is not in the interval {q}")
     _require_literals(q, literals)
-    return _compile(formula, names)([env[name] for name in names], _algebra(q))
+    return _compile(q, formula, names)([env[name] for name in names])
 
 
-def _algebra(q: Interval) -> tuple:
-    """``(meet, join, imp, top, bottom)`` of ``q`` on members, unchecked."""
-    return math.gcd, math.lcm, q._imp, q.top, q.bottom
-
-
-def _compile(formula: Formula, names: list[str]) -> Callable[[Sequence, tuple], object]:
-    """Turn ``formula`` into ``value_of(values, algebra)``, its value
-    when ``names`` take ``values``, in order, in ``algebra = (meet,
-    join, imp, top, bottom)``: ``&``, ``|`` and ``->`` call the first
-    three, ``T`` and ``F`` are the last two and ``~x`` is ``imp(x,
-    bottom)``.  Nothing is checked: the values and the literals must be
-    elements of the algebra, so only an interval's takes a literal.
+def _compile(q: Interval, formula: Formula, names: list[str]) -> Callable[[Sequence], int]:
+    """Turn ``formula`` into ``value_of(values)``, its value in ``q``
+    when ``names`` take ``values``, in order: ``&``, ``|`` and ``->``
+    call ``math.gcd``, ``math.lcm`` and ``q._imp``, ``T`` and ``F`` are
+    ``q``'s top and bottom and ``~x`` is ``x -> F``, all bound here.
+    Nothing is checked: the values and the literals must be members.
     ``evaluate`` calls it once, the full search once per assignment; the
     chain pass walks the tree itself (``_sliced``).
     """
     position = {name: i for i, name in enumerate(names)}
-    imp, bottom = Imp.slot, Bottom.slot  # ~x is x -> F
+    imp, top, bottom = q._imp, q.top, q.bottom
+    operation = {And: math.gcd, Or: math.lcm, Imp: imp}
 
     def build(node):
         kind = type(node)
         if kind is Var:
             i = position[node.name]
-            return lambda values, algebra: values[i]
+            return lambda values: values[i]
         if kind is And or kind is Or or kind is Imp:
-            slot = kind.slot
-            left, right = build(node.left), build(node.right)
-            return lambda values, algebra: algebra[slot](left(values, algebra), right(values, algebra))
+            op, left, right = operation[kind], build(node.left), build(node.right)
+            return lambda values: op(left(values), right(values))
         if kind is Not:
             child = build(node.child)
-            return lambda values, algebra: algebra[imp](child(values, algebra), algebra[bottom])
-        if kind is Lit:
-            constant = node.value
-            return lambda values, algebra: constant
-        if kind is Top or kind is Bottom:
-            slot = kind.slot
-            return lambda values, algebra: algebra[slot]
+            return lambda values: imp(child(values), bottom)
+        if kind is Lit or kind is Top or kind is Bottom:
+            constant = node.value if kind is Lit else top if kind is Top else bottom
+            return lambda values: constant
         raise TypeError(f"not a formula node: {node!r}")
 
     return build(formula)
@@ -533,9 +524,9 @@ def check_valid(
         last = min(max(q._gaps.values(), default=0), k + 1)  # n - 1, the top
         if not last or _holds_on_chain(formula, names, last + 1):
             return None
-    value_of, algebra, top = _compile(formula, names), _algebra(q), q.top
+    value_of, top = _compile(q, formula, names), q.top
     for combo in itertools.product(q.members(cap) if k else (), repeat=k):
-        value = value_of(combo, algebra)
+        value = value_of(combo)
         if value != top:
             return Counterexample(assignment=tuple(zip(names, combo)), value=value)
     return None

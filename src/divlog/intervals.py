@@ -13,9 +13,9 @@ factorization an interval takes is of ``top / bottom``, the exponent
 gaps that give its size, its Boolean-ness, its members and, through
 the largest gap, the Gödel chain on which
 ``divlog.formulas.check_valid`` decides valid formulas.  An interval
-is an immutable ``errors.Value`` of its two bounds; the gaps and the
-members listed by the first ``members`` call within the cap sit in
-slots beside them.  Membership tests start with the exact-int guard
+is an immutable ``errors.Value`` of its two bounds; the gaps, the size
+and the members listed by the first ``members`` call within the cap
+sit in slots beside them.  Membership tests start with the exact-int guard
 ``type(a) is int and a >= 1`` and fall back to ``as_natural`` only
 when it fails, so a bad operand raises the same NotNatural as before.
 The brute-force counterpart lives in ``divlog.oracle``.
@@ -45,7 +45,7 @@ class Interval(Value):
     attribute raises AttributeError.
     """
 
-    __slots__ = ("bottom", "top", "_gaps", "_members")
+    __slots__ = ("bottom", "top", "_gaps", "_size", "_members")
     _fields = ("bottom", "top")
     bottom: int
     top: int
@@ -62,7 +62,10 @@ class Interval(Value):
         if top % bottom != 0:
             raise InvalidInterval(f"{shown(bottom)} does not divide {shown(top)}")
         # prime -> exponent gap between top and bottom, the one factorization
-        object.__setattr__(self, "_gaps", factorize(top // bottom))
+        gaps = factorize(top // bottom)
+        object.__setattr__(self, "_gaps", gaps)
+        # the element count: the product over primes of (gap + 1)
+        object.__setattr__(self, "_size", math.prod(gap + 1 for gap in gaps.values()))
         # every member ascending, listed by the first members() call
         object.__setattr__(self, "_members", None)
 
@@ -76,8 +79,8 @@ class Interval(Value):
 
     def size(self) -> int:
         """Element count, without enumerating: the product over primes
-        of (top exponent - bottom exponent + 1)."""
-        return math.prod(gap + 1 for gap in self._gaps.values())
+        of (top exponent - bottom exponent + 1), counted at construction."""
+        return self._size
 
     def members(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:
         """Every member in ascending numeric order.
