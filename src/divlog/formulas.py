@@ -44,7 +44,7 @@ back as that atom alone, such as ``Var("T")`` or ``Lit(-3)``.
 ``variables``, ``format_formula``, ``evaluate`` and ``check_valid``
 take only the eight node classes: anything else in a tree, a subclass's
 instance too, raises TypeError before UnboundVariable, SearchLimit or
-NotMember.
+NotMember.  ``Var`` raises TypeError for a name that is no ``str``.
 
 The nodes and ``Counterexample`` are immutable ``errors.Value``s, so
 ``Lit(10**5000)`` prints as ``Lit(value=<16610-bit integer>)``.
@@ -84,9 +84,10 @@ class _Node(Value):
     height = 0
 
 
-def _above(height: int) -> int:
-    """One more than ``height``, the tallest child's (0 for a child that
-    is no node); NestingLimit past MAX_DEPTH, so no walker recurses deeper."""
+def _above(*children: Formula) -> int:
+    """One more than the tallest child's height, 0 for a child that is no
+    node; NestingLimit past MAX_DEPTH, so no walker recurses deeper."""
+    height = max([child.height if isinstance(child, _Node) else 0 for child in children])
     if height >= MAX_DEPTH:
         raise NestingLimit(f"formula nests deeper than {MAX_DEPTH} levels")
     return height + 1
@@ -96,6 +97,8 @@ class Var(_Node):
     __slots__ = _fields = ("name",)
 
     def __init__(self, name: str):
+        if not isinstance(name, str):
+            raise TypeError(f"a variable's name is a str, not {type(name).__name__}")
         object.__setattr__(self, "name", name)
 
 
@@ -121,10 +124,7 @@ class _Binary(_Node):
     _fields = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
-        height = left.height if isinstance(left, _Node) else 0
-        if isinstance(right, _Node) and right.height > height:
-            height = right.height
-        object.__setattr__(self, "height", _above(height))
+        object.__setattr__(self, "height", _above(left, right))
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
@@ -150,7 +150,7 @@ class Not(_Node):
     symbol, level = "~", 3
 
     def __init__(self, child: Formula):
-        object.__setattr__(self, "height", _above(child.height if isinstance(child, _Node) else 0))
+        object.__setattr__(self, "height", _above(child))
         object.__setattr__(self, "child", child)
 
 
@@ -198,7 +198,10 @@ def _require_literals(q: Interval, literals: list) -> None:
 
 _KEYWORDS = {node.symbol: node for node in (TOP, BOTTOM)}
 _BINARY = {kind.symbol: kind for kind in (Imp, Or, And)}
-_TOKEN = re.compile(r"\s*(?:(->|[|&~()])|(\d+)|(\w+)|(\S))")
+# the whitespace before a token, and the token; a token that is no
+# operator, no run of decimal digits and not led by a letter or "_" is bad
+_TOKEN = re.compile(r"(\s*)(->|[|&~()]|\d+|\w+|\S)")
+_PUNCTUATION = {*_BINARY, Not.symbol, "(", ")"}
 # parse builds a connective at the height it has checked: the bare
 # object, each slot then set through its descriptor
 _new = object.__new__
@@ -206,43 +209,39 @@ _set_left, _set_right, _set_height = [_Binary.__dict__[slot].__set__ for slot in
 _set_child, _set_not_height = [Not.__dict__[slot].__set__ for slot in Not.__slots__]
 
 
-def _tokenize(text: str) -> list[tuple[object, int]]:
-    """``text`` as (value, offset) pairs, closed by (None, len(text)),
-    ``value`` the operator, int or name as messages show it; the first
-    token that is none of these raises FormulaSyntaxError."""
-    tokens = []
-    for match in _TOKEN.finditer(text):
-        group = match.lastindex
-        value, position = match[group], match.start(group)
-        if group == 2:
-            try:
-                value = int(value)
-            except ValueError:  # past the interpreter's limit on digits
-                raise FormulaSyntaxError(f"integer literal of {len(value)} digits is too long", position) from None
-        elif group > 2 and not (value[0].isalpha() or value[0] == "_"):
-            # any other character, or a \w run led by a digit int() refuses, as ² or ½
-            raise FormulaSyntaxError(f"unexpected character {value[0]!r}", position)
-        tokens.append((value, position))
-    tokens.append((None, len(text)))
-    return tokens
-
-
 def parse(text: str) -> Formula:
     """Parse formula text; FormulaSyntaxError reports the bad offset.
 
-    One ``_TOKEN.findall`` pass reads the tokens, without offsets, and
-    an atom is classified where it is read, one ``Var`` built per name.
-    A failure reads the text again with ``_tokenize``, for the offset and
-    so that a token error anywhere wins; nothing is cached between calls."""
+    One ``_TOKEN.findall`` pass reads the tokens, each with the
+    whitespace before it, and a token is classified where it is read,
+    one ``Var`` built per name.  A failure walks the same list for the
+    offset, so that a bad token anywhere wins; nothing is cached between
+    calls."""
     tokens = _TOKEN.findall(text)
-    tokens.append(("", "", "", ""))  # the end: every group empty
+    tokens.append(("", ""))  # the end
     pos = parens = 0  # the current token's index; parentheses open at it
     names = dict(_KEYWORDS)  # name -> its node, a Var built once
 
     def fail(index: int, message: str):
-        """Raise ``message``, its ``{}`` showing token ``index``, there."""
-        value, offset = _tokenize(text)[index]
-        raise FormulaSyntaxError(message.format("end of input" if value is None else repr(value)), offset)
+        """Raise the text's first bad token, if it has one, else
+        ``message``, its ``{}`` showing token ``index``, at that token;
+        the end of input is at ``len(text)``."""
+        offset = 0
+        for i, (space, token) in enumerate(tokens):
+            offset += len(space)
+            value = token
+            if token[:1].isdecimal():
+                try:
+                    value = int(token)
+                except ValueError:  # past the interpreter's limit on digits
+                    raise FormulaSyntaxError(f"integer literal of {len(token)} digits is too long", offset) from None
+            elif token and not (token[0].isalpha() or token[0] == "_" or token in _PUNCTUATION):
+                # any other character, or a \w run led by a digit int() refuses, as ² or ½
+                raise FormulaSyntaxError(f"unexpected character {token[0]!r}", offset)
+            if i == index:
+                found, position = (repr(value), offset) if token else ("end of input", len(text))
+            offset += len(token)
+        raise FormulaSyntaxError(message.format(found), position)
 
     def nest(index: int):
         fail(index, f"formula nests deeper than {MAX_DEPTH} levels")
@@ -253,31 +252,32 @@ def parse(text: str) -> Formula:
         the height checked here, ``depth`` plus its height never past
         MAX_DEPTH, so no constructor checks it again."""
         nonlocal pos, parens
-        op, digits, word, _ = tokens[pos]
+        token = tokens[pos][1]
         pos += 1
-        if op == "~":
+        if token == "~":
             if depth >= MAX_DEPTH:
                 nest(pos - 1)
             child = climb(Not.level, depth + 1)
             node = _new(Not)
             _set_child(node, child)
             _set_not_height(node, child.height + 1)
-        elif op == "(":
+        elif token == "(":
             if parens >= MAX_DEPTH:
                 nest(pos - 1)
             parens += 1
             node = climb(0, depth)
-            if tokens[pos][0] != ")":
+            if tokens[pos][1] != ")":
                 fail(pos, "expected ')'")
             pos += 1
             parens -= 1
-        elif word[:1].isalpha() or word[:1] == "_":
-            node = names.get(word) or names.setdefault(word, Var(word))
-        elif digits:
-            node = Lit(int(digits))  # ValueError past the digit limit
-        else:  # an operator or the end where a formula belongs, or a bad token
-            fail(pos - 1, "expected a formula, found {}")
-        while (kind := _BINARY.get(tokens[pos][0])) and kind.level >= level:
+        elif token[:1].isalpha() or token[:1] == "_":
+            node = names.get(token) or names.setdefault(token, Var(token))
+        else:  # of the tokens left, int() reads the runs of decimal digits alone
+            try:
+                node = Lit(int(token))
+            except ValueError:  # an operator or the end where a formula belongs, or a bad token
+                fail(pos - 1, "expected a formula, found {}")
+        while (kind := _BINARY.get(tokens[pos][1])) and kind.level >= level:
             at, pos = pos, pos + 1
             if depth >= MAX_DEPTH:
                 nest(at)
@@ -293,12 +293,8 @@ def parse(text: str) -> Formula:
             _set_height(node, height + 1)
         return node
 
-    try:
-        node = climb(0, 0)
-    except ValueError:  # int() refused a literal, which _tokenize reports
-        _tokenize(text)
-        raise
-    if pos < len(tokens) - 1:
+    node = climb(0, 0)
+    if tokens[pos][1]:
         fail(pos, "unexpected trailing input {}")
     return node
 
@@ -388,10 +384,9 @@ def _compile(q: Interval, formula: Formula, names: list[str]) -> Callable[[Seque
         if kind is Not:
             child = build(node.child)
             return lambda values: imp(child(values), bottom)
-        if kind is Lit or kind is Top or kind is Bottom:
-            constant = node.value if kind is Lit else top if kind is Top else bottom
-            return lambda values: constant
-        raise TypeError(f"not a formula node: {node!r}")
+        # a Lit, Top or Bottom: both callers ran _atoms, which refuses the rest
+        constant = node.value if kind is Lit else top if kind is Top else bottom
+        return lambda values: constant
 
     return build(formula)
 

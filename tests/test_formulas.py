@@ -104,28 +104,39 @@ def test_parse_atoms():
     assert parse("widget") == Var("widget")
 
 
+@pytest.mark.parametrize("name", [5, b"p", None])
+def test_a_variable_is_named_by_a_str(name):
+    """A name no ``parse`` builds is refused where it is given, not by
+    the sort of ``check_valid`` or the printer."""
+    with pytest.raises(TypeError, match="a variable's name is a str, not "):
+        Var(name)
+
+
 def test_parse_ignores_whitespace():
     assert parse(" p&q ->~ r ") == parse("p & q -> ~r")
 
 
 @pytest.mark.parametrize(
-    "text, position",
+    "text, message",
     [
-        ("p &", 3),
-        ("p $ q", 2),
-        ("(p", 2),
-        ("p q", 2),
-        ("", 0),
-        ("~", 1),
-        ("\u00b2", 0),  # a digit to isdigit, not to int()
-        ("p & " + "9" * 5000, 4),  # past the interpreter's int-string limit
+        ("p &", "expected a formula, found end of input (at position 3)"),
+        ("p $ q", "unexpected character '$' (at position 2)"),
+        ("(p", "expected ')' (at position 2)"),
+        ("p q", "unexpected trailing input 'q' (at position 2)"),
+        ("p 0", "unexpected trailing input 0 (at position 2)"),  # a literal 0, not the end
+        ("", "expected a formula, found end of input (at position 0)"),
+        ("~", "expected a formula, found end of input (at position 1)"),
+        ("p &  ", "expected a formula, found end of input (at position 5)"),  # the end is len(text)
+        ("\u00b2", "unexpected character '²' (at position 0)"),  # a digit to isdigit, not to int()
+        # past the interpreter's int-string limit
+        ("p & " + "9" * 5000, "integer literal of 5000 digits is too long (at position 4)"),
     ],
 )
-def test_syntax_errors_carry_positions(text, position):
+def test_syntax_errors_carry_positions(text, message):
     with pytest.raises(FormulaSyntaxError) as exc:
         parse(text)
-    assert exc.value.position == position
-    assert f"position {position}" in str(exc.value)
+    assert str(exc.value) == message
+    assert message.endswith(f"(at position {exc.value.position})")
 
 
 def test_integer_literals_are_runs_of_decimal_digits():
@@ -1155,6 +1166,27 @@ def test_the_bitsliced_chain_pass_matches_the_reference(f):
     names = sorted(variables(f))
     for n in range(1, len(names) + 4):
         expected = reference_holds_on_chain(f, n)
+        assert holds_on_chain(f, names, n) == expected == holds_on_chain(f, names, n, 8), n
+
+
+# the Gödel-Dummett-valid schemas of the taut-mix benchmark workload
+VALID_SCHEMAS = ["{a} -> ({b} -> {a})", "({a} & {b}) -> {a}", "{a} -> ({a} | {b})",
+                 "({a} -> {b}) | ({b} -> {a})", "~~({a} | ~{a})", "(({a} -> {b}) & {a}) -> {b}"]
+valid_formulas = st.builds(
+    lambda schema, a, b: parse(schema.format(a=f"({format_formula(a)})", b=f"({format_formula(b)})")),
+    st.sampled_from(VALID_SCHEMAS), chain_formulas, chain_formulas,
+)
+
+
+@given(valid_formulas)
+def test_the_bitsliced_chain_pass_keeps_what_is_valid(f):
+    """Valid on every chain, much of it through an implication's lower
+    thresholds, where ``a -> b`` is ``b``: the drawn formulas above are
+    rarely valid, so they would miss a pass that refuted these."""
+    names = sorted(variables(f))
+    for n in range(1, len(names) + 4):
+        expected = reference_holds_on_chain(f, n)
+        assert expected, n
         assert holds_on_chain(f, names, n) == expected == holds_on_chain(f, names, n, 8), n
 
 
