@@ -28,11 +28,11 @@ one per prime gap, and a formula of ``k`` variables is valid in it
 exactly when it is valid in the chain ``C_n``, ``n = min(G + 1, k +
 2)``, ``G`` the largest gap (Gödel 1932; Dummett, JSL 24, 1959).
 ``check_valid`` decides "valid" there first, compiling nothing: one
-walk of the tree over bitsets, one bit per assignment (bitslicing:
-Biham, FSE 1997; Knuth, TAOCP 4A 7.1.3), in blocks of at most
-``_BLOCK_BITS`` bits.  A formula with an integer literal, and every
-counterexample, still come from the full search, and SearchLimit still
-counts the full search's ``size ** k`` assignments.
+walk of the tree over ints, a value's ``n - 1`` thresholds in lanes
+of one bit per assignment, at most ``_BLOCK_BITS`` wide (bitslicing:
+Biham, FSE 1997; Knuth, TAOCP 4A 7.1.3).  A formula with a literal,
+and every counterexample, still come from the full search, and
+SearchLimit still counts its ``size ** k`` assignments.
 
 ``parse`` refuses, at the token that goes deeper, a tree more than
 ``MAX_DEPTH`` (100) levels high (each ``~`` and binary connective above
@@ -367,7 +367,7 @@ def _compile(q: Interval, formula: Formula, names: list[str]) -> Callable[[Seque
     ``q``'s top and bottom and ``~x`` is ``x -> F``, all bound here.
     Nothing is checked: the values and the literals must be members.
     ``evaluate`` calls it once, the full search once per assignment; the
-    chain pass walks the tree itself (``_sliced``).
+    chain pass walks the tree itself (``_chain_slices``'s ``walk``).
     """
     position = {name: i for i, name in enumerate(names)}
     imp, top, bottom = q._imp, q.top, q.bottom
@@ -395,71 +395,70 @@ def _compile(q: Interval, formula: Formula, names: list[str]) -> Callable[[Seque
 # The Gödel chain, bitsliced
 # ---------------------------------------------------------------------------
 
-# the widest threshold bitset of the chain pass, in bits; the leading
-# variables past it take their values one block at a time
+# the widest lane of the chain pass, in bits; past it, leading variables iterate
 _BLOCK_BITS = 1 << 12
 
 
 @functools.lru_cache(maxsize=32)
-def _chain_slices(k: int, n: int) -> tuple[int, list[tuple], list[tuple]]:
-    """``(leading, trailing, constants)``, all that the chain pass of
-    ``k`` variables over ``C_n``, ``n >= 2``, needs, built once.
+def _chain_slices(k: int, n: int) -> tuple[int, list[int], list[int], Callable[[Formula, dict], int]]:
+    """``(leading, trailing, constants, walk)``, all that the chain pass
+    of ``k`` variables over ``C_n``, ``n >= 2``, needs, built once.
 
-    A value of ``C_n`` is ``n - 1`` ints, its thresholds ``v >= j`` for
-    ``j = 1 .. n-1``, in which bit ``i`` stands for the ``i``-th tuple of
+    A value of ``C_n`` is one int of ``n - 1`` lanes, lane ``j - 1`` its
+    threshold ``v >= j``, bit ``i`` of a lane the ``i``-th tuple of
     ``product(range(n), repeat=t)``: the last ``t`` variables, the most
-    with ``n ** t <= _BLOCK_BITS``, are ``trailing``, each threshold one
-    period repeated by a repunit.  The ``leading = k - t`` others take
-    each of the ``n`` ``constants``, thresholds all ones or all zeros."""
+    with lanes ``n ** t <= _BLOCK_BITS`` bits wide, are ``trailing``.
+    The ``leading = k - t`` others take each of the ``n`` ``constants``.
+    ``walk(node, env)`` is ``node``'s value, ``env`` giving each
+    variable's: ``a -> b`` is ``LE | B``, ``LE`` the AND of the lanes of
+    ``~a | b`` (where ``a <= b``) copied to each lane, ``~a`` lane 0 of ``~a``."""
     t, width = 0, 1
     while t < k and width * n <= _BLOCK_BITS:
         t, width = t + 1, width * n
-    full = (1 << width) - 1
+    lane, full = (1 << width) - 1, (1 << width * (n - 1)) - 1
+    # each shift doubles the lanes lane 0 has ANDed in (or been copied to), the
+    # last only up to the top; on positive ints, which bitwise ops need not copy
+    shifts = [min(1 << e, n - 1 - (1 << e)) * width for e in range((n - 2).bit_length())]
     trailing = []
     for step in [n**e for e in reversed(range(t))]:  # the last variable runs fastest
         period = n * step  # a run of step bits for each value 0 .. n-1
-        repunit = full // ((1 << period) - 1)
-        trailing.append(tuple([(((1 << (period - j * step)) - 1) << (j * step)) * repunit for j in range(1, n)]))
-    constants = [tuple([full if v >= j else 0 for j in range(1, n)]) for v in range(n)]
-    return k - t, trailing, constants
+        repunit = lane // ((1 << period) - 1)  # the period repeated across a lane
+        trailing.append(sum([((1 << period) - (1 << j * step)) * repunit << (j - 1) * width for j in range(1, n)]))
+    constants = [(1 << v * width) - 1 for v in range(n)]
+
+    def walk(node: Formula, env: dict) -> int:
+        kind = type(node)
+        if kind is Var:
+            return env[node.name]
+        if kind is Top or kind is Bottom:
+            return full if kind is Top else 0
+        if kind is Not:  # a -> F: where lane 0 is clear
+            le, b = walk(node.child, env) & lane ^ lane, 0
+        else:
+            a, b = walk(node.left, env), walk(node.right, env)
+            if kind is not Imp:
+                return a & b if kind is And else a | b
+            le = full ^ a | b
+            for shift in shifts:
+                le &= le >> shift
+            le &= lane
+        for shift in shifts:
+            le |= le << shift
+        return le | b
+
+    return k - t, trailing, constants, walk
 
 
 def _holds_on_chain(formula: Formula, names: list[str], n: int) -> bool:
-    """Whether ``formula``, free of literals, is the top ``n - 1`` of
-    ``C_n`` under every assignment to ``names``: one walk of the tree
-    per block of assignments, up to the first block that refutes it."""
-    leading, trailing, constants = _chain_slices(len(names), n)
-    full = constants[-1][0]
+    """Whether ``formula``, free of literals, is the top of ``C_n`` under
+    every assignment to ``names``: one walk of the tree per block of
+    assignments, up to the first block whose top lane is not all ones."""
+    leading, trailing, constants, walk = _chain_slices(len(names), n)
+    lane, top = constants[1], constants[-2].bit_length()  # n - 2 lanes below the top
     for combo in itertools.product(constants, repeat=leading):
-        if _sliced(formula, dict(zip(names, [*combo, *trailing])), constants)[-1] != full:
+        if walk(formula, dict(zip(names, [*combo, *trailing]))) >> top != lane:
             return False
     return True
-
-
-def _sliced(node: Formula, env: dict, constants: list[tuple]) -> Sequence[int]:
-    """The thresholds of ``node``'s value, ``env`` giving each
-    variable's: ``&`` and ``|`` act on each threshold, ``a -> b`` is
-    ``LE | B_j`` with ``LE`` the assignments where ``a <= b``, so ``~a``,
-    which is ``a -> F``, is ``LE`` at every threshold: where ``a`` is 0."""
-    kind = type(node)
-    if kind is Var:
-        return env[node.name]
-    if kind is Not:
-        a = _sliced(node.child, env, constants)
-        return [constants[-1][0] & ~a[0]] * len(a)
-    if kind is Top:
-        return constants[-1]
-    if kind is Bottom:
-        return constants[0]
-    a, b = _sliced(node.left, env, constants), _sliced(node.right, env, constants)
-    if kind is And:
-        return [x & y for x, y in zip(a, b)]
-    if kind is Or:
-        return [x | y for x, y in zip(a, b)]
-    le = constants[-1][0]
-    for x, y in zip(a, b):
-        le &= ~x | y
-    return [le | y for y in b]
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +498,11 @@ def check_valid(
     it is valid in ``C_(G + 1)``; with ``k`` variables ``C_(k + 2)``
     already decides every chain (Gödel 1932; Dummett, JSL 24, 1959).
     The chain pass walks the tree once per block of assignments, over
-    threshold bitsets no wider than ``_BLOCK_BITS``, and needs no
-    member, no kernel and no compiled formula.  A formula refuted
-    there, or one with a literal, is compiled once and runs the full
-    search over the members, which alone names the first counterexample.
+    ints of ``n - 1`` threshold lanes no wider than ``_BLOCK_BITS``, and
+    needs no member, no kernel and no compiled formula.  A formula
+    refuted there, or one with a literal, is compiled once and runs the
+    full search over the members, which alone names the first
+    counterexample.
     """
     if type(cap) is not int or cap < 1:
         as_natural(cap)

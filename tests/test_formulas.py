@@ -1193,12 +1193,15 @@ def test_the_bitsliced_chain_pass_keeps_what_is_valid(f):
 def test_the_chain_pass_keeps_its_bitsets_to_a_block():
     """A 6-variable linearity cycle on ``C_8`` takes 8**6 = 262,144 chain
     assignments: two leading variables iterate over 64 blocks of 8**4
-    bits.  One block of all of them would take 32 KB per threshold, and
-    the six variables' 42 thresholds alone 1.3 MB."""
+    bits.  A value is one int of 7 lanes of 4,096 bits, one per
+    threshold.  One block of all of them would take 32 KB per
+    threshold, and the six variables' 42 thresholds alone 1.3 MB."""
     names = [f"p{i}" for i in range(6)]
     f = parse(" | ".join(f"({a} -> {b})" for a, b in zip(names, names[1:] + names[:1])))
     q = Interval(1, 2**7)  # C_8
-    assert _chain_slices(6, 8)[0] == 2
+    leading, trailing, constants = _chain_slices(6, 8)[:3]
+    assert leading == 2 and len(trailing) == 4 and len(constants) == 8
+    assert all(value.bit_length() <= 7 * 4096 for value in [*trailing, *constants])
     _chain_slices.cache_clear()  # the table's build is measured too
     tracemalloc.start()
     try:
