@@ -31,8 +31,8 @@ exactly when it is valid in the chain ``C_n``, ``n = min(G + 1, k +
 walk of the tree over ints, a value's ``n - 1`` thresholds in lanes
 of one bit per assignment, at most ``_BLOCK_BITS`` wide (bitslicing:
 Biham, FSE 1997; Knuth, TAOCP 4A 7.1.3).  A formula with a literal,
-and every counterexample, still come from the full search, and
-SearchLimit still counts its ``size ** k`` assignments.
+and every counterexample, come from the full search over the members,
+and SearchLimit counts that search's ``size ** k`` assignments.
 
 ``parse`` refuses, at the token that goes deeper, a tree more than
 ``MAX_DEPTH`` (100) levels high (each ``~`` and binary connective above

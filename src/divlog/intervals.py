@@ -17,7 +17,7 @@ is an immutable ``errors.Value`` of its two bounds; the gaps, the size
 and the members listed by the first ``members`` call within the cap
 sit in slots beside them.  Membership tests start with the exact-int guard
 ``type(a) is int and a >= 1`` and fall back to ``as_natural`` only
-when it fails, so a bad operand raises the same NotNatural as before.
+when it fails, so ``as_natural`` decides every NotNatural.
 The brute-force counterpart lives in ``divlog.oracle``.
 """
 
@@ -132,16 +132,12 @@ class Interval(Value):
         """Boolean complement ``top * bottom / a``.
 
         Only defined in Boolean intervals (NotBoolean otherwise); there
-        it coincides with ``neg``.  The division is exact whenever the
-        preconditions hold, so a remainder is an internal bug.
+        it coincides with ``neg``.  A member divides the top, so the
+        division is exact.
         """
         if not self.is_boolean():
             raise NotBoolean(f"interval {self} is not a Boolean algebra")
-        a = self._require_member(a)
-        quotient, remainder = divmod(self.top * self.bottom, a)
-        if remainder:
-            raise RuntimeError(f"complement of {shown(a)} in {self} left a remainder")
-        return quotient
+        return self.top * self.bottom // self._require_member(a)
 
     # -- helpers ---------------------------------------------------------
 

@@ -4,9 +4,10 @@ Both are one ``math.gcd`` / ``math.lcm`` call behind an exact-int
 guard: operands that are plain ``int`` values of at least 1 go straight
 through.  Anything else (a bool, a float, a string, zero, a negative,
 an ``int`` subclass) goes through ``as_natural``, first operand first,
-which accepts the subclass and raises the same NotNatural as ever for
-the rest.  Factorization-based cross-checks live in the test suite and
-the oracle module.
+which accepts the subclass and raises NotNatural for the rest.  The
+cross-checks against factorization and ``meet_euclid`` live in the test
+suite; the oracle's folds are built from ``meet``, ``join`` and
+``divides`` themselves.
 """
 
 from __future__ import annotations

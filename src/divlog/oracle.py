@@ -462,7 +462,7 @@ def _boolean_equivalences(q, ms, imp, by_bottom, folds, found) -> int:
     by_gaps = q.is_boolean()
     by_excluded_middle = all(join(a, q.neg(a)) == top for a in ms)
     product = top * bottom
-    by_formula = all(product % a == 0 and q.neg(a) == product // a for a in ms)
+    by_formula = all(q.neg(a) == product // a for a in ms)
     ok = by_gaps == by_excluded_middle == by_formula
     if ok and by_gaps:
         # the dedicated complement operation must agree with neg
