@@ -113,7 +113,9 @@ class SearchLimit(DivlogError):
 
 
 class NestingLimit(DivlogError):
-    """A formula node built more levels high than ``MAX_DEPTH`` allows."""
+    """A formula node built more levels high than ``MAX_DEPTH`` allows, or
+    with more nodes than ``MAX_NODES``, a shared subtree counted once
+    per place it stands."""
 
     name = "NestingLimit"
 

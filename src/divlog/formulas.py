@@ -36,11 +36,15 @@ and SearchLimit counts that search's ``size ** k`` assignments.
 
 ``parse`` refuses, at the token that goes deeper, a tree more than
 ``MAX_DEPTH`` (100) levels high (each ``~`` and binary connective above
-an atom is one level) and parentheses nested deeper than that; building
-a node that high from the node classes raises NestingLimit, so no tree
-in hand is deeper than the walkers can recurse.  ``format_formula``
-raises ValueError for a ``Var`` or ``Lit`` whose text would not parse
-back as that atom alone, such as ``Var("T")`` or ``Lit(-3)``.
+an atom is one level) and parentheses nested deeper than that, and, at
+the connective that passes it, a tree of more than ``MAX_NODES``
+(65,536) nodes, a subtree counted once per place it stands; building a
+node that high or that large from the node classes raises NestingLimit,
+so no tree in hand is deeper than the walkers can recurse, nor larger
+than they walk in bounded time, however many places share one subtree.
+``format_formula`` raises ValueError for a ``Var`` or ``Lit`` whose
+text would not parse back as that atom alone, such as ``Var("T")`` or
+``Lit(-3)``.
 ``variables``, ``format_formula``, ``evaluate`` and ``check_valid``
 take only the eight node classes: anything else in a tree, a subclass's
 instance too, raises TypeError before UnboundVariable, SearchLimit or
@@ -64,6 +68,7 @@ from .intervals import Interval
 
 DEFAULT_SEARCH_CAP = 1_000_000
 MAX_DEPTH = 100
+MAX_NODES = 2**16  # a tree's nodes, a shared subtree counted at each place it stands
 
 
 # ---------------------------------------------------------------------------
@@ -73,24 +78,30 @@ MAX_DEPTH = 100
 
 class _Node(Value):
     """Base of the node classes.  ``height`` counts the connectives on
-    the longest path down to an atom: 0 for an atom, a slot that each
-    connective's constructor fills, and ``parse`` with the height it has
-    already checked.  It is no field, so ``==``,
-    ``hash``, ``repr`` and pickling ignore it.  Each connective's class
-    declares the facts it has: ``symbol``, ``level`` (0 binds loosest)
-    and ``right_assoc``."""
+    the longest path down to an atom: 0 for an atom.  ``size`` counts
+    the nodes of the tree as the walkers visit them, a shared subtree
+    once per place: 1 for an atom.  Both are slots that each
+    connective's constructor fills, and ``parse`` with the values it has
+    already checked.  Neither is a field, so ``==``, ``hash``, ``repr``
+    and pickling ignore them.  Each connective's class declares the
+    facts it has: ``symbol``, ``level`` (0 binds loosest) and
+    ``right_assoc``."""
 
     __slots__ = ()
-    height = 0
+    height, size = 0, 1
 
 
-def _above(*children: Formula) -> int:
-    """One more than the tallest child's height, 0 for a child that is no
-    node; NestingLimit past MAX_DEPTH, so no walker recurses deeper."""
+def _above(*children: Formula) -> tuple[int, int]:
+    """``(height, size)`` of a connective over ``children``, a child that
+    is no node counted as an atom; NestingLimit past MAX_DEPTH, then
+    past MAX_NODES, so no walker recurses deeper or walks longer."""
     height = max([child.height if isinstance(child, _Node) else 0 for child in children])
     if height >= MAX_DEPTH:
         raise NestingLimit(f"formula nests deeper than {MAX_DEPTH} levels")
-    return height + 1
+    size = 1 + sum([child.size if isinstance(child, _Node) else 1 for child in children])
+    if size > MAX_NODES:
+        raise NestingLimit(f"formula has more than {MAX_NODES} nodes")
+    return height + 1, size
 
 
 class Var(_Node):
@@ -120,11 +131,13 @@ class Bottom(_Node):
 
 
 class _Binary(_Node):
-    __slots__ = ("left", "right", "height")
+    __slots__ = ("left", "right", "height", "size")
     _fields = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
-        object.__setattr__(self, "height", _above(left, right))
+        height, size = _above(left, right)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "size", size)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
@@ -145,12 +158,14 @@ class Imp(_Binary):
 
 
 class Not(_Node):
-    __slots__ = ("child", "height")
+    __slots__ = ("child", "height", "size")
     _fields = ("child",)
     symbol, level = "~", 3
 
     def __init__(self, child: Formula):
-        object.__setattr__(self, "height", _above(child))
+        height, size = _above(child)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "size", size)
         object.__setattr__(self, "child", child)
 
 
@@ -202,11 +217,11 @@ _BINARY = {kind.symbol: kind for kind in (Imp, Or, And)}
 # operator, no run of decimal digits and not led by a letter or "_" is bad
 _TOKEN = re.compile(r"(\s*)(->|[|&~()]|\d+|\w+|\S)")
 _PUNCTUATION = {*_BINARY, Not.symbol, "(", ")"}
-# parse builds a connective at the height it has checked: the bare
-# object, each slot then set through its descriptor
+# parse builds a connective at the height and size it has checked: the
+# bare object, each slot then set through its descriptor
 _new = object.__new__
-_set_left, _set_right, _set_height = [_Binary.__dict__[slot].__set__ for slot in _Binary.__slots__]
-_set_child, _set_not_height = [Not.__dict__[slot].__set__ for slot in Not.__slots__]
+_set_left, _set_right, _set_height, _set_size = [_Binary.__dict__[slot].__set__ for slot in _Binary.__slots__]
+_set_child, _set_not_height, _set_not_size = [Not.__dict__[slot].__set__ for slot in Not.__slots__]
 
 
 def parse(text: str) -> Formula:
@@ -246,21 +261,30 @@ def parse(text: str) -> Formula:
     def nest(index: int):
         fail(index, f"formula nests deeper than {MAX_DEPTH} levels")
 
+    def grow(index: int):
+        fail(index, f"formula has more than {MAX_NODES} nodes")
+
     def climb(level: int, depth: int) -> Formula:
         """A formula whose binary connectives all bind at ``level`` or
         tighter, ``depth`` levels below the root.  A node is built at
-        the height checked here, ``depth`` plus its height never past
-        MAX_DEPTH, so no constructor checks it again."""
+        the height and size checked here, ``depth`` plus its height
+        never past MAX_DEPTH and its size never past MAX_NODES, so no
+        constructor checks them again."""
         nonlocal pos, parens
         token = tokens[pos][1]
         pos += 1
         if token == "~":
+            at = pos - 1
             if depth >= MAX_DEPTH:
-                nest(pos - 1)
+                nest(at)
             child = climb(Not.level, depth + 1)
+            size = child.size + 1
+            if size > MAX_NODES:
+                grow(at)
             node = _new(Not)
             _set_child(node, child)
             _set_not_height(node, child.height + 1)
+            _set_not_size(node, size)
         elif token == "(":
             if parens >= MAX_DEPTH:
                 nest(pos - 1)
@@ -283,14 +307,18 @@ def parse(text: str) -> Formula:
                 nest(at)
             right = climb(kind.level if kind.right_assoc else kind.level + 1, depth + 1)
             height = node.height if node.height > right.height else right.height
-            # checked before building, so a tree past the bound is a
+            # checked before building, so a tree past a bound is a
             # FormulaSyntaxError at this operator, never a NestingLimit
             if depth + height >= MAX_DEPTH:
                 nest(at)
+            size = node.size + right.size + 1
+            if size > MAX_NODES:
+                grow(at)
             left, node = node, _new(kind)
             _set_left(node, left)
             _set_right(node, right)
             _set_height(node, height + 1)
+            _set_size(node, size)
         return node
 
     node = climb(0, 0)

@@ -10,8 +10,8 @@ the candidate set has one.  ``oracle_neg`` and ``oracle_imp`` check
 their operands and list the members, then run one unchecked fold each,
 ``_neg_fold`` and ``_imp_fold``, which the Heyting sweep calls directly
 with the members it listed once per interval.  Each top keeps one table
-of the implication folds on ``[1, top]``, filled on first use, which the
-oracle check and the bottom-independence check share.
+of the implication folds of its intervals, filled on first use, which
+the oracle check and the bottom-independence check share.
 
 The ``verify_*`` functions run whole-range sweeps through one law
 runner, ``_run_laws``.  A law is a name, its parameter entries and a
@@ -23,14 +23,14 @@ and returns one LawReport per law, ready for structured output.
 
 The sweeps verify the ``meet``, ``join`` and ``divides`` this module
 binds.  The lattice and projective sweeps take ``meet`` and ``join``
-when they start and call them once per distinct pair of ``[1, n]``,
-filling a ``_Table`` row on first use; they read a cell wherever an
-operand is an exact int in ``[1, n]`` and call the function per case
-for any other operand, such as an lcm above ``n``.  A table keeps row
-``x`` when ``x <= TABLE_CELL_CAP // n``, the rows a sweep asks for
-first; another row is filled again whenever a case needs it.  The
-Heyting sweep and the oracle call ``meet``, ``join`` and ``divides``
-per member scanned.
+when they start, each as an ``(op, row)`` pair whose ``row`` comes from
+``_rows``, and call them once per distinct pair of ``[1, n]``, filling
+a row on first use; they read a cell wherever an operand is an exact
+int in ``[1, n]`` and call ``op`` per case for any other operand, such
+as an lcm above ``n``.  A row ``x`` is kept when
+``x <= TABLE_CELL_CAP // n``, the rows a sweep asks for first; another
+row is filled again whenever a case needs it.  The Heyting sweep and
+the oracle call ``meet``, ``join`` and ``divides`` per member scanned.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .lattice import join, meet
 
 DEFAULT_SIZE_CAP = 512  # verify_heyting skips (and lists) larger intervals
 
-# A ceiling on memory, not a speed threshold: the kept rows of a sweep's
-# _Table hold at most this many cells, about 0.8 MB of references
+# A ceiling on memory, not a speed threshold: the rows a sweep's _rows
+# keeps hold at most this many cells, about 0.8 MB of references
 # (every row for n up to 316).
 TABLE_CELL_CAP = 100_000
 
@@ -174,8 +174,8 @@ def _divisors(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-class _Table:
-    """One lattice operation over [1, n]^2 for one sweep, a row at a time.
+def _rows(op, n: int):
+    """``row(x)``, one lattice operation over [1, n]^2 for one sweep a row at a time.
 
     ``row(x)`` is None unless ``x`` is an exact int in [1, n]; then it
     is a list whose entry ``y`` holds ``op(x, y)`` for each ``y`` in
@@ -185,26 +185,20 @@ class _Table:
     read a cell only at exact ints in [1, n] and call ``op`` on any
     other value, so every result is the call's.
     """
+    rows, kept = {}, TABLE_CELL_CAP // n  # x -> row for the rows kept; the last x kept
 
-    __slots__ = ("op", "n", "rows", "kept")
-
-    def __init__(self, op, n: int):
-        self.op = op
-        self.n = n
-        self.rows = {}  # x -> row, for the rows kept
-        self.kept = TABLE_CELL_CAP // n  # the last row kept
-
-    def row(self, x):
-        if type(x) is not int or not 0 < x <= self.n:
+    def row(x):
+        if type(x) is not int or not 0 < x <= n:
             return None
-        r = self.rows.get(x)
+        r = rows.get(x)
         if r is None:
-            op = self.op
             r = [None]
-            r += [op(x, y) for y in range(1, self.n + 1)]
-            if x <= self.kept:
-                self.rows[x] = r
+            r += [op(x, y) for y in range(1, n + 1)]
+            if x <= kept:
+                rows[x] = r
         return r
+
+    return row
 
 
 def verify_lattice_laws(max_value) -> list[LawReport]:
@@ -216,12 +210,12 @@ def verify_lattice_laws(max_value) -> list[LawReport]:
     domain is twice the triple count.  Each law is written once over
     an operation and its dual and run for meet, then join, so a value
     ``a`` lists its meet counterexamples before its join ones.  Every
-    slice reads the same two tables, of the ``meet`` and ``join`` this
-    module binds when the sweep starts.
+    slice reads the same two ``(op, row)`` pairs, of the ``meet`` and
+    ``join`` this module binds when the sweep starts.
     """
     n = as_natural(max_value)
     values = range(1, n + 1)
-    ops = (("meet", _Table(meet, n)), ("join", _Table(join, n)))
+    ops = (("meet", (meet, _rows(meet, n))), ("join", (join, _rows(join, n))))
     return _run_laws(
         ((a, values, ops) for a in values),
         {"max": n},
@@ -239,16 +233,15 @@ def verify_lattice_laws(max_value) -> list[LawReport]:
 
 
 def _idempotency(a, values, ops, found) -> int:
-    for name, t in ops:
-        aa = t.row(a)[a]
+    for name, (_, row) in ops:
+        aa = row(a)[a]
         if aa != a:
             found.append({"a": a, "identity": name, "lhs": aa, "rhs": a})
     return 1
 
 
 def _commutativity(a, values, ops, found) -> int:
-    for name, t in ops:
-        row = t.row
+    for name, (_, row) in ops:
         ra = row(a)
         for b in values:
             lhs, rhs = ra[b], row(b)[a]
@@ -259,8 +252,7 @@ def _commutativity(a, values, ops, found) -> int:
 
 def _associativity(a, values, ops, found) -> int:
     n = len(values)
-    for name, t in ops:
-        op, row = t.op, t.row
+    for name, (op, row) in ops:
         ra = row(a)
         for b in values:
             ab, rb = ra[b], row(b)
@@ -280,12 +272,11 @@ def _distributivity(a, values, ops, found) -> int:
     # Both dual forms are part of the declared domain, hence 2 cases per (b, c).
     n = len(values)
     (_, m), (_, j) = ops
-    for form, t, d in (("meet_over_join", m, j), ("join_over_meet", j, m)):
-        op, dual = t.op, d.op
-        ra = t.row(a)
+    for form, (op, row), (dual, dual_row) in (("meet_over_join", m, j), ("join_over_meet", j, m)):
+        ra = row(a)
         for b in values:
-            ab, rb = ra[b], d.row(b)
-            rab = d.row(ab)
+            ab, rb = ra[b], dual_row(b)
+            rab = dual_row(ab)
             for c in values:
                 bc = rb[c]
                 lhs = ra[bc] if type(bc) is int and 0 < bc <= n else op(a, bc)
@@ -303,14 +294,15 @@ def verify_projective(max_value) -> LawReport:
     """Check meet(x, join(z, y)) == join(meet(x, z), y) for every triple
     in [1, max_value]^3 with y dividing x.
 
-    Every slice reads a table of ``meet`` and one of ``join`` with its
-    operands swapped, whose row ``y`` is join's column ``y``; both are
-    the functions this module binds when the sweep starts.
+    Every slice reads an ``(op, row)`` pair of ``meet`` and one of
+    ``join`` with its operands swapped, whose row ``y`` is join's column
+    ``y``; both are the functions this module binds when the sweep starts.
     """
     n = as_natural(max_value)
     values = range(1, n + 1)
     join_ = join
-    meets, joins = _Table(meet, n), _Table(lambda y, z: join_(z, y), n)
+    joined = lambda y, z: join_(z, y)  # join with its operands swapped
+    meets, joins = (meet, _rows(meet, n)), (joined, _rows(joined, n))
     domain = {"domain": f"triples in [1,{n}]^3 with y | x"}
     return _run_laws(
         ((x, values, meets, joins) for x in values),
@@ -322,14 +314,15 @@ def verify_projective(max_value) -> LawReport:
 def _projective(x, values, meets, joins, found) -> int:
     n = len(values)
     ys = _divisors(x)
-    rx = meets.row(x)
+    (meet_, meet_row), (joined, joined_row) = meets, joins
+    rx = meet_row(x)
     for y in ys:
-        ry = joins.row(y)  # ry[z] == join(z, y)
+        ry = joined_row(y)  # ry[z] == join(z, y)
         for z in values:
             zy = ry[z]
-            lhs = rx[zy] if type(zy) is int and 0 < zy <= n else meets.op(x, zy)
+            lhs = rx[zy] if type(zy) is int and 0 < zy <= n else meet_(x, zy)
             xz = rx[z]
-            rhs = ry[xz] if type(xz) is int and 0 < xz <= n else joins.op(y, xz)
+            rhs = ry[xz] if type(xz) is int and 0 < xz <= n else joined(y, xz)
             if lhs != rhs:
                 found.append({"x": x, "y": y, "z": z, "lhs": lhs, "rhs": rhs})
     return len(ys) * n
@@ -389,7 +382,8 @@ def verify_heyting(top_max, size_cap: int = DEFAULT_SIZE_CAP) -> list[LawReport]
 def _intervals(n: int, size_cap: int, skipped: list):
     """Yield ``(q, members, imp table, {bottom: interval}, folds)`` for
     every interval with top <= n and at most ``size_cap`` members, the
-    last two built once per top; append the larger ones to ``skipped``."""
+    last two built once per top, ``folds`` the implication folds of its
+    intervals that ``_imp_scan`` keeps; append the larger ones to ``skipped``."""
     for top in range(1, n + 1):
         by_bottom, folds = {bottom: Interval(bottom, top) for bottom in _divisors(top)}, {}
         for bottom, q in by_bottom.items():
@@ -412,13 +406,12 @@ def _scan(oracle, *args):
 
 
 def _imp_scan(q, ms, a, b, folds):
-    """``_scan(_imp_fold, q, ms, a, b)``; on ``[1, top]`` it is kept in
-    ``folds``, the table its top's slices share, and folded on first use."""
-    if q.bottom != 1:
-        return _scan(_imp_fold, q, ms, a, b)
-    if (a, b) not in folds:
-        folds[a, b] = _scan(_imp_fold, q, ms, a, b)
-    return folds[a, b]
+    """``_scan(_imp_fold, q, ms, a, b)``, kept in ``folds``, the table its
+    top's slices share, under ``(q.bottom, a, b)`` and folded on first use."""
+    key = q.bottom, a, b
+    if key not in folds:
+        folds[key] = _scan(_imp_fold, q, ms, a, b)
+    return folds[key]
 
 
 def _neg_vs_oracle(q, ms, imp, by_bottom, folds, found) -> int:

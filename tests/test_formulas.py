@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -41,7 +42,7 @@ from divlog import (
     parse,
     variables,
 )
-from divlog.formulas import DEFAULT_SEARCH_CAP, MAX_DEPTH, _chain_slices, _holds_on_chain
+from divlog.formulas import DEFAULT_SEARCH_CAP, MAX_DEPTH, MAX_NODES, _chain_slices, _holds_on_chain
 
 
 def _divisors(n):
@@ -449,11 +450,71 @@ def test_a_built_tree_is_bounded_like_a_parsed_one(grow):
 def test_height_leaves_equality_hash_and_repr_alone():
     built = Imp(Not(And(Var("p"), Var("q"))), Var("p"))
     assert (built.height, Var("p").height, TOP.height, Lit(3).height) == (3, 0, 0, 0)
+    assert (built.size, built.left.size, Var("p").size, TOP.size, Lit(3).size) == (6, 4, 1, 1, 1)
+    assert (parse("~(p & q) -> p").size, Not(5).size, And(5, Var("p")).size) == (6, 2, 3)
     assert parse("~(p & q) -> p") == built
     assert hash(parse("~(p & q) -> p")) == hash(built)
     assert repr(built) == (
         "Imp(left=Not(child=And(left=Var(name='p'), right=Var(name='q'))), right=Var(name='p'))"
     )
+
+
+def shared_tree(levels):
+    """``levels`` nested ``Imp(f, f)`` over one ``Var``: ``levels + 1``
+    distinct nodes, which the walkers visit as ``2 ** (levels + 1) - 1``."""
+    f = Var("p")
+    for _ in range(levels):
+        f = Imp(f, f)
+    return f
+
+
+def balanced_text(levels):
+    """A conjunction of ``2 ** levels`` leaves, ``levels`` levels high."""
+    text = "p"
+    for _ in range(levels):
+        text = f"{text} & ({text})"
+    return text
+
+
+def test_a_shared_tree_past_the_node_bound_is_refused_at_once():
+    start = time.perf_counter()
+    with pytest.raises(NestingLimit, match=f"^formula has more than {MAX_NODES} nodes$"):
+        shared_tree(60)
+    assert time.perf_counter() - start < 0.05
+    assert shared_tree(15).size == MAX_NODES - 1
+    assert Not(shared_tree(15)).size == MAX_NODES
+    for grow in (Not, lambda f: And(f, 5)):
+        with pytest.raises(NestingLimit, match="nodes"):
+            grow(Not(shared_tree(15)))
+    tall = functools.reduce(lambda f, _: Not(f), range(MAX_DEPTH), Var("p"))
+    with pytest.raises(NestingLimit, match=f"deeper than {MAX_DEPTH} levels"):
+        And(tall, shared_tree(15))  # past both bounds: the height is checked first
+
+
+def test_every_walker_answers_on_a_shared_tree_at_the_node_bound():
+    f, q = shared_tree(15), Interval(1, 12)
+    assert variables(f) == {"p"}
+    assert evaluate(q, f, {"p": 4}) == 12
+    assert check_valid(q, f) is None
+    text = format_formula(f)
+    twin = pickle.loads(pickle.dumps(f))
+    assert twin == f and hash(twin) == hash(f) and twin.size == f.size
+    assert repr(f) == f"Imp(left={f.left!r}, right={f.right!r})"
+    back = parse(text)
+    assert back == f and back.size == MAX_NODES - 1
+
+
+def test_a_text_past_the_node_bound_is_refused_at_its_connective():
+    text = balanced_text(15)
+    f = parse(text)
+    assert (f.size, f.height) == (MAX_NODES - 1, 15)
+    half = balanced_text(14)
+    assert parse(f"~({text})").size == parse(f"~({half}) & ({half})").size == MAX_NODES
+    message = "formula has more than 65536 nodes"
+    assert parsed(parse, text + " & p") == (FormulaSyntaxError, f"{message} (at position {len(text) + 1})",
+                                            len(text) + 1)
+    assert_parsers_agree(text + " & p")
+    assert parsed(parse, f"p | ~~({text})") == (FormulaSyntaxError, f"{message} (at position 4)", 4)
 
 
 class _Meet(And):
@@ -565,6 +626,13 @@ class ReferenceParser:
             raise FormulaSyntaxError(f"formula nests deeper than {MAX_DEPTH} levels", position)
         return depth
 
+    def grow(self, child, others, position):
+        """``child``, if a connective over it and ``others`` nodes more
+        stays within the node bound."""
+        if 1 + others + child.size > MAX_NODES:
+            raise FormulaSyntaxError(f"formula has more than {MAX_NODES} nodes", position)
+        return child
+
     def binary(self, level, depth):
         if level == len(self.rows):
             return self.unary(depth)
@@ -575,7 +643,7 @@ class ReferenceParser:
             operand = level if right_assoc else level + 1
             right = self.binary(operand, self.nest(depth + 1, position))
             self.nest(depth + 1 + max(node.height, right.height), position)
-            node = node_class(node, right)
+            node = node_class(node, self.grow(right, node.size, position))
         return node
 
     def unary(self, depth):
@@ -585,7 +653,7 @@ class ReferenceParser:
         if kind == "name":
             return {"T": TOP, "F": BOTTOM}.get(value, Var(value))
         if kind == "op" and value == "~":
-            return Not(self.unary(self.nest(depth + 1, position)))
+            return Not(self.grow(self.unary(self.nest(depth + 1, position)), 0, position))
         if kind == "op" and value == "(":
             self.parens = self.nest(self.parens + 1, position)
             node = self.binary(0, depth)
@@ -1218,13 +1286,13 @@ def test_the_chain_pass_keeps_its_bitsets_to_a_block():
 def assert_heights_match_the_constructors(f):
     """``parse`` builds connectives without their constructors: the tree
     rebuilt through them by a pickle round trip is equal, hashes alike
-    and has the same height at every node."""
+    and has the same height and size at every node."""
     built = pickle.loads(pickle.dumps(f))
     assert f == built and hash(f) == hash(built)
     pairs = [(f, built)]
     while pairs:
         node, twin = pairs.pop()
-        assert node.height == twin.height, (node, twin)
+        assert (node.height, node.size) == (twin.height, twin.size), (node, twin)
         pairs += [(getattr(node, field), getattr(twin, field)) for field in type(node)._fields
                   if field in ("left", "right", "child")]
 

@@ -623,10 +623,17 @@ def _join_zero_at_2_3(a, b):
     return 0 if (a, b) == (2, 3) else lattice_join(a, b)
 
 
+def _meet_float_at_2_4(a, b):
+    if type(a) is float or type(b) is float:
+        return 1
+    return 2.0 if (a, b) == (2, 4) else math.gcd(int(a), int(b))
+
+
 # every corruption the tests above apply, and those that reach the edges
 # of the tables: a result below [1, n], raised on or carried along, one
-# above it, operand order off the table, and rows past the cell ceiling,
-# filled again whenever a case needs them
+# above it, a float equal to an int, which no table may read as that int,
+# operand order off the table, and rows past the cell ceiling, filled
+# again whenever a case needs them
 CORRUPTIONS = {
     "clean": {},
     "join is the product": {"divlog.oracle.join": lambda a, b: a * b},
@@ -644,6 +651,10 @@ CORRUPTIONS = {
     "meet is gcd + 1, join its first operand": {
         "divlog.oracle.meet": lambda a, b: math.gcd(a, b) + 1,
         "divlog.oracle.join": lambda a, b: a,
+    },
+    "meet(2, 4) is the float 2.0, and 1 on a float": {
+        "divlog.oracle.meet": _meet_float_at_2_4,
+        "divlog.oracle.join": lambda a, b: math.lcm(int(a), int(b)),
     },
     "rows of 40 cells": {"divlog.oracle.TABLE_CELL_CAP": 40},
     "no row kept": {"divlog.oracle.TABLE_CELL_CAP": 1},
