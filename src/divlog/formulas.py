@@ -34,7 +34,13 @@ Biham, FSE 1997; Knuth, TAOCP 4A 7.1.3).  A formula with a literal,
 and every counterexample, come from the full search over the members,
 and SearchLimit counts that search's ``size ** k`` assignments.
 
-``parse`` refuses, at the token that goes deeper, a tree more than
+``parse`` reads the tokens of one ``findall`` in one loop over an
+explicit stack of frames, one per open ``~``, ``(`` and binary operator
+(operator-precedence parsing: Floyd, JACM 10, 1963; Pratt, POPL 1973),
+and leaves on the root connective the ``atoms`` it read, the sorted
+variable names and the literals in text order, so ``check_valid``,
+``evaluate`` and ``variables`` need not walk the tree for them.
+It refuses, at the token that goes deeper, a tree more than
 ``MAX_DEPTH`` (100) levels high (each ``~`` and binary connective above
 an atom is one level) and parentheses nested deeper than that, and, at
 the connective that passes it, a tree of more than ``MAX_NODES``
@@ -130,9 +136,17 @@ class Bottom(_Node):
     symbol = "F"
 
 
-class _Binary(_Node):
-    __slots__ = ("left", "right", "height", "size")
-    _fields = ("left", "right")
+class _Connective(_Node):
+    """A node over children: ``height`` and ``size`` are its own slots,
+    and ``atoms``, which only ``parse`` fills and only on the root it
+    returns, holds the tree's ``(sorted names, literals in text
+    order)`` for ``_atoms``.  None of the three is a field."""
+
+    __slots__ = ("height", "size", "atoms")
+
+
+class _Binary(_Connective):
+    __slots__ = _fields = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
         height, size = _above(left, right)
@@ -157,9 +171,8 @@ class Imp(_Binary):
     symbol, level, right_assoc = "->", 0, True
 
 
-class Not(_Node):
-    __slots__ = ("child", "height", "size")
-    _fields = ("child",)
+class Not(_Connective):
+    __slots__ = _fields = ("child",)
     symbol, level = "~", 3
 
     def __init__(self, child: Formula):
@@ -177,11 +190,20 @@ BOTTOM = Bottom()
 
 def variables(formula: Formula) -> set[str]:
     """The set of variable names occurring in the formula."""
-    return _atoms(formula)[0]
+    return set(_atoms(formula)[0])
 
 
-def _atoms(formula: Formula) -> tuple[set[str], list]:
-    """The formula's variable names, and its literals' values left to right."""
+def _atoms(formula: Formula) -> tuple[tuple[str, ...], tuple]:
+    """The formula's variable names, sorted, and its literals' values
+    left to right: the ``atoms`` that ``parse`` left on the root, else
+    one walk of the tree, which refuses a non-node.  The walk serves an
+    atom, a tree built from the node classes, a subtree and an unpickled
+    or copied tree, none of which has the slot filled."""
+    if isinstance(formula, _Connective):
+        try:
+            return formula.atoms
+        except AttributeError:
+            pass
     names, literals = set(), []
     stack = [formula]
     while stack:
@@ -197,10 +219,10 @@ def _atoms(formula: Formula) -> tuple[set[str], list]:
             stack += node.right, node.left  # the left is popped first
         elif kind is not Top and kind is not Bottom:
             raise TypeError(f"not a formula node: {node!r}")
-    return names, literals
+    return tuple(sorted(names)), tuple(literals)
 
 
-def _require_literals(q: Interval, literals: list) -> None:
+def _require_literals(q: Interval, literals: Sequence) -> None:
     """NotMember for the first literal outside ``q``."""
     for value in literals:
         if not q.contains(value):
@@ -220,22 +242,35 @@ _PUNCTUATION = {*_BINARY, Not.symbol, "(", ")"}
 # parse builds a connective at the height and size it has checked: the
 # bare object, each slot then set through its descriptor
 _new = object.__new__
-_set_left, _set_right, _set_height, _set_size = [_Binary.__dict__[slot].__set__ for slot in _Binary.__slots__]
-_set_child, _set_not_height, _set_not_size = [Not.__dict__[slot].__set__ for slot in Not.__slots__]
+_set_left, _set_right = [_Binary.__dict__[slot].__set__ for slot in _Binary.__slots__]
+(_set_child,) = [Not.__dict__[slot].__set__ for slot in Not.__slots__]
+_set_height, _set_size, _set_atoms = [_Connective.__dict__[slot].__set__ for slot in _Connective.__slots__]
 
 
 def parse(text: str) -> Formula:
     """Parse formula text; FormulaSyntaxError reports the bad offset.
 
     One ``_TOKEN.findall`` pass reads the tokens, each with the
-    whitespace before it, and a token is classified where it is read,
-    one ``Var`` built per name.  A failure walks the same list for the
-    offset, so that a bad token anywhere wins; nothing is cached between
-    calls."""
+    whitespace before it, and one loop consumes them, a token classified
+    where it is read and one ``Var`` built per name.  Each ``~``, ``(``
+    and binary operator pushes a frame ``(kind | Not | "(", left, at,
+    level, depth)``: its connective, its left operand, its token's index
+    and the ``level`` and ``depth`` of the formula it stands in.  An
+    operand that no operator at the current ``level`` takes completes
+    the frame on top: popping it builds that node, or closes that
+    parenthesis, and restores its ``level`` and ``depth``.  The root
+    connective gets ``atoms``, the sorted names and the literals read,
+    so ``check_valid`` need not walk the tree for them.  A failure walks
+    the same token list for the offset, so that a bad token anywhere
+    wins; nothing is cached between calls."""
     tokens = _TOKEN.findall(text)
     tokens.append(("", ""))  # the end
-    pos = parens = 0  # the current token's index; parentheses open at it
     names = dict(_KEYWORDS)  # name -> its node, a Var built once
+    literals = []
+    stack = []  # the open frames, innermost last
+    # the current token's index; parentheses open; the binding level and
+    # the depth below the root of the formula being read
+    pos = parens = level = depth = 0
 
     def fail(index: int, message: str):
         """Raise the text's first bad token, if it has one, else
@@ -264,67 +299,78 @@ def parse(text: str) -> Formula:
     def grow(index: int):
         fail(index, f"formula has more than {MAX_NODES} nodes")
 
-    def climb(level: int, depth: int) -> Formula:
-        """A formula whose binary connectives all bind at ``level`` or
-        tighter, ``depth`` levels below the root.  A node is built at
-        the height and size checked here, ``depth`` plus its height
-        never past MAX_DEPTH and its size never past MAX_NODES, so no
-        constructor checks them again."""
-        nonlocal pos, parens
+    while True:
+        # an operand: a frame for each "~" and "(" before its atom
         token = tokens[pos][1]
         pos += 1
-        if token == "~":
-            at = pos - 1
-            if depth >= MAX_DEPTH:
-                nest(at)
-            child = climb(Not.level, depth + 1)
-            size = child.size + 1
-            if size > MAX_NODES:
-                grow(at)
-            node = _new(Not)
-            _set_child(node, child)
-            _set_not_height(node, child.height + 1)
-            _set_not_size(node, size)
-        elif token == "(":
-            if parens >= MAX_DEPTH:
-                nest(pos - 1)
-            parens += 1
-            node = climb(0, depth)
-            if tokens[pos][1] != ")":
-                fail(pos, "expected ')'")
-            pos += 1
-            parens -= 1
-        elif token[:1].isalpha() or token[:1] == "_":
-            node = names.get(token) or names.setdefault(token, Var(token))
-        else:  # of the tokens left, int() reads the runs of decimal digits alone
-            try:
-                node = Lit(int(token))
-            except ValueError:  # an operator or the end where a formula belongs, or a bad token
-                fail(pos - 1, "expected a formula, found {}")
-        while (kind := _BINARY.get(tokens[pos][1])) and kind.level >= level:
-            at, pos = pos, pos + 1
-            if depth >= MAX_DEPTH:
-                nest(at)
-            right = climb(kind.level if kind.right_assoc else kind.level + 1, depth + 1)
-            height = node.height if node.height > right.height else right.height
-            # checked before building, so a tree past a bound is a
-            # FormulaSyntaxError at this operator, never a NestingLimit
-            if depth + height >= MAX_DEPTH:
-                nest(at)
-            size = node.size + right.size + 1
-            if size > MAX_NODES:
-                grow(at)
-            left, node = node, _new(kind)
-            _set_left(node, left)
-            _set_right(node, right)
-            _set_height(node, height + 1)
-            _set_size(node, size)
-        return node
-
-    node = climb(0, 0)
-    if tokens[pos][1]:
-        fail(pos, "unexpected trailing input {}")
-    return node
+        node = names.get(token)  # T, F or a name read before
+        if node is None:
+            if token == "~":
+                if depth >= MAX_DEPTH:
+                    nest(pos - 1)
+                stack.append((Not, None, pos - 1, level, depth))
+                level, depth = Not.level, depth + 1
+                continue
+            if token == "(":
+                if parens >= MAX_DEPTH:
+                    nest(pos - 1)
+                parens += 1
+                stack.append(("(", None, pos - 1, level, depth))
+                level = 0
+                continue
+            if token[:1].isalpha() or token[:1] == "_":
+                node = names[token] = Var(token)
+            else:  # of the tokens left, int() reads the runs of decimal digits alone
+                try:
+                    node = Lit(int(token))
+                except ValueError:  # an operator or the end where a formula belongs, or a bad token
+                    fail(pos - 1, "expected a formula, found {}")
+                literals.append(node.value)
+        # the frames that the operand completes, up to an operator that takes it
+        op = _BINARY.get(tokens[pos][1])
+        while not (op and op.level >= level):
+            if not stack:
+                if tokens[pos][1]:
+                    fail(pos, "unexpected trailing input {}")
+                if isinstance(node, _Connective):
+                    del names[TOP.symbol], names[BOTTOM.symbol]
+                    _set_atoms(node, (tuple(sorted(names)), tuple(literals)))
+                return node
+            kind, left, at, level, depth = stack.pop()
+            if left is not None:  # a binary operator's frame, the only one with a left operand
+                height = left.height if left.height > node.height else node.height
+                # checked before building, so a tree past a bound is a
+                # FormulaSyntaxError at this operator, never a NestingLimit
+                if depth + height >= MAX_DEPTH:
+                    nest(at)
+                size = left.size + node.size + 1
+                if size > MAX_NODES:
+                    grow(at)
+                right, node = node, _new(kind)
+                _set_left(node, left)
+                _set_right(node, right)
+                _set_height(node, height + 1)
+                _set_size(node, size)
+            elif kind is Not:
+                size = node.size + 1
+                if size > MAX_NODES:
+                    grow(at)
+                child, node = node, _new(Not)
+                _set_child(node, child)
+                _set_height(node, child.height + 1)
+                _set_size(node, size)
+            else:  # "(": the operand is the parenthesized formula
+                if tokens[pos][1] != ")":
+                    fail(pos, "expected ')'")
+                pos += 1
+                parens -= 1
+                op = _BINARY.get(tokens[pos][1])
+        # a binary operator: its right operand comes next, one level down
+        at, pos = pos, pos + 1
+        if depth >= MAX_DEPTH:
+            nest(at)
+        stack.append((op, node, at, level, depth))
+        level, depth = op.level if op.right_assoc else op.level + 1, depth + 1
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +423,6 @@ def evaluate(q: Interval, formula: Formula, assignment: Mapping[str, int] | None
     """
     env = dict(assignment or {})
     names, literals = _atoms(formula)
-    names = sorted(names)
     for name in names:
         if name not in env:
             raise UnboundVariable(f"no value for variable {name!r}")
@@ -535,7 +580,6 @@ def check_valid(
     if type(cap) is not int or cap < 1:
         as_natural(cap)
     names, literals = _atoms(formula)
-    names = sorted(names)
     k, size, total = len(names), q.size(), 1
     for _ in names:
         total *= size

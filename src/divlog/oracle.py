@@ -10,8 +10,9 @@ the candidate set has one.  ``oracle_neg`` and ``oracle_imp`` check
 their operands and list the members, then run one unchecked fold each,
 ``_neg_fold`` and ``_imp_fold``, which the Heyting sweep calls directly
 with the members it listed once per interval.  Each top keeps one table
-of the implication folds of its intervals, filled on first use, which
-the oracle check and the bottom-independence check share.
+of the implication folds of ``[1, top]``, filled on first use, which
+the oracle check and the bottom-independence check share; a fold in
+any other interval is read once and not kept.
 
 The ``verify_*`` functions run whole-range sweeps through one law
 runner, ``_run_laws``.  A law is a name, its parameter entries and a
@@ -382,8 +383,8 @@ def verify_heyting(top_max, size_cap: int = DEFAULT_SIZE_CAP) -> list[LawReport]
 def _intervals(n: int, size_cap: int, skipped: list):
     """Yield ``(q, members, imp table, {bottom: interval}, folds)`` for
     every interval with top <= n and at most ``size_cap`` members, the
-    last two built once per top, ``folds`` the implication folds of its
-    intervals that ``_imp_scan`` keeps; append the larger ones to ``skipped``."""
+    last two built once per top, ``folds`` the implication folds of
+    ``[1, top]`` that ``_imp_scan`` keeps; append the larger ones to ``skipped``."""
     for top in range(1, n + 1):
         by_bottom, folds = {bottom: Interval(bottom, top) for bottom in _divisors(top)}, {}
         for bottom, q in by_bottom.items():
@@ -406,12 +407,13 @@ def _scan(oracle, *args):
 
 
 def _imp_scan(q, ms, a, b, folds):
-    """``_scan(_imp_fold, q, ms, a, b)``, kept in ``folds``, the table its
-    top's slices share, under ``(q.bottom, a, b)`` and folded on first use."""
-    key = q.bottom, a, b
-    if key not in folds:
-        folds[key] = _scan(_imp_fold, q, ms, a, b)
-    return folds[key]
+    """``_scan(_imp_fold, q, ms, a, b)``, folded on first use; for
+    ``[1, top]``, the one interval whose folds ``_imp_bottom_independence``
+    reads again, kept in ``folds``, its top's table, under ``(a, b)``."""
+    table = folds if q.bottom == 1 else {}
+    if (a, b) not in table:
+        table[a, b] = _scan(_imp_fold, q, ms, a, b)
+    return table[a, b]
 
 
 def _neg_vs_oracle(q, ms, imp, by_bottom, folds, found) -> int:

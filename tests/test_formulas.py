@@ -1,12 +1,15 @@
 """Formula parsing, printing, and many-valued evaluation."""
 
+import copy
 import functools
 import itertools
 import math
 import pickle
 import re
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -42,7 +45,7 @@ from divlog import (
     parse,
     variables,
 )
-from divlog.formulas import DEFAULT_SEARCH_CAP, MAX_DEPTH, MAX_NODES, _chain_slices, _holds_on_chain
+from divlog.formulas import DEFAULT_SEARCH_CAP, MAX_DEPTH, MAX_NODES, _atoms, _chain_slices, _holds_on_chain
 
 
 def _divisors(n):
@@ -457,6 +460,14 @@ def test_height_leaves_equality_hash_and_repr_alone():
     assert repr(built) == (
         "Imp(left=Not(child=And(left=Var(name='p'), right=Var(name='q'))), right=Var(name='p'))"
     )
+    # the parsed root's atoms are no field either
+    parsed = parse("~(p & q) -> p")
+    assert parsed.atoms == (("p", "q"), ()) and not hasattr(built, "atoms")
+    assert parsed == built and hash(parsed) == hash(built) and repr(parsed) == repr(built)
+    assert "atoms" not in Imp._fields and "atoms" not in Not._fields
+    for twin in (pickle.loads(pickle.dumps(parsed)), copy.copy(parsed), copy.deepcopy(parsed)):
+        assert twin == built and repr(twin) == repr(built) and not hasattr(twin, "atoms")
+    assert pickle.dumps(parse("~(p & q) -> r")) == pickle.dumps(Imp(Not(And(Var("p"), Var("q"))), Var("r")))
 
 
 def shared_tree(levels):
@@ -764,6 +775,100 @@ def test_a_repeated_variable_parses_like_the_tree_built_from_the_node_classes():
 def test_parse_takes_only_text(text):
     with pytest.raises(TypeError):
         parse(text)
+
+
+# -- the atoms a parsed root hands over ---------------------------------------
+
+
+def taut_mix_texts(seeds):
+    """The distinct formula texts of the benchmark's ``taut-mix``
+    workload (``perfbench/workloads.py``) for ``seeds``."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        from workloads import TautMix
+    finally:
+        sys.path.remove(bench)
+    return sorted({text for seed in seeds for _, text, _ in TautMix(seed).ops})
+
+
+def assert_atoms_match_the_walk(f):
+    """A parsed connective holds the ``atoms`` that the walk of its
+    constructor-built twin finds, and ``_atoms`` returns them unwalked."""
+    twin = pickle.loads(pickle.dumps(f))
+    assert not hasattr(twin, "atoms")
+    if isinstance(f, (And, Or, Imp, Not)):
+        assert _atoms(f) is f.atoms
+        assert f.atoms == _atoms(twin)
+    else:  # an atom has no slot: the walk answers
+        assert not hasattr(f, "atoms")
+    names, literals = _atoms(twin)
+    assert list(names) == sorted(variables(twin)) and literals == tuple(reference_literals(twin))
+    assert all(type(x) is tuple for x in _atoms(f))
+
+
+def reference_literals(f):
+    """The literals' values, left to right, by recursion."""
+    kind = type(f)
+    if kind is Lit:
+        return [f.value]
+    if kind is Not:
+        return reference_literals(f.child)
+    if kind in (And, Or, Imp):
+        return reference_literals(f.left) + reference_literals(f.right)
+    return []
+
+
+def test_every_taut_mix_root_hands_over_the_atoms_its_walk_finds():
+    texts = taut_mix_texts((1, 2, 3))
+    assert len(texts) > 1_000
+    for text in texts:
+        f = parse(text)
+        assert_atoms_match_the_walk(f)
+        assert list(f.atoms[0]) == sorted(set(re.findall(r"[a-z_]\w*", text))), text
+        assert f.atoms[1] == tuple(int(d) for d in re.findall(r"\d+", text)), text
+
+
+@given(formulas)
+def test_a_parsed_root_hands_over_the_atoms_its_walk_finds(f):
+    assert_atoms_match_the_walk(parse(format_formula(f)))
+
+
+@given(formula_texts)
+def test_any_parsed_text_hands_over_the_atoms_its_walk_finds(text):
+    try:
+        f = parse(text)
+    except FormulaSyntaxError:
+        return
+    assert_atoms_match_the_walk(f)
+
+
+def test_only_the_parsed_root_holds_atoms_the_rest_is_walked():
+    f = parse("(q & 3) -> ~(p | 7 | q) -> T")
+    assert f.atoms == (("p", "q"), (3, 7))
+    subtrees = [f.left, f.right, f.right.left, f.right.left.child]
+    assert not any(hasattr(sub, "atoms") for sub in subtrees)
+    assert [_atoms(sub) for sub in subtrees] == [
+        (("q",), (3,)), (("p", "q"), (7,)), (("p", "q"), (7,)), (("p", "q"), (7,))
+    ]
+    built = Imp(And(Var("q"), Lit(3)), Imp(Not(Or(Or(Var("p"), Lit(7)), Var("q"))), TOP))
+    assert built == f and not hasattr(built, "atoms") and _atoms(built) == f.atoms
+    for twin in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+        assert not hasattr(twin, "atoms") and _atoms(twin) == f.atoms
+    assert (_atoms(parse("p")), _atoms(parse("4")), _atoms(parse("T"))) == ((("p",), ()), ((), (4,)), ((), ()))
+    assert variables(f) == {"p", "q"}
+    # a parse is one request: the next parse of the same text has its own atoms
+    assert parse("p & q").atoms == parse("p & q").atoms and parse("p & q").atoms is not parse("p & q").atoms
+
+
+def test_a_built_tree_over_a_parsed_one_still_refuses_a_non_node_first():
+    q, parsed = Interval(1, 12), parse("p & q & r")
+    for f in (Or(parsed, Not(5)), Imp(Not(parsed), "p"), _Meet(parsed, Var("s"))):
+        for refuse in (lambda: check_valid(q, f, cap=35), lambda: evaluate(q, f, {"p": 2}), lambda: variables(f)):
+            with pytest.raises(TypeError, match="not a formula node: "):
+                refuse()
+    with pytest.raises(SearchLimit):
+        check_valid(q, Or(parsed, Not(Lit(5))), cap=35)
 
 
 # -- the compiler against the tree-walking evaluator it replaced ---------------

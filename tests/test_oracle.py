@@ -732,6 +732,33 @@ def test_an_implication_fold_on_one_to_top_is_run_once_and_reported_by_both_laws
     ]
 
 
+@pytest.mark.parametrize("args", [(60,), (60, 6)], ids=["all swept", "[1, top] past the cap"])
+def test_each_top_keeps_the_folds_of_one_to_top_alone(monkeypatch, args):
+    """Only the folds of [1, top] are read twice, so a top's table holds
+    those alone, one per member pair asked for; every fold, kept or
+    not, runs once."""
+    tables, folded = {}, Counter()
+    scan, fold = divlog.oracle._imp_scan, divlog.oracle._imp_fold
+
+    def recording_scan(q, ms, a, b, folds):
+        tables[q.top] = folds
+        return scan(q, ms, a, b, folds)
+
+    def counting_fold(q, ms, a, b):
+        folded[q.bottom, q.top, a, b] += 1
+        return fold(q, ms, a, b)
+
+    monkeypatch.setattr("divlog.oracle._imp_scan", recording_scan)
+    monkeypatch.setattr("divlog.oracle._imp_fold", counting_fold)
+    assert all(r.passed for r in verify_heyting(*args))
+    assert set(folded.values()) == {1}
+    for top, folds in tables.items():
+        asked = {(a, b) for bottom, t, a, b in folded if (bottom, t) == (1, top)}
+        assert set(folds) == asked and asked <= {(a, b) for a in Interval(1, top).members()
+                                                 for b in Interval(1, top).members()}
+    assert len(tables[60]) == (144 if args == (60,) else 72)
+
+
 def test_a_join_result_of_zero_raises_as_the_call_does(monkeypatch):
     monkeypatch.setattr("divlog.oracle.join", _join_zero_at_2_3)
     for sweep in (verify_lattice_laws, verify_projective, verify_heyting):
