@@ -21,18 +21,21 @@ classical tautologies may fail: validity means "evaluates to the top
 under every assignment of members to variables".
 
 A formula compiles, bound to one interval, into a function of its
-variables' values, which ``evaluate`` and the full search of
-``check_valid`` run on that interval's members.  Each connective acts
-on one prime at a time, so an interval is a product of Gödel chains,
-one per prime gap, and a formula of ``k`` variables is valid in it
-exactly when it is valid in the chain ``C_n``, ``n = min(G + 1, k +
-2)``, ``G`` the largest gap (Gödel 1932; Dummett, JSL 24, 1959).
-``check_valid`` decides "valid" there first, compiling nothing: one
-walk of the tree over ints, a value's ``n - 1`` thresholds in lanes
-of one bit per assignment, at most ``_BLOCK_BITS`` wide (bitslicing:
-Biham, FSE 1997; Knuth, TAOCP 4A 7.1.3).  A formula with a literal,
-and every counterexample, come from the full search over the members,
-and SearchLimit counts that search's ``size ** k`` assignments.
+variables' values, which ``evaluate`` runs.  ``check_valid`` compiles
+nothing: it walks the tree over ints of threshold lanes, one bit per
+assignment and lanes at most ``_BLOCK_BITS`` wide (bitslicing: Biham,
+FSE 1997; Knuth, TAOCP 4A 7.1.3).  Each connective acts on one prime
+at a time, so an interval is a product of Gödel chains, one per prime
+gap, and a formula of ``k`` variables is valid in it exactly when it
+is valid in the chain ``C_n``, ``n = min(G + 1, k + 2)``, ``G`` the
+largest gap (Gödel 1932; Dummett, JSL 24, 1959).  ``check_valid``
+decides "valid" there first, listing no member.  A formula with a
+literal, and every counterexample, come from the member walk: each
+prime's chain embeds in ``C_(G + 1)``, so the primes sit side by side
+in the lanes of one walk over the members, a literal a constant per
+prime, and the lowest bit whose top lane is clear is the first
+counterexample.  SearchLimit counts the walk's ``size ** k``
+assignments.
 
 ``parse`` reads the tokens of one ``findall`` in one loop over an
 explicit stack of frames, one per open ``~``, ``(`` and binary operator
@@ -70,7 +73,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 from .errors import FormulaSyntaxError, NestingLimit, NotMember, SearchLimit, UnboundVariable, Value, shown
 from .factorization import as_natural
-from .intervals import Interval
+from .intervals import Interval, _Chains
 
 DEFAULT_SEARCH_CAP = 1_000_000
 MAX_DEPTH = 100
@@ -439,8 +442,8 @@ def _compile(q: Interval, formula: Formula, names: list[str]) -> Callable[[Seque
     call ``math.gcd``, ``math.lcm`` and ``q._imp``, ``T`` and ``F`` are
     ``q``'s top and bottom and ``~x`` is ``x -> F``, all bound here.
     Nothing is checked: the values and the literals must be members.
-    ``evaluate`` calls it once, the full search once per assignment; the
-    chain pass walks the tree itself (``_chain_slices``'s ``walk``).
+    ``evaluate`` calls it; ``check_valid`` walks the tree itself, with a
+    ``_walker``.
     """
     position = {name: i for i, name in enumerate(names)}
     imp, top, bottom = q._imp, q.top, q.bottom
@@ -468,36 +471,24 @@ def _compile(q: Interval, formula: Formula, names: list[str]) -> Callable[[Seque
 # The Gödel chain, bitsliced
 # ---------------------------------------------------------------------------
 
-# the widest lane of the chain pass, in bits; past it, leading variables iterate
+# the widest lane of a block, in bits; past it, leading variables iterate,
+# and the member walk takes one variable's members a block at a time
 _BLOCK_BITS = 1 << 12
 
 
-@functools.lru_cache(maxsize=32)
-def _chain_slices(k: int, n: int) -> tuple[int, list[int], list[int], Callable[[Formula, dict], int]]:
-    """``(leading, trailing, constants, walk)``, all that the chain pass
-    of ``k`` variables over ``C_n``, ``n >= 2``, needs, built once.
-
-    A value of ``C_n`` is one int of ``n - 1`` lanes, lane ``j - 1`` its
-    threshold ``v >= j``, bit ``i`` of a lane the ``i``-th tuple of
-    ``product(range(n), repeat=t)``: the last ``t`` variables, the most
-    with lanes ``n ** t <= _BLOCK_BITS`` bits wide, are ``trailing``.
-    The ``leading = k - t`` others take each of the ``n`` ``constants``.
-    ``walk(node, env)`` is ``node``'s value, ``env`` giving each
-    variable's: ``a -> b`` is ``LE | B``, ``LE`` the AND of the lanes of
-    ``~a | b`` (where ``a <= b``) copied to each lane, ``~a`` lane 0 of ``~a``."""
-    t, width = 0, 1
-    while t < k and width * n <= _BLOCK_BITS:
-        t, width = t + 1, width * n
+def _walker(width: int, n: int) -> Callable[[Formula, dict], int]:
+    """``walk(node, env)``, ``node``'s value over ``C_n``, ``n >= 2``: a
+    value is one int of ``n - 1`` lanes of ``width`` bits, lane ``j - 1``
+    its threshold ``v >= j``, one bit per place.  ``env`` gives each
+    variable's value by name and each literal's by its int.  ``a -> b``
+    is ``LE | B``, ``LE`` the AND of the lanes of ``~a | b`` (where ``a
+    <= b``) copied to each lane, ``~a`` lane 0 of ``~a``.  Both passes
+    of ``check_valid`` walk with it: the chain pass's places are chain
+    assignments, the member walk's a member assignment at one prime."""
     lane, full = (1 << width) - 1, (1 << width * (n - 1)) - 1
     # each shift doubles the lanes lane 0 has ANDed in (or been copied to), the
     # last only up to the top; on positive ints, which bitwise ops need not copy
     shifts = [min(1 << e, n - 1 - (1 << e)) * width for e in range((n - 2).bit_length())]
-    trailing = []
-    for step in [n**e for e in reversed(range(t))]:  # the last variable runs fastest
-        period = n * step  # a run of step bits for each value 0 .. n-1
-        repunit = lane // ((1 << period) - 1)  # the period repeated across a lane
-        trailing.append(sum([((1 << period) - (1 << j * step)) * repunit << (j - 1) * width for j in range(1, n)]))
-    constants = [(1 << v * width) - 1 for v in range(n)]
 
     def walk(node: Formula, env: dict) -> int:
         kind = type(node)
@@ -505,6 +496,8 @@ def _chain_slices(k: int, n: int) -> tuple[int, list[int], list[int], Callable[[
             return env[node.name]
         if kind is Top or kind is Bottom:
             return full if kind is Top else 0
+        if kind is Lit:
+            return env[node.value]
         if kind is Not:  # a -> F: where lane 0 is clear
             le, b = walk(node.child, env) & lane ^ lane, 0
         else:
@@ -519,7 +512,30 @@ def _chain_slices(k: int, n: int) -> tuple[int, list[int], list[int], Callable[[
             le |= le << shift
         return le | b
 
-    return k - t, trailing, constants, walk
+    return walk
+
+
+@functools.lru_cache(maxsize=32)
+def _chain_slices(k: int, n: int) -> tuple[int, list[int], list[int], Callable[[Formula, dict], int]]:
+    """``(leading, trailing, constants, walk)``, all that the chain pass
+    of ``k`` variables over ``C_n``, ``n >= 2``, needs, built once.
+
+    Bit ``i`` of a lane is the ``i``-th tuple of ``product(range(n),
+    repeat=t)``: the last ``t`` variables, the most with lanes ``n ** t
+    <= _BLOCK_BITS`` bits wide, are ``trailing``.  The ``leading = k -
+    t`` others take each of the ``n`` ``constants``, and ``walk`` is
+    ``_walker(n ** t, n)``."""
+    t, width = 0, 1
+    while t < k and width * n <= _BLOCK_BITS:
+        t, width = t + 1, width * n
+    lane = (1 << width) - 1
+    trailing = []
+    for step in [n**e for e in reversed(range(t))]:  # the last variable runs fastest
+        period = n * step  # a run of step bits for each value 0 .. n-1
+        repunit = lane // ((1 << period) - 1)  # the period repeated across a lane
+        trailing.append(sum([((1 << period) - (1 << j * step)) * repunit << (j - 1) * width for j in range(1, n)]))
+    constants = [(1 << v * width) - 1 for v in range(n)]
+    return k - t, trailing, constants, _walker(width, n)
 
 
 def _holds_on_chain(formula: Formula, names: list[str], n: int) -> bool:
@@ -532,6 +548,151 @@ def _holds_on_chain(formula: Formula, names: list[str], n: int) -> bool:
         if walk(formula, dict(zip(names, [*combo, *trailing]))) >> top != lane:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The members, every prime side by side
+# ---------------------------------------------------------------------------
+
+# the table that reads an exponent byte as threshold j's digit: "1" from j up
+_AT_LEAST = [b"0" * j + b"1" * (256 - j) for j in range(64)]
+
+
+def _in_every_lane(bits: int, lane: int, lanes: int) -> int:
+    """``bits`` copied into lane 0 up to at least lane ``lanes - 1``,
+    each lane ``lane`` bits wide: the copies double per shift."""
+    copies = 1
+    while copies < lanes:
+        bits |= bits << copies * lane
+        copies *= 2
+    return bits
+
+
+def _member_slices(q: Interval, chains: _Chains, k: int, cap: int) -> tuple:
+    """``(leading, width, walk, blocks)``, all that the member walk of
+    ``k`` variables over ``q`` needs, built once and kept in ``chains``,
+    ``q``'s per-prime layer.
+
+    Prime ``s``'s chain ``C_(g_s + 1)`` embeds in ``C_(G + 1)``, ``G``
+    the largest gap, by ``v -> v`` below ``g_s`` and ``g_s -> G``, which
+    keeps ``&``, ``|``, ``->``, ``T`` and ``F``.  So each of the ``G``
+    lanes of a value holds one segment of ``width`` bits per prime, the
+    first prime's lowest, and ``walk`` is ``_walker(primes * width, G +
+    1)``.  Bit ``i`` of block ``c`` is tuple ``c * width + i`` of
+    ``product(members, repeat=t)`` over the last ``t`` variables, and
+    ``blocks[c]`` holds their values.  ``t`` is the most variables with
+    lanes of ``primes * size ** t <= _BLOCK_BITS`` bits, in one block;
+    when not one variable's members fit, ``t`` is 1 and they come
+    ``width = _BLOCK_BITS // primes`` (at least 1) a block, the last
+    block padded with the last member, which refutes only where the
+    member before it does.  The ``leading = k - t`` others take one
+    member per round of the blocks."""
+    slices = chains.slices.get(k)
+    if slices is None:
+        size, gaps, last = q.size(), list(chains.gaps.values()), chains.largest
+        t, width = 0, 1
+        while t < k and len(gaps) * width * size <= _BLOCK_BITS:
+            t, width = t + 1, width * size
+        if k and not t:  # the last variable's members, a block at a time
+            t, width = 1, max(_BLOCK_BITS // len(gaps), 1)
+        lane = len(gaps) * width
+        blocks = [[]]
+        if k:
+            if chains.exponents is None:
+                q.members(cap)  # lists the members and their offsets
+                chains.exponents = q._exponents()
+            if t == 1:  # width members a block, all of them when they fit
+                blocks = []
+                for start in range(0, size, width):
+                    chunks = [column[start : start + width] for column in chains.exponents]
+                    chunks = [(chunk + chunk[-1:] * (width - len(chunk)))[::-1] for chunk in chunks]
+                    blocks.append([_read_lanes(chunks, gaps, lane, last)])
+            else:
+                for step in [size**e for e in reversed(range(t))]:  # the last variable runs fastest
+                    # each member's digit step times, the period repeated across a segment
+                    periods = [b"".join([column[i : i + 1] * step for i in range(size)])
+                               for column in chains.exponents]
+                    digits = [(period * (width // len(period)))[::-1] for period in periods]
+                    blocks[0].append(_read_lanes(digits, gaps, lane, last))
+        slices = chains.slices[k] = (k - t, width, _walker(lane, last + 1), blocks)
+    return slices
+
+
+def _read_lanes(digits: list[bytes], gaps: list[int], lane: int, last: int) -> int:
+    """The value that is, embedded, exponent ``digits[s][-1 - i]`` of
+    prime ``s`` at bit ``i`` of its segment, in lanes of ``lane`` bits
+    (``int`` reads bit 0 last).  Its lane ``j``, for ``j`` up to the
+    prime's gap, is one ``int(..., 2)`` of the digits read as "at least
+    ``j``", and the lanes above the gap repeat lane ``gap``."""
+    width, value = lane // len(digits), 0
+    for s, (column, gap) in enumerate(zip(digits, gaps)):
+        for j in range(1, gap + 1):
+            bits = int(column.translate(_AT_LEAST[j]), 2) << (j - 1) * lane + s * width
+            value |= bits if j < gap else _in_every_lane(bits, lane, last - gap + 1)
+    return value & (1 << last * lane) - 1
+
+
+def _constant(vector: Sequence[int], chains: _Chains, width: int) -> int:
+    """The value that is the member with exponents ``vector`` at every
+    place: prime ``s``'s segment set in the lanes below its embedded
+    exponent, each lane ``primes * width`` bits wide."""
+    last, lane, value = chains.largest, len(vector) * width, 0
+    for s, (e, gap) in enumerate(zip(vector, chains.gaps.values())):
+        v = last if e == gap else e
+        if v:
+            value |= _in_every_lane(((1 << width) - 1) << s * width, lane, v) & (1 << v * lane) - 1
+    return value
+
+
+def _refute(q: Interval, chains: _Chains, formula: Formula, names: list[str], literals: Sequence,
+            cap: int) -> Counterexample | None:
+    """The first counterexample over ``q``'s members, else None: one walk
+    per block of ``_member_slices``, in the order of ``product(members,
+    repeat=k)``, up to the first block whose top lane is not all ones.
+    ``chains`` is ``q``'s per-prime layer."""
+    last = chains.largest
+    if not last:  # one member, the top, which a variable still takes from the listing
+        if names:
+            q.members(cap)
+        return None
+    leading, width, walk, blocks = _member_slices(q, chains, len(names), cap)
+    env = {value: _constant(chains.exponents_of(value), chains, width) for value in literals}
+    lane = len(chains.gaps) * width
+    top, ones = (last - 1) * lane, (1 << lane) - 1
+    for combo in itertools.product(range(q.size()), repeat=leading):
+        for name, i in zip(names, combo):
+            env[name] = _constant([column[i] for column in chains.exponents], chains, width)
+        for block, values in enumerate(blocks):
+            env.update(zip(names[leading:], values))
+            value = walk(formula, env)
+            if value >> top != ones:  # the top lane: all ones where the formula is the top
+                return _first_refuted(q, chains, names, combo, block * width, len(values), value, width)
+    return None
+
+
+def _first_refuted(q: Interval, chains: _Chains, names: list[str], combo: tuple, first: int, t: int, value: int,
+                   width: int) -> Counterexample:
+    """The counterexample at the lowest bit where ``value``, the block's,
+    has its top lane clear in any prime's segment: bit ``i`` of the block
+    is tuple ``first + i`` of the ``t`` trailing variables, and the
+    leading ones take the members at ``combo``.  At that bit each prime's
+    lanes, set from lane 0 up, give the value's exponent, embedded."""
+    last, lane = chains.largest, len(chains.gaps) * width
+    clear = value >> (last - 1) * lane ^ (1 << lane) - 1
+    refuted = 0
+    for s in range(len(chains.gaps)):
+        refuted |= clear >> s * width
+    bit = (refuted & -refuted).bit_length() - 1  # each clear bit shows up lowest at its place
+    indices, place = [], first + bit
+    for _ in range(t):  # the trailing tuple, the last variable's member lowest
+        place, i = divmod(place, q.size())
+        indices.append(i)
+    result, ones = q.bottom, _in_every_lane(1, lane, last)  # ones: bit 0 of each lane
+    for s, (prime, gap) in enumerate(chains.gaps.items()):
+        v = (value >> s * width + bit & ones).bit_count()
+        result *= prime ** (gap if v == last else v)
+    members = q._members
+    return Counterexample(tuple(zip(names, [members[i] for i in [*combo, *reversed(indices)]])), result)
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +733,14 @@ def check_valid(
     already decides every chain (Gödel 1932; Dummett, JSL 24, 1959).
     The chain pass walks the tree once per block of assignments, over
     ints of ``n - 1`` threshold lanes no wider than ``_BLOCK_BITS``, and
-    needs no member, no kernel and no compiled formula.  A formula
-    refuted there, or one with a literal, is compiled once and runs the
-    full search over the members, which alone names the first
-    counterexample.
+    needs no member.  A formula refuted there, or one with a literal,
+    goes on to the member walk (``_refute``): the same walker over the
+    ``G`` threshold lanes of ``C_(G + 1)``, into which every prime's
+    chain embeds, so that each lane holds one segment per prime and a
+    literal is a constant per segment.  Its first block whose top lane
+    is clear in some segment names the first counterexample, at the
+    lowest such bit, and the lanes there its value.  Neither pass calls
+    the interval's kernel or compiles the formula.
     """
     if type(cap) is not int or cap < 1:
         as_natural(cap)
@@ -587,13 +752,9 @@ def check_valid(
             message = f"{size}**{k} assignments over {k} variables exceed the cap {shown(cap)}"
             raise SearchLimit(message)
     _require_literals(q, literals)
+    chains = q._layer()
     if k and not literals:  # valid in C_n is valid in the interval
-        last = min(max(q._gaps.values(), default=0), k + 1)  # n - 1, the top
+        last = min(chains.largest, k + 1)  # n - 1, the top
         if not last or _holds_on_chain(formula, names, last + 1):
             return None
-    value_of, top = _compile(q, formula, names), q.top
-    for combo in itertools.product(q.members(cap) if k else (), repeat=k):
-        value = value_of(combo)
-        if value != top:
-            return Counterexample(assignment=tuple(zip(names, combo)), value=value)
-    return None
+    return _refute(q, chains, formula, names, literals, cap)

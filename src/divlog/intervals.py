@@ -15,7 +15,12 @@ the largest gap, the Gödel chain on which
 ``divlog.formulas.check_valid`` decides valid formulas.  An interval
 is an immutable ``errors.Value`` of its two bounds; the gaps, the size
 and the members listed by the first ``members`` call within the cap
-sit in slots beside them.  Membership tests start with the exact-int guard
+sit in slots beside them, with each member's offset in the product of
+the primes' powers.  So does ``_chains``, the per-prime layer that
+reads the interval as a product of chains, built on first use: the
+gaps again, the largest of them, each member's exponent per prime,
+read off the offsets, and what ``check_valid``'s member walk keeps per
+variable count.  Membership tests start with the exact-int guard
 ``type(a) is int and a >= 1`` and fall back to ``as_natural`` only
 when it fails, so ``as_natural`` decides every NotNatural.
 The brute-force counterpart lives in ``divlog.oracle``.
@@ -23,8 +28,8 @@ The brute-force counterpart lives in ``divlog.oracle``.
 
 from __future__ import annotations
 
-import itertools
 import math
+from operator import itemgetter
 
 from .errors import EnumerationLimit, InvalidInterval, NotBoolean, NotMember, Value, shown
 from .factorization import as_natural, factorize
@@ -45,7 +50,7 @@ class Interval(Value):
     attribute raises AttributeError.
     """
 
-    __slots__ = ("bottom", "top", "_gaps", "_size", "_members")
+    __slots__ = ("bottom", "top", "_gaps", "_size", "_members", "_offsets", "_chains")
     _fields = ("bottom", "top")
     bottom: int
     top: int
@@ -66,7 +71,8 @@ class Interval(Value):
         object.__setattr__(self, "_gaps", gaps)
         # the element count: the product over primes of (gap + 1)
         object.__setattr__(self, "_size", math.prod(gap + 1 for gap in gaps.values()))
-        # every member ascending, listed by the first members() call
+        # every member ascending, listed by the first members() call,
+        # which sets _offsets too; _chains is set by the first _layer()
         object.__setattr__(self, "_members", None)
 
     # -- membership and enumeration ------------------------------------
@@ -96,10 +102,26 @@ class Interval(Value):
         if count > cap:
             raise EnumerationLimit(f"interval {self} holds {count} elements, cap is {shown(cap)}")
         if self._members is None:
-            axes = [[prime**e for e in range(gap + 1)] for prime, gap in self._gaps.items()]
-            ms = sorted(self.bottom * math.prod(combo) for combo in itertools.product(*axes))
-            object.__setattr__(self, "_members", tuple(ms))
+            # the product lists each member at its offset: its exponents
+            # over the bottom in mixed radix, the first prime's lowest
+            ms = [self.bottom]
+            for prime, gap in self._gaps.items():
+                ms = [m * power for power in [prime**e for e in range(gap + 1)] for m in ms]
+            offsets = sorted(range(len(ms)), key=ms.__getitem__)
+            object.__setattr__(self, "_offsets", offsets)
+            object.__setattr__(self, "_members", tuple([ms[i] for i in offsets]))
         return list(self._members)
+
+    def _exponents(self) -> tuple[bytes, ...]:
+        """Per prime with a gap, each member's exponent over the bottom,
+        one byte per member, ascending with the members: read off the
+        offsets of the listing, which must have run."""
+        ascending, stride, exponents = itemgetter(*self._offsets), 1, []
+        for gap in self._gaps.values():
+            column = b"".join([bytes([e]) * stride for e in range(gap + 1)])  # in the product's order
+            exponents.append(bytes(ascending(column * (self._size // len(column)))))
+            stride *= gap + 1
+        return tuple(exponents)
 
     # -- Heyting operations ---------------------------------------------
 
@@ -155,6 +177,14 @@ class Interval(Value):
             g = math.gcd(r, g * g)
         return math.lcm(b, r)
 
+    def _layer(self) -> _Chains:
+        """The per-prime layer, ``_chains``, built on the first call."""
+        try:
+            return self._chains
+        except AttributeError:  # the slot is unset until then
+            object.__setattr__(self, "_chains", _Chains(self.bottom, self._gaps))
+            return self._chains
+
     def _require_member(self, a) -> int:
         if type(a) is not int or a < 1:
             a = as_natural(a)
@@ -164,3 +194,35 @@ class Interval(Value):
 
     def __str__(self) -> str:
         return f"[{shown(self.bottom)}, {shown(self.top)}]"
+
+
+class _Chains:
+    """An interval ``[y, x]`` as the product of the chains ``C_(gap + 1)``,
+    one per prime of ``x / y``: the per-prime layer under ``Interval``.
+    ``gaps`` maps those primes, ascending, to their gaps, and
+    ``largest`` is the largest gap, 0 for a one-member interval.
+    ``exponents`` holds, per prime, each member's exponent over ``y``,
+    one byte per member in ascending order, None until the member walk
+    reads them off the listing (``Interval._exponents``).  ``slices``
+    maps a variable count to what the member walk of
+    ``divlog.formulas.check_valid`` keeps for it, which the walk fills."""
+
+    __slots__ = ("bottom", "gaps", "largest", "exponents", "slices")
+
+    def __init__(self, bottom: int, gaps: dict[int, int]):
+        self.bottom, self.gaps = bottom, gaps
+        self.largest = max(gaps.values()) if gaps else 0
+        self.exponents = None
+        self.slices = {}
+
+    def exponents_of(self, a: int) -> list[int]:
+        """Each prime's exponent over the bottom in ``a``, a member."""
+        a //= self.bottom
+        vector = []
+        for prime in self.gaps:
+            e = 0
+            while a % prime == 0:
+                a //= prime
+                e += 1
+            vector.append(e)
+        return vector

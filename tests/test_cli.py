@@ -119,7 +119,7 @@ def test_taut_valid(capsys):
     "top, text, line",
     [
         ("4", "((p->q)->p)->p", "counterexample: p=2 q=1 (value 2)"),
-        # refuted on the chain, then found by the full search over 288 members
+        # refuted on the chain, then found by the member walk over 288 members
         ("1441440", "((p -> q) -> p) -> p", "counterexample: p=2 q=1 (value 90090)"),
         ("36", "((p -> q) -> r) -> ((r -> p) -> p)", "counterexample: p=2 q=1 r=1 (value 18)"),
     ],

@@ -1011,18 +1011,18 @@ def test_negation_heavy_formulas_match_the_reference_in_every_small_interval(tex
 
 
 def _reused(q):
-    """``q`` after a full two-variable search, so its members are
-    listed: ``p | q | T | <bottom>`` is valid everywhere and calls lcm
-    only, and its literal keeps it off the chain pass."""
+    """``q`` after a member walk of two variables, so its members are
+    listed and that walk's lanes built: ``p | q | T | <bottom>`` is
+    valid everywhere, and its literal keeps it off the chain pass."""
     assert check_valid(q, parse(f"p | q | T | {q.bottom}")) is None and q._members is not None
     return q
 
 
-def test_a_corrupted_negation_kernel_changes_the_verdicts(monkeypatch):
-    """A kernel whose ``x -> F`` is always the bottom reaches every full
-    search, on fresh and reused intervals alike, and changes every
-    counterexample.  A valid verdict comes from the chain pass, which
-    calls no kernel, so none changes; three of the formulas are valid in
+def test_a_corrupted_negation_kernel_changes_evaluate_and_no_verdict(monkeypatch):
+    """A kernel whose ``x -> F`` is always the bottom changes what
+    ``evaluate`` returns, and no verdict of ``check_valid``, on fresh and
+    reused intervals alike: its chain pass and its member walk compute
+    on exponents and call no kernel.  Three of the formulas are valid in
     every interval."""
     texts = [*NEGATION_HEAVY, "~p | q"]
 
@@ -1032,12 +1032,12 @@ def test_a_corrupted_negation_kernel_changes_the_verdicts(monkeypatch):
         return {text: [check_valid(q, parse(text)) for q in intervals] for text in texts}
 
     before = verdicts()
+    q = Interval(1, 12)
+    assert evaluate(q, parse("~2")) == 3
     kernel = Interval._imp
     monkeypatch.setattr(Interval, "_imp", lambda self, a, b: self.bottom if b == self.bottom else kernel(self, a, b))
-    after = verdicts()
-    for text in texts:
-        for q, x, y in zip(_small_intervals() * 2, before[text], after[text]):
-            assert (x != y) == (x is not None), (text, q)
+    assert evaluate(q, parse("~2")) == 1
+    assert verdicts() == before
     refuted = {text: sum(x is not None for x in before[text]) for text in texts}
     assert refuted == {"~p | ~~p": 0, "~~p -> p": 62, "~(p & q) -> (~p | ~q)": 0,
                        "~(p | q) -> (~p & ~q)": 0, "~p | q": 208}
@@ -1071,20 +1071,60 @@ def test_searches_match_the_reference_on_fresh_and_reused_intervals(text):
         assert outcome(check_valid, reused, f) == expected, reused
 
 
-def test_a_refuted_formula_reaches_the_kernel_only_in_the_full_search(monkeypatch):
-    """On 288 members ``p -> q`` is refuted on the chain, which calls no
-    kernel; the full search then calls it once per assignment it tries,
-    the 288 with p = 1 and one more, on the fresh interval and again on
-    the reused one."""
-    calls = []
-    kernel = Interval._imp
+# every interval with top <= 60, as (bottom, top)
+BOUNDS_UP_TO_60 = [(bottom, top) for top in range(1, 61) for bottom in _divisors(top)]
+MEMBER_WALK_FORMULAS = list(dict.fromkeys([*SEARCH_FORMULAS, *NEGATION_HEAVY, "(p -> q) | (q -> p) | 1"]))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_outcomes(text):
+    f = parse(text)
+    return [outcome(reference_check_valid, Interval(*bounds), f, 3000) for bounds in BOUNDS_UP_TO_60]
+
+
+@pytest.mark.parametrize("block_bits", [None, 8, 64])
+def test_the_member_walk_matches_the_reference_on_every_interval_up_to_60(block_bits):
+    """Result, or error class and message, on every interval with top <=
+    60, fresh and reused, at ``cap=3000``.  Blocks of 8 and 64 bits give
+    most searches of two or three variables leading variables, so 62 and
+    29 first counterexamples lie past block 0, where a leading variable
+    is not the bottom; at the default width one does."""
+    past_block_0 = 0
+    with pytest.MonkeyPatch.context() as patch:
+        if block_bits:
+            patch.setattr("divlog.formulas._BLOCK_BITS", block_bits)
+        _chain_slices.cache_clear()  # the chain pass's tables are built for one width
+        try:
+            for text in MEMBER_WALK_FORMULAS:
+                f = parse(text)
+                k = len(variables(f))
+                for bounds, expected in zip(BOUNDS_UP_TO_60, _reference_outcomes(text)):
+                    fresh = Interval(*bounds)
+                    got = outcome(check_valid, fresh, f, 3000)
+                    assert got == expected, (text, fresh)
+                    assert outcome(check_valid, _reused(Interval(*bounds)), f, 3000) == expected, (text, fresh)
+                    if isinstance(got, Counterexample):
+                        leading = fresh._chains.slices[k][0]
+                        past_block_0 += any(v != fresh.bottom for _, v in got.assignment[:leading])
+        finally:
+            _chain_slices.cache_clear()
+    assert past_block_0 == {None: 1, 8: 62, 64: 29}[block_bits]
+
+
+def test_a_refuted_formula_calls_no_kernel_and_lists_the_members_once(monkeypatch):
+    """On 288 members ``p -> q`` is refuted on the chain, then the member
+    walk finds its first counterexample in its second block (``p = 2``),
+    with no kernel call: the fresh interval lists its members once, and
+    the second call reads them, and its lanes, from the interval's slot."""
+    calls, listings = [], []
+    kernel, members = Interval._imp, Interval.members
     monkeypatch.setattr(Interval, "_imp", lambda self, a, b: calls.append(a) or kernel(self, a, b))
+    monkeypatch.setattr(Interval, "members", lambda self, *cap: listings.append(self) or members(self, *cap))
     q = Interval(1, 1441440)
     assert q.size() == 288
     for _ in range(2):
-        calls.clear()
         assert check_valid(q, parse("p -> q")) == Counterexample((("p", 2), ("q", 1)), 45045)
-        assert len(calls) == 288 + 1 and q._members is not None
+    assert calls == [] and listings == [q] and q._members is not None
 
 
 def test_searches_repeated_on_one_interval_keep_their_verdicts():
@@ -1111,7 +1151,7 @@ def test_a_foreign_literal_raises_before_any_member_is_listed():
 def test_a_two_variable_full_search_on_320_members_matches_the_reference():
     q = Interval(1, 2**9 * 3**3 * 5 * 7 * 11)
     assert q.size() == 320
-    # the literal 1 keeps linearity off the chain pass: a full search
+    # the literal 1 keeps linearity off the chain pass: a member walk
     for text in ["(p -> q) | (q -> p) | 1", "(p -> q) | (q -> 2 | p & 3)"]:
         f = parse(text)
         expected = reference_check_valid(q, f)
@@ -1216,7 +1256,7 @@ def _refused_call(self, *args):
 def test_a_valid_formula_is_decided_on_the_chain_without_the_search(monkeypatch):
     """On 288 members linearity is decided on the chain C_4, with no
     kernel call and no member listed; an invalid formula still gets the
-    full search's first counterexample."""
+    member walk's first counterexample."""
     calls = []
     kernel = Interval._imp
     monkeypatch.setattr(Interval, "_imp", lambda self, a, b: calls.append(a) or kernel(self, a, b))
@@ -1235,7 +1275,8 @@ def test_a_valid_formula_is_decided_on_the_chain_without_the_search(monkeypatch)
 def test_valid_verdicts_call_no_kernel_and_list_no_member(monkeypatch):
     """With the kernel, the member list and the compiler refused, every
     valid verdict of a literal-free formula in an interval with top <=
-    36 still comes back, and every refuted formula reaches a refusal."""
+    36 still comes back, and every refuted formula reaches the member
+    walk, whose listing of the fresh interval refuses."""
     valid = {text: [check_valid(q, parse(text)) is None for q in SMALL_INTERVALS] for text in LITERAL_FREE}
     for name in ("members", "_imp"):
         monkeypatch.setattr(Interval, name, _refused_call)
@@ -1250,7 +1291,7 @@ def test_valid_verdicts_call_no_kernel_and_list_no_member(monkeypatch):
     assert sum(map(sum, valid.values())) == 1_684 and len(valid) * len(SMALL_INTERVALS) == 1_820
 
 
-# too many members for a full search of two variables, and gaps up to
+# too many members for a search of two variables, and gaps up to
 # 40, within the factorization ceiling of 2**63 - 1 for top / bottom
 HUGE_GAPS = [
     Interval(1, 2**30 * 3**10 * 5**3 * 7**2),
@@ -1265,7 +1306,7 @@ def test_the_chain_pass_agrees_with_the_diagonal_in_intervals_too_big_to_search(
     """The verdict on the abstract chain ``C_n`` against the path it
     replaced: every assignment over the diagonal inside the interval,
     evaluated through the interval's kernel.  A formula refuted on the
-    chain goes on to list the members for the full search, out of reach
+    chain goes on to list the members for the member walk, out of reach
     here, so a refused listing reads as refuted."""
     f = parse(text)
     names = sorted(variables(f))
@@ -1383,6 +1424,34 @@ def test_the_chain_pass_keeps_its_bitsets_to_a_block():
     finally:
         tracemalloc.stop()
     assert q._members is None and peak < 2**20, peak
+
+
+def test_the_member_walk_keeps_its_values_to_a_bound():
+    """``p -> p | 2`` is valid, so the member walk tries every member: on
+    ``HUGE_GAPS[0]`` (4,092 members, G = 30) and on ``[1, 2^31 3^11 5^3
+    7^2]`` (4,608 members, G = 31), each over four primes, 1,024 members
+    a block, so a value is G lanes of 4,096 bits.  The first call keeps
+    the variable's lanes over every member, one value per block, the
+    walker's top and one byte per member and prime; past that, each
+    call peaks below 7 values: one per variable, literal and level of
+    the tree, and three more."""
+    f = parse("p -> p | 2")
+    for bounds in [(HUGE_GAPS[0].bottom, HUGE_GAPS[0].top), (1, 2**31 * 3**11 * 5**3 * 7**2)]:
+        q = Interval(*bounds)
+        q.members()
+        chains = q._layer()
+        value = chains.largest * 4096 // 8  # bytes
+        bound = (1 + 1 + f.height + 3) * value
+        for kept in [(math.ceil(q.size() / 1024) + 1) * value + len(chains.gaps) * q.size(), 0]:
+            tracemalloc.start()
+            try:
+                assert check_valid(q, f, cap=q.size()) is None
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < kept + bound, (q, peak - kept, bound)
+        leading, width = chains.slices[1][:2]
+        assert leading == 0 and width == 1024 and len(chains.gaps) == 4
 
 
 # -- parser heights against the constructors ------------------------------------
