@@ -24,18 +24,28 @@ and returns one LawReport per law, ready for structured output.
 
 The sweeps verify the ``meet``, ``join`` and ``divides`` this module
 binds.  The lattice and projective sweeps take ``meet`` and ``join``
-when they start, each as an ``(op, row)`` pair whose ``row`` comes from
-``_rows``, and call them once per distinct pair of ``[1, n]``, filling
-a row on first use; they read a cell wherever an operand is an exact
-int in ``[1, n]`` and call ``op`` per case for any other operand, such
-as an lcm above ``n``.  A row ``x`` is kept when
-``x <= TABLE_CELL_CAP // n``, the rows a sweep asks for first; another
-row is filled again whenever a case needs it.  The Heyting sweep and
-the oracle call ``meet``, ``join`` and ``divides`` per member scanned.
+when they start, each in a ``_Table`` whose row ``x`` holds ``op(x, y)``
+for every ``y`` in ``[1, n]``, for any exact int ``x >= 1``, an lcm
+above ``n`` included, filled by ``n`` calls on first use.  The lattice
+laws check a whole ``(a, b)`` row of cases, every ``c`` at once: both
+sides are gathered at C level from the rows and from the slice's
+operands ``op(a, v)``, compared as lists of exact ints, and listed case
+by case only when they differ.  While the tables fit, each operand pair
+of ``[1, n]`` is called once.  A table keeps at most ``TABLE_CELL_CAP``
+cells and fills any other row again whenever a case needs it; the
+slice at hand keeps at most ``TABLE_CELL_CAP`` more.  A value that no
+table holds, anything but an exact int >= 1, which only a corrupted
+operation returns, sends its slice to ``op`` case by case in the
+per-case order, so each report and each error is the per-case sweep's.
+The projective sweep reads its cells case by case.  The Heyting sweep
+and the oracle call ``meet``, ``join`` and ``divides`` per member
+scanned; each top keeps the implication tables of its swept intervals,
+which the bottom-independence check reads.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any
 
 from .errors import NoGreatestElement, Value, shown
@@ -45,9 +55,11 @@ from .lattice import join, meet
 
 DEFAULT_SIZE_CAP = 512  # verify_heyting skips (and lists) larger intervals
 
-# A ceiling on memory, not a speed threshold: the rows a sweep's _rows
-# keeps hold at most this many cells, about 0.8 MB of references
-# (every row for n up to 316).
+# A ceiling on memory, not a speed threshold: each table of a lattice
+# sweep keeps rows of at most this many cells, about 0.8 MB of
+# references (every row of [1, n] for n up to 316), and the slice at
+# hand keeps at most as many more; a Heyting top keeps the implication
+# tables of at most this many member pairs.
 TABLE_CELL_CAP = 100_000
 
 
@@ -175,31 +187,82 @@ def _divisors(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _rows(op, n: int):
-    """``row(x)``, one lattice operation over [1, n]^2 for one sweep a row at a time.
+class _OffTable(Exception):
+    """A cell that the tables do not hold: its law takes that slice of
+    cases one by one, as the per-case reference does."""
 
-    ``row(x)`` is None unless ``x`` is an exact int in [1, n]; then it
-    is a list whose entry ``y`` holds ``op(x, y)`` for each ``y`` in
-    [1, n] (entry 0 is unused).  A row is filled by ``n`` calls when a
-    case first needs it and kept when ``x <= TABLE_CELL_CAP // n``, as
-    every sweep first asks for its rows in ascending order.  The laws
-    read a cell only at exact ints in [1, n] and call ``op`` on any
-    other value, so every result is the call's.
+
+class _Table:
+    """One lattice operation for one sweep: ``row(x)[y - 1] == op(x, y)``
+    for every exact int ``x >= 1`` and each ``y`` in [1, n].
+
+    A row is filled by ``n`` calls when a case first needs it and kept
+    while the table's ``room`` of ``TABLE_CELL_CAP`` cells holds it; a
+    row not kept is filled again whenever a case needs it.  Any other
+    ``x``, or a row holding anything but exact ints >= 1, raises
+    _OffTable, so every value a law reads off a table is one.
     """
-    rows, kept = {}, TABLE_CELL_CAP // n  # x -> row for the rows kept; the last x kept
 
-    def row(x):
-        if type(x) is not int or not 0 < x <= n:
-            return None
-        r = rows.get(x)
+    __slots__ = ("op", "n", "room", "rows", "_above")
+
+    def __init__(self, op, n: int):
+        self.op, self.n, self.room, self.rows, self._above = op, n, TABLE_CELL_CAP, {}, None
+
+    def row(self, x) -> list:
+        if type(x) is not int or x < 1:
+            raise _OffTable
+        r = self.rows.get(x)
         if r is None:
-            r = [None]
-            r += [op(x, y) for y in range(1, n + 1)]
-            if x <= kept:
-                rows[x] = r
+            n = self.n
+            r = _exact(list(map(self.op, repeat(x), range(1, n + 1))))
+            if self.room >= n:
+                self.room -= n
+                self.rows[x] = r
         return r
 
-    return row
+    def above(self, work: list) -> set:
+        """The values above ``n`` in the rows of [1, n], kept for the
+        sweep and charged to ``work``; _OffTable when they do not fit."""
+        if self._above is None:
+            seen = set()
+            for x in range(1, self.n + 1):
+                seen.update(self.row(x))
+            above = {v for v in seen if v > self.n}
+            if len(above) > work[0]:
+                above = False  # found once: no slice can keep its operands
+            else:
+                work[0] -= len(above)
+            self._above = above
+        if self._above is False:
+            raise _OffTable
+        return self._above
+
+    def cells(self, x: int, keys: set) -> dict:
+        """``cells[v] == op(x, v)`` for each ``v`` in ``keys``, and in [1, n]
+        when ``x`` is: read off row ``x`` where both lie in [1, n], else
+        called once each."""
+        cells = dict(zip(range(1, self.n + 1), self.row(x))) if x <= self.n else {}
+        calls = keys - cells.keys() if cells else keys
+        cells.update(zip(calls, map(self.op, repeat(x), calls)))
+        return cells
+
+    def across(self, a: int, other: _Table, work: list) -> dict:
+        """``cells(a, ...)`` over [1, n] and the values above ``n`` in
+        ``other``'s rows of [1, n]: the operands of the slice ``a``, exact
+        ints >= 1, charged to ``work`` until the slice gives them back."""
+        cells = self.cells(a, other.above(work))
+        held = len(_exact(list(cells.values())))
+        if held > work[0]:
+            raise _OffTable
+        work[0] -= held
+        return cells
+
+
+def _exact(cells: list) -> list:
+    """``cells``, when every one is an exact int >= 1; else _OffTable."""
+    if cells and ({int} != set(map(type, cells)) or min(cells) < 1):
+        raise _OffTable
+    return cells
 
 
 def verify_lattice_laws(max_value) -> list[LawReport]:
@@ -211,14 +274,15 @@ def verify_lattice_laws(max_value) -> list[LawReport]:
     domain is twice the triple count.  Each law is written once over
     an operation and its dual and run for meet, then join, so a value
     ``a`` lists its meet counterexamples before its join ones.  Every
-    slice reads the same two ``(op, row)`` pairs, of the ``meet`` and
-    ``join`` this module binds when the sweep starts.
+    slice reads the same two tables, of the ``meet`` and ``join`` this
+    module binds when the sweep starts, and charges the cells it keeps
+    besides their rows to ``work``, at most ``TABLE_CELL_CAP``.
     """
     n = as_natural(max_value)
     values = range(1, n + 1)
-    ops = (("meet", (meet, _rows(meet, n))), ("join", (join, _rows(join, n))))
+    ops, work = (("meet", _Table(meet, n)), ("join", _Table(join, n))), [TABLE_CELL_CAP]
     return _run_laws(
-        ((a, values, ops) for a in values),
+        ((a, values, ops, work) for a in values),
         {"max": n},
         [
             ("idempotency", {"domain": f"[1,{n}]"}, _idempotency),
@@ -233,77 +297,139 @@ def verify_lattice_laws(max_value) -> list[LawReport]:
     )
 
 
-def _idempotency(a, values, ops, found) -> int:
-    for name, (_, row) in ops:
-        aa = row(a)[a]
+# A law reads the cases of one (a, b) row, every c at once, off the
+# tables.  Both sides are lists, at least one of them of exact ints, so
+# one list comparison stands for the per-case ``lhs != rhs``, and the
+# differing c are listed only when it fails.  A cell off the tables
+# (_OffTable) sends the slice's cases of that operation to ``op`` one by
+# one, in the reference's order, so a corrupted operation raises the
+# call's error.
+
+
+def _idempotency(a, values, ops, work, found) -> int:
+    for name, t in ops:
+        try:
+            aa = t.row(a)[a - 1]
+        except _OffTable:
+            aa = t.op(a, a)
         if aa != a:
             found.append({"a": a, "identity": name, "lhs": aa, "rhs": a})
     return 1
 
 
-def _commutativity(a, values, ops, found) -> int:
-    for name, (_, row) in ops:
-        ra = row(a)
-        for b in values:
-            lhs, rhs = ra[b], row(b)[a]
-            if lhs != rhs:
-                found.append({"a": a, "b": b, "identity": name, "lhs": lhs, "rhs": rhs})
+def _commutativity(a, values, ops, work, found) -> int:
+    for name, t in ops:
+        try:
+            rows, row = t.rows.get, t.row
+            lhs, rhs = row(a), [(rows(b) or row(b))[a - 1] for b in values]
+            cases = _differing(a, values, lhs, rhs) if lhs != rhs else ()
+        except _OffTable:
+            op = t.op
+            cases = ((a, b, op(a, b), op(b, a)) for b in values)
+        found += (
+            {"a": a, "b": b, "identity": name, "lhs": lhs, "rhs": rhs}
+            for _, b, lhs, rhs in cases
+            if lhs != rhs
+        )
     return len(values)
 
 
-def _associativity(a, values, ops, found) -> int:
-    n = len(values)
-    for name, (op, row) in ops:
-        ra = row(a)
-        for b in values:
-            ab, rb = ra[b], row(b)
-            rab = row(ab)
-            for c in values:
-                lhs = op(ab, c) if rab is None else rab[c]
-                bc = rb[c]
-                rhs = ra[bc] if type(bc) is int and 0 < bc <= n else op(a, bc)
-                if lhs != rhs:
-                    found.append(
-                        {"a": a, "b": b, "c": c, "identity": name, "lhs": lhs, "rhs": rhs}
-                    )
-    return n * n
+def _associativity(a, values, ops, work, found) -> int:
+    for name, t in ops:
+        op = t.op
+        try:
+            cases = _associated(a, values, t, work)
+        except _OffTable:
+            cases = _each_case(a, values, op, lambda b, ab, c: (op(ab, c), op(a, op(b, c))))
+        found += (
+            {"a": a, "b": b, "c": c, "identity": name, "lhs": lhs, "rhs": rhs}
+            for b, c, lhs, rhs in cases
+            if lhs != rhs
+        )
+    return len(values) ** 2
 
 
-def _distributivity(a, values, ops, found) -> int:
+def _associated(a, values, t, work):
+    rows, row = t.rows.get, t.row  # every key asked is an exact int >= 1
+    across = t.across(a, t, work)  # across[v] == op(a, v)
+    try:
+        cases = []
+        for b, ab in zip(values, row(a)):
+            lhs = rows(ab) or row(ab)  # op(op(a, b), c)
+            rhs = list(map(across.__getitem__, rows(b) or row(b)))  # op(a, op(b, c))
+            if lhs != rhs:
+                cases += _differing(b, values, lhs, rhs)
+        return cases
+    finally:
+        work[0] += len(across)
+
+
+def _distributivity(a, values, ops, work, found) -> int:
     # Both dual forms are part of the declared domain, hence 2 cases per (b, c).
-    n = len(values)
     (_, m), (_, j) = ops
-    for form, (op, row), (dual, dual_row) in (("meet_over_join", m, j), ("join_over_meet", j, m)):
-        ra = row(a)
-        for b in values:
-            ab, rb = ra[b], dual_row(b)
-            rab = dual_row(ab)
-            for c in values:
-                bc = rb[c]
-                lhs = ra[bc] if type(bc) is int and 0 < bc <= n else op(a, bc)
-                ac = ra[c]
-                if rab is not None and type(ac) is int and 0 < ac <= n:
-                    rhs = rab[ac]
-                else:
-                    rhs = dual(ab, ac)
-                if lhs != rhs:
-                    found.append({"a": a, "b": b, "c": c, "form": form, "lhs": lhs, "rhs": rhs})
-    return 2 * n * n
+    for form, t, dual in (("meet_over_join", m, j), ("join_over_meet", j, m)):
+        op, dual_op = t.op, dual.op
+        try:
+            cases = _distributed(a, values, t, dual, work)
+        except _OffTable:
+            cases = _each_case(
+                a, values, op, lambda b, ab, c: (op(a, dual_op(b, c)), dual_op(ab, op(a, c)))
+            )
+        found += (
+            {"a": a, "b": b, "c": c, "form": form, "lhs": lhs, "rhs": rhs}
+            for b, c, lhs, rhs in cases
+            if lhs != rhs
+        )
+    return 2 * len(values) ** 2
+
+
+def _distributed(a, values, t, dual, work):
+    n, ra = len(values), t.row(a)
+    dual_rows, dual_row = dual.rows.get, dual.row
+    across = t.across(a, dual, work)  # across[v] == op(a, v)
+    # by_ab[ab][c - 1] == dual(ab, op(a, c)), one list per value ab of
+    # ra, kept while the work holds it
+    by_ab, distinct = {}, set(ra)
+    try:
+        cases = []
+        for b, ab in zip(values, ra):
+            rhs = by_ab.get(ab)
+            if rhs is None:
+                rhs = list(map(dual.cells(ab, distinct).__getitem__, ra))
+                if work[0] >= n:
+                    work[0] -= n
+                    by_ab[ab] = rhs
+            lhs = list(map(across.__getitem__, dual_rows(b) or dual_row(b)))  # op(a, dual(b, c))
+            if lhs != rhs:
+                cases += _differing(b, values, lhs, rhs)
+        return cases
+    finally:
+        work[0] += len(across) + n * len(by_ab)
+
+
+def _differing(b, values, lhs, rhs):
+    """``(b, c, lhs[i], rhs[i])`` for each ``c = values[i]`` where the rows differ."""
+    return [(b, c, l, r) for c, l, r in zip(values, lhs, rhs) if l != r]
+
+
+def _each_case(a, values, op, sides):
+    """``(b, c, *sides(b, op(a, b), c))`` for every case of the slice, in
+    the per-case reference's order of calls."""
+    return ((b, c, *sides(b, ab, c)) for b in values for ab in [op(a, b)] for c in values)
 
 
 def verify_projective(max_value) -> LawReport:
     """Check meet(x, join(z, y)) == join(meet(x, z), y) for every triple
     in [1, max_value]^3 with y dividing x.
 
-    Every slice reads an ``(op, row)`` pair of ``meet`` and one of
-    ``join`` with its operands swapped, whose row ``y`` is join's column
-    ``y``; both are the functions this module binds when the sweep starts.
+    Every slice reads a table of ``meet`` and one of ``join`` with its
+    operands swapped, whose row ``y`` is join's column ``y``; both are
+    of the functions this module binds when the sweep starts.
     """
     n = as_natural(max_value)
     values = range(1, n + 1)
     join_ = join
-    joined = lambda y, z: join_(z, y)  # join with its operands swapped
-    meets, joins = (meet, _rows(meet, n)), (joined, _rows(joined, n))
+    meets, joins = _Table(meet, n), _Table(lambda y, z: join_(z, y), n)  # join, swapped
     domain = {"domain": f"triples in [1,{n}]^3 with y | x"}
     return _run_laws(
         ((x, values, meets, joins) for x in values),
@@ -315,17 +441,24 @@ def verify_projective(max_value) -> LawReport:
 def _projective(x, values, meets, joins, found) -> int:
     n = len(values)
     ys = _divisors(x)
-    (meet_, meet_row), (joined, joined_row) = meets, joins
-    rx = meet_row(x)
-    for y in ys:
-        ry = joined_row(y)  # ry[z] == join(z, y)
-        for z in values:
-            zy = ry[z]
-            lhs = rx[zy] if type(zy) is int and 0 < zy <= n else meet_(x, zy)
-            xz = rx[z]
-            rhs = ry[xz] if type(xz) is int and 0 < xz <= n else joined(y, xz)
-            if lhs != rhs:
-                found.append({"x": x, "y": y, "z": z, "lhs": lhs, "rhs": rhs})
+    meet_, joined = meets.op, joins.op
+    try:
+        cases = []
+        rx = meets.row(x)
+        for y in ys:
+            ry = joins.row(y)  # ry[z - 1] == join(z, y)
+            for z, zy, xz in zip(values, ry, rx):
+                lhs = rx[zy - 1] if zy <= n else meet_(x, zy)
+                rhs = ry[xz - 1] if xz <= n else joined(y, xz)
+                if lhs != rhs:
+                    cases.append((y, z, lhs, rhs))
+    except _OffTable:
+        cases = (
+            (y, z, meet_(x, joined(y, z)), joined(y, meet_(x, z))) for y in ys for z in values
+        )
+    found += (
+        {"x": x, "y": y, "z": z, "lhs": lhs, "rhs": rhs} for y, z, lhs, rhs in cases if lhs != rhs
+    )
     return len(ys) * n
 
 
@@ -381,19 +514,29 @@ def verify_heyting(top_max, size_cap: int = DEFAULT_SIZE_CAP) -> list[LawReport]
 
 
 def _intervals(n: int, size_cap: int, skipped: list):
-    """Yield ``(q, members, imp table, {bottom: interval}, folds)`` for
-    every interval with top <= n and at most ``size_cap`` members, the
-    last two built once per top, ``folds`` the implication folds of
-    ``[1, top]`` that ``_imp_scan`` keeps; append the larger ones to ``skipped``."""
+    """Yield ``(q, members, negations, imp table, {bottom: interval},
+    {bottom: imp table}, folds)`` for every interval with top <= n and
+    at most ``size_cap`` members; append the larger ones to ``skipped``.
+
+    The last three are one top's: its intervals, the imp tables of those
+    swept so far (each coarser bottom's comes first), kept while they
+    hold at most ``TABLE_CELL_CAP`` cells together, and ``folds``, the
+    implication folds of ``[1, top]`` that ``_imp_scan`` keeps.
+    """
     for top in range(1, n + 1):
-        by_bottom, folds = {bottom: Interval(bottom, top) for bottom in _divisors(top)}, {}
+        by_bottom = {bottom: Interval(bottom, top) for bottom in _divisors(top)}
+        imps, folds, room = {}, {}, TABLE_CELL_CAP
         for bottom, q in by_bottom.items():
             size = q.size()
             if size > size_cap:
                 skipped.append({"bottom": bottom, "top": top, "size": size})
                 continue
             ms = q.members()
-            yield q, ms, {(a, b): q.imp(a, b) for a in ms for b in ms}, by_bottom, folds
+            imp = {(a, b): q.imp(a, b) for a in ms for b in ms}
+            if len(imp) <= room:
+                room -= len(imp)
+                imps[bottom] = imp
+            yield q, ms, [q.neg(a) for a in ms], imp, by_bottom, imps, folds
 
 
 def _scan(oracle, *args):
@@ -407,18 +550,19 @@ def _scan(oracle, *args):
 
 
 def _imp_scan(q, ms, a, b, folds):
-    """``_scan(_imp_fold, q, ms, a, b)``, folded on first use; for
-    ``[1, top]``, the one interval whose folds ``_imp_bottom_independence``
-    reads again, kept in ``folds``, its top's table, under ``(a, b)``."""
-    table = folds if q.bottom == 1 else {}
-    if (a, b) not in table:
-        table[a, b] = _scan(_imp_fold, q, ms, a, b)
-    return table[a, b]
+    """``_scan(_imp_fold, q, ms, a, b)``; for ``[1, top]``, the one
+    interval whose folds ``_imp_bottom_independence`` reads again, kept
+    in ``folds``, its top's table, under ``(a, b)`` and folded on first use."""
+    if q.bottom != 1:
+        return _scan(_imp_fold, q, ms, a, b)
+    scanned = folds.get((a, b))
+    if scanned is None:
+        scanned = folds[a, b] = _scan(_imp_fold, q, ms, a, b)
+    return scanned
 
 
-def _neg_vs_oracle(q, ms, imp, by_bottom, folds, found) -> int:
-    for a in ms:
-        formula = q.neg(a)
+def _neg_vs_oracle(q, ms, negs, imp, by_bottom, imps, folds, found) -> int:
+    for a, formula in zip(ms, negs):
         key, scanned = _scan(_neg_fold, q, ms, a)
         if formula != scanned:
             found.append(
@@ -427,7 +571,7 @@ def _neg_vs_oracle(q, ms, imp, by_bottom, folds, found) -> int:
     return len(ms)
 
 
-def _imp_vs_oracle(q, ms, imp, by_bottom, folds, found) -> int:
+def _imp_vs_oracle(q, ms, negs, imp, by_bottom, imps, folds, found) -> int:
     for a in ms:
         for b in ms:
             key, scanned = _imp_scan(q, ms, a, b, folds)
@@ -439,7 +583,7 @@ def _imp_vs_oracle(q, ms, imp, by_bottom, folds, found) -> int:
     return len(ms) ** 2
 
 
-def _residuation(q, ms, imp, by_bottom, folds, found) -> int:
+def _residuation(q, ms, negs, imp, by_bottom, imps, folds, found) -> int:
     for a in ms:
         for b in ms:
             m_ab = meet(a, b)
@@ -452,16 +596,16 @@ def _residuation(q, ms, imp, by_bottom, folds, found) -> int:
     return len(ms) ** 3
 
 
-def _boolean_equivalences(q, ms, imp, by_bottom, folds, found) -> int:
+def _boolean_equivalences(q, ms, negs, imp, by_bottom, imps, folds, found) -> int:
     bottom, top = q.bottom, q.top
     by_gaps = q.is_boolean()
-    by_excluded_middle = all(join(a, q.neg(a)) == top for a in ms)
+    by_excluded_middle = all(join(a, na) == top for a, na in zip(ms, negs))
     product = top * bottom
-    by_formula = all(q.neg(a) == product // a for a in ms)
+    by_formula = all(na == product // a for a, na in zip(ms, negs))
     ok = by_gaps == by_excluded_middle == by_formula
     if ok and by_gaps:
         # the dedicated complement operation must agree with neg
-        ok = all(q.complement(a) == q.neg(a) for a in ms)
+        ok = all(q.complement(a) == na for a, na in zip(ms, negs))
     if not ok:
         found.append(
             {"bottom": bottom, "top": top, "exponent_gaps": by_gaps,
@@ -470,16 +614,17 @@ def _boolean_equivalences(q, ms, imp, by_bottom, folds, found) -> int:
     return 1
 
 
-def _imp_bottom_independence(q, ms, imp, by_bottom, folds, found) -> int:
+def _imp_bottom_independence(q, ms, negs, imp, by_bottom, imps, folds, found) -> int:
     coarser_bottoms = _divisors(q.bottom)[:-1]  # proper divisors
     for coarser_bottom in coarser_bottoms:
-        coarse = by_bottom[coarser_bottom]
+        # coarse.imp(a, b), read off its table where the top keeps one
+        coarse, coarse_imp = by_bottom[coarser_bottom], imps.get(coarser_bottom)
         # q's members are members of coarse; the oracle scans [1, top] only
         coarse_ms = coarse.members() if coarser_bottom == 1 else None
         for a in ms:
             for b in ms:
                 expected = imp[a, b]
-                recomputed = coarse.imp(a, b)
+                recomputed = coarse.imp(a, b) if coarse_imp is None else coarse_imp[a, b]
                 ok = recomputed == expected
                 error = {}
                 if ok and coarser_bottom == 1:
