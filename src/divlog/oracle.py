@@ -24,23 +24,18 @@ and returns one LawReport per law, ready for structured output.
 
 The sweeps verify the ``meet``, ``join`` and ``divides`` this module
 binds.  The lattice and projective sweeps take ``meet`` and ``join``
-when they start, each in a ``_Table`` whose row ``x`` holds ``op(x, y)``
-for every ``y`` in ``[1, n]``, for any exact int ``x >= 1``, an lcm
-above ``n`` included, filled by ``n`` calls on first use.  The lattice
-laws check a whole ``(a, b)`` row of cases, every ``c`` at once: both
-sides are gathered at C level from the rows and from the slice's
-operands ``op(a, v)``, compared as lists of exact ints, and listed case
-by case only when they differ.  While the tables fit, each operand pair
-of ``[1, n]`` is called once.  A table keeps at most ``TABLE_CELL_CAP``
-cells and fills any other row again whenever a case needs it; the
-slice at hand keeps at most ``TABLE_CELL_CAP`` more.  A value that no
-table holds, anything but an exact int >= 1, which only a corrupted
-operation returns, sends its slice to ``op`` case by case in the
-per-case order, so each report and each error is the per-case sweep's.
-The projective sweep reads its cells case by case.  The Heyting sweep
-and the oracle call ``meet``, ``join`` and ``divides`` per member
-scanned; each top keeps the implication tables of its swept intervals,
-which the bottom-independence check reads.
+when they start and have two paths.  A row-wise pass reads them off
+``_Table``s, whose row ``x`` holds ``op(x, y)`` for every ``y`` in
+``[1, n]`` and any exact int ``x >= 1``, and only decides whether every
+law holds on the whole domain; when it does, each report passes with
+its declared case count.  Any other outcome, a differing row, a value
+that is not an exact int >= 1, operands past the cell cap or any
+``Exception`` from ``op``, runs the whole sweep again through the
+per-case laws, in the per-case reference's order of calls, which write
+every report and raise its first error.  The Heyting sweep and the
+oracle call ``meet``, ``join`` and ``divides`` per member scanned; each
+top keeps the implication tables of its swept intervals, which the
+bottom-independence check reads.
 """
 
 from __future__ import annotations
@@ -55,11 +50,12 @@ from .lattice import join, meet
 
 DEFAULT_SIZE_CAP = 512  # verify_heyting skips (and lists) larger intervals
 
-# A ceiling on memory, not a speed threshold: each table of a lattice
-# sweep keeps rows of at most this many cells, about 0.8 MB of
-# references (every row of [1, n] for n up to 316), and the slice at
-# hand keeps at most as many more; a Heyting top keeps the implication
-# tables of at most this many member pairs.
+# A ceiling on memory, not a speed threshold: each table of a row-wise
+# pass keeps rows of at most this many cells, about 0.8 MB of
+# references (every row of [1, n] for n up to 316), and the values
+# above n with the operands of the slice at hand keep at most as many
+# more; a Heyting top keeps the implication tables of at most this many
+# member pairs.
 TABLE_CELL_CAP = 100_000
 
 
@@ -150,15 +146,16 @@ def _imp_fold(q: Interval, members, a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_laws(slices, parameters, laws, skipped=()) -> list[LawReport]:
+def _run_laws(slices, parameters, laws, skipped=(), cases=None) -> list[LawReport]:
     """One LawReport per ``(name, parameter entries, check)`` in ``laws``.
 
     Every check sees every slice of the domain as ``check(*slice,
     found)``: it appends the slice's counterexamples to ``found``, in
     order, and returns how many cases the slice holds for its law.
     ``skipped`` is read after the walk, so the slices may fill it.
+    ``cases``, the counts to start from, declares cases that hold.
     """
-    cases = [0] * len(laws)
+    cases = [0] * len(laws) if cases is None else cases
     found = [[] for _ in laws]
     for s in slices:
         for i, (_, _, check) in enumerate(laws):
@@ -181,15 +178,9 @@ def _divisors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Global lattice-law sweeps: one slice per value ``a`` (``x`` for the
-# projective identity), the other variables range over ``values``, and
-# meet and join are read from tables of the sweep
+# Global lattice-law sweeps: a row-wise pass that only says PASS, else one
+# slice per value ``a`` (``x`` for the projective identity), case by case
 # ---------------------------------------------------------------------------
-
-
-class _OffTable(Exception):
-    """A cell that the tables do not hold: its law takes that slice of
-    cases one by one, as the per-case reference does."""
 
 
 class _Table:
@@ -198,19 +189,17 @@ class _Table:
 
     A row is filled by ``n`` calls when a case first needs it and kept
     while the table's ``room`` of ``TABLE_CELL_CAP`` cells holds it; a
-    row not kept is filled again whenever a case needs it.  Any other
-    ``x``, or a row holding anything but exact ints >= 1, raises
-    _OffTable, so every value a law reads off a table is one.
+    row not kept is filled again whenever a case needs it.  Every cell
+    is checked to be an exact int >= 1, so every value a pass reads off
+    a table is one.
     """
 
-    __slots__ = ("op", "n", "room", "rows", "_above")
+    __slots__ = ("op", "n", "room", "rows")
 
     def __init__(self, op, n: int):
-        self.op, self.n, self.room, self.rows, self._above = op, n, TABLE_CELL_CAP, {}, None
+        self.op, self.n, self.room, self.rows = op, n, TABLE_CELL_CAP, {}
 
-    def row(self, x) -> list:
-        if type(x) is not int or x < 1:
-            raise _OffTable
+    def row(self, x: int) -> list:
         r = self.rows.get(x)
         if r is None:
             n = self.n
@@ -220,48 +209,20 @@ class _Table:
                 self.rows[x] = r
         return r
 
-    def above(self, work: list) -> set:
-        """The values above ``n`` in the rows of [1, n], kept for the
-        sweep and charged to ``work``; _OffTable when they do not fit."""
-        if self._above is None:
-            seen = set()
-            for x in range(1, self.n + 1):
-                seen.update(self.row(x))
-            above = {v for v in seen if v > self.n}
-            if len(above) > work[0]:
-                above = False  # found once: no slice can keep its operands
-            else:
-                work[0] -= len(above)
-            self._above = above
-        if self._above is False:
-            raise _OffTable
-        return self._above
-
-    def cells(self, x: int, keys: set) -> dict:
-        """``cells[v] == op(x, v)`` for each ``v`` in ``keys``, and in [1, n]
-        when ``x`` is: read off row ``x`` where both lie in [1, n], else
-        called once each."""
+    def cells(self, x: int, keys) -> dict:
+        """``cells[v] == op(x, v)`` for each ``v`` in ``keys``, called once
+        each, and for each ``v`` in [1, n] off row ``x`` when ``x`` is too."""
         cells = dict(zip(range(1, self.n + 1), self.row(x))) if x <= self.n else {}
-        calls = keys - cells.keys() if cells else keys
-        cells.update(zip(calls, map(self.op, repeat(x), calls)))
-        return cells
-
-    def across(self, a: int, other: _Table, work: list) -> dict:
-        """``cells(a, ...)`` over [1, n] and the values above ``n`` in
-        ``other``'s rows of [1, n]: the operands of the slice ``a``, exact
-        ints >= 1, charged to ``work`` until the slice gives them back."""
-        cells = self.cells(a, other.above(work))
-        held = len(_exact(list(cells.values())))
-        if held > work[0]:
-            raise _OffTable
-        work[0] -= held
+        cells.update(zip(keys, map(self.op, repeat(x), keys)))
         return cells
 
 
-def _exact(cells: list) -> list:
-    """``cells``, when every one is an exact int >= 1; else _OffTable."""
+def _exact(cells):
+    """``cells``, when every one is an exact int >= 1: list ``==`` would
+    take one shared ``nan`` as equal to itself, a list would read a
+    negative int from its end, and a dict take ``True`` for ``1``."""
     if cells and ({int} != set(map(type, cells)) or min(cells) < 1):
-        raise _OffTable
+        raise ValueError("a value off the tables")
     return cells
 
 
@@ -273,193 +234,161 @@ def verify_lattice_laws(max_value) -> list[LawReport]:
     distributivity both dual forms over all triples, so its declared
     domain is twice the triple count.  Each law is written once over
     an operation and its dual and run for meet, then join, so a value
-    ``a`` lists its meet counterexamples before its join ones.  Every
-    slice reads the same two tables, of the ``meet`` and ``join`` this
-    module binds when the sweep starts, and charges the cells it keeps
-    besides their rows to ``work``, at most ``TABLE_CELL_CAP``.
+    ``a`` lists its meet counterexamples before its join ones.
     """
     n = as_natural(max_value)
     values = range(1, n + 1)
-    ops, work = (("meet", _Table(meet, n)), ("join", _Table(join, n))), [TABLE_CELL_CAP]
-    return _run_laws(
-        ((a, values, ops, work) for a in values),
-        {"max": n},
-        [
-            ("idempotency", {"domain": f"[1,{n}]"}, _idempotency),
-            ("commutativity", {"domain": f"[1,{n}]^2"}, _commutativity),
-            ("associativity", {"domain": f"[1,{n}]^3"}, _associativity),
-            (
-                "mutual_distributivity",
-                {"domain": f"2 x [1,{n}]^3", "forms": ["meet_over_join", "join_over_meet"]},
-                _distributivity,
-            ),
-        ],
-    )
+    ops = (("meet", meet), ("join", join))
+    laws = [
+        ("idempotency", {"domain": f"[1,{n}]"}, _idempotency),
+        ("commutativity", {"domain": f"[1,{n}]^2"}, _commutativity),
+        ("associativity", {"domain": f"[1,{n}]^3"}, _associativity),
+        (
+            "mutual_distributivity",
+            {"domain": f"2 x [1,{n}]^3", "forms": ["meet_over_join", "join_over_meet"]},
+            _distributivity,
+        ),
+    ]
+    if _lattice_laws_hold(n, *(_Table(op, n) for _, op in ops)):
+        return _run_laws((), {"max": n}, laws, cases=[n, n**2, n**3, 2 * n**3])
+    return _run_laws(((a, values, ops) for a in values), {"max": n}, laws)
 
 
-# A law reads the cases of one (a, b) row, every c at once, off the
-# tables.  Both sides are lists, at least one of them of exact ints, so
-# one list comparison stands for the per-case ``lhs != rhs``, and the
-# differing c are listed only when it fails.  A cell off the tables
-# (_OffTable) sends the slice's cases of that operation to ``op`` one by
-# one, in the reference's order, so a corrupted operation raises the
-# call's error.
+def _lattice_laws_hold(n: int, meets: _Table, joins: _Table) -> bool:
+    """Whether the four lattice laws hold on [1, n], read off the tables.
+
+    One list comparison of exact ints, gathered at C level, stands for
+    the per-case ``lhs != rhs`` of a whole ``(a, b)`` row of cases.  The
+    slice's operands ``op(a, v)`` come from row ``a`` and from calls on
+    ``above``, the values above ``n`` in the rows of [1, n]; the two
+    share ``TABLE_CELL_CAP`` cells, or the pass gives up.
+    """
+    values = range(1, n + 1)
+    try:  # any error: the per-case laws raise the per-case order's first
+        above = set()
+        for t in (joins, meets):
+            for x in values:
+                above.update(filter(n.__lt__, t.row(x)))
+                if 2 * len(above) + n > TABLE_CELL_CAP:
+                    return False
+        for a in values:
+            for t, dual in ((meets, joins), (joins, meets)):
+                row = t.row  # every key asked is an exact int >= 1
+                ra = row(a)
+                if ra[a - 1] != a or ra != [row(b)[a - 1] for b in values]:
+                    return False  # idempotency, commutativity
+                across = t.cells(a, above)  # across[v] == op(a, v), one side of
+                _exact(across.values())  # each comparison below
+                for b, ab in zip(values, ra):
+                    # op(op(a, b), c) == op(a, op(b, c))
+                    if row(ab) != list(map(across.__getitem__, row(b))):
+                        return False
+                # op(a, dual(b, c)) == dual(op(a, b), op(a, c)), one right
+                # side per value ab of ra, for every b with op(a, b) == ab
+                by_ab, distinct = {}, set(ra)
+                outside = set(filter(n.__lt__, distinct))
+                for b, ab in zip(values, ra):
+                    by_ab.setdefault(ab, []).append(b)
+                for ab, bs in by_ab.items():
+                    cells = dual.cells(ab, outside if ab <= n else distinct)  # dual(ab, v)
+                    rhs = list(map(cells.__getitem__, ra))
+                    for b in bs:
+                        if list(map(across.__getitem__, dual.row(b))) != rhs:
+                            return False
+    except Exception:
+        return False
+    return True
 
 
-def _idempotency(a, values, ops, work, found) -> int:
-    for name, t in ops:
-        try:
-            aa = t.row(a)[a - 1]
-        except _OffTable:
-            aa = t.op(a, a)
+# The per-case laws, in the per-case reference's order of calls
+
+
+def _idempotency(a, values, ops, found) -> int:
+    for name, op in ops:
+        aa = op(a, a)
         if aa != a:
             found.append({"a": a, "identity": name, "lhs": aa, "rhs": a})
     return 1
 
 
-def _commutativity(a, values, ops, work, found) -> int:
-    for name, t in ops:
-        try:
-            rows, row = t.rows.get, t.row
-            lhs, rhs = row(a), [(rows(b) or row(b))[a - 1] for b in values]
-            cases = _differing(a, values, lhs, rhs) if lhs != rhs else ()
-        except _OffTable:
-            op = t.op
-            cases = ((a, b, op(a, b), op(b, a)) for b in values)
-        found += (
-            {"a": a, "b": b, "identity": name, "lhs": lhs, "rhs": rhs}
-            for _, b, lhs, rhs in cases
-            if lhs != rhs
-        )
+def _commutativity(a, values, ops, found) -> int:
+    for name, op in ops:
+        for b in values:
+            lhs, rhs = op(a, b), op(b, a)
+            if lhs != rhs:
+                found.append({"a": a, "b": b, "identity": name, "lhs": lhs, "rhs": rhs})
     return len(values)
 
 
-def _associativity(a, values, ops, work, found) -> int:
-    for name, t in ops:
-        op = t.op
-        try:
-            cases = _associated(a, values, t, work)
-        except _OffTable:
-            cases = _each_case(a, values, op, lambda b, ab, c: (op(ab, c), op(a, op(b, c))))
-        found += (
-            {"a": a, "b": b, "c": c, "identity": name, "lhs": lhs, "rhs": rhs}
-            for b, c, lhs, rhs in cases
-            if lhs != rhs
-        )
+def _associativity(a, values, ops, found) -> int:
+    for name, op in ops:
+        for b in values:
+            ab = op(a, b)
+            for c in values:
+                lhs, rhs = op(ab, c), op(a, op(b, c))
+                if lhs != rhs:
+                    found.append(
+                        {"a": a, "b": b, "c": c, "identity": name, "lhs": lhs, "rhs": rhs}
+                    )
     return len(values) ** 2
 
 
-def _associated(a, values, t, work):
-    rows, row = t.rows.get, t.row  # every key asked is an exact int >= 1
-    across = t.across(a, t, work)  # across[v] == op(a, v)
-    try:
-        cases = []
-        for b, ab in zip(values, row(a)):
-            lhs = rows(ab) or row(ab)  # op(op(a, b), c)
-            rhs = list(map(across.__getitem__, rows(b) or row(b)))  # op(a, op(b, c))
-            if lhs != rhs:
-                cases += _differing(b, values, lhs, rhs)
-        return cases
-    finally:
-        work[0] += len(across)
-
-
-def _distributivity(a, values, ops, work, found) -> int:
+def _distributivity(a, values, ops, found) -> int:
     # Both dual forms are part of the declared domain, hence 2 cases per (b, c).
     (_, m), (_, j) = ops
-    for form, t, dual in (("meet_over_join", m, j), ("join_over_meet", j, m)):
-        op, dual_op = t.op, dual.op
-        try:
-            cases = _distributed(a, values, t, dual, work)
-        except _OffTable:
-            cases = _each_case(
-                a, values, op, lambda b, ab, c: (op(a, dual_op(b, c)), dual_op(ab, op(a, c)))
-            )
-        found += (
-            {"a": a, "b": b, "c": c, "form": form, "lhs": lhs, "rhs": rhs}
-            for b, c, lhs, rhs in cases
-            if lhs != rhs
-        )
+    for form, op, dual in (("meet_over_join", m, j), ("join_over_meet", j, m)):
+        for b in values:
+            ab = op(a, b)
+            for c in values:
+                lhs, rhs = op(a, dual(b, c)), dual(ab, op(a, c))
+                if lhs != rhs:
+                    found.append({"a": a, "b": b, "c": c, "form": form, "lhs": lhs, "rhs": rhs})
     return 2 * len(values) ** 2
-
-
-def _distributed(a, values, t, dual, work):
-    n, ra = len(values), t.row(a)
-    dual_rows, dual_row = dual.rows.get, dual.row
-    across = t.across(a, dual, work)  # across[v] == op(a, v)
-    # by_ab[ab][c - 1] == dual(ab, op(a, c)), one list per value ab of
-    # ra, kept while the work holds it
-    by_ab, distinct = {}, set(ra)
-    try:
-        cases = []
-        for b, ab in zip(values, ra):
-            rhs = by_ab.get(ab)
-            if rhs is None:
-                rhs = list(map(dual.cells(ab, distinct).__getitem__, ra))
-                if work[0] >= n:
-                    work[0] -= n
-                    by_ab[ab] = rhs
-            lhs = list(map(across.__getitem__, dual_rows(b) or dual_row(b)))  # op(a, dual(b, c))
-            if lhs != rhs:
-                cases += _differing(b, values, lhs, rhs)
-        return cases
-    finally:
-        work[0] += len(across) + n * len(by_ab)
-
-
-def _differing(b, values, lhs, rhs):
-    """``(b, c, lhs[i], rhs[i])`` for each ``c = values[i]`` where the rows differ."""
-    return [(b, c, l, r) for c, l, r in zip(values, lhs, rhs) if l != r]
-
-
-def _each_case(a, values, op, sides):
-    """``(b, c, *sides(b, op(a, b), c))`` for every case of the slice, in
-    the per-case reference's order of calls."""
-    return ((b, c, *sides(b, ab, c)) for b in values for ab in [op(a, b)] for c in values)
 
 
 def verify_projective(max_value) -> LawReport:
     """Check meet(x, join(z, y)) == join(meet(x, z), y) for every triple
     in [1, max_value]^3 with y dividing x.
 
-    Every slice reads a table of ``meet`` and one of ``join`` with its
-    operands swapped, whose row ``y`` is join's column ``y``; both are
-    of the functions this module binds when the sweep starts.
+    The row-wise pass reads a table of ``meet`` and one of ``join`` with
+    its operands swapped, whose row ``y`` is join's column ``y``.
     """
     n = as_natural(max_value)
     values = range(1, n + 1)
-    join_ = join
-    meets, joins = _Table(meet, n), _Table(lambda y, z: join_(z, y), n)  # join, swapped
-    domain = {"domain": f"triples in [1,{n}]^3 with y | x"}
-    return _run_laws(
-        ((x, values, meets, joins) for x in values),
-        {"max": n},
-        [("projective_identity", domain, _projective)],
-    )[0]
+    m, j = meet, join
+    law = [("projective_identity", {"domain": f"triples in [1,{n}]^3 with y | x"}, _projective)]
+    if _projective_holds(n, _Table(m, n), _Table(lambda y, z: j(z, y), n)):
+        return _run_laws((), {"max": n}, law, cases=[n * sum(n // d for d in values)])[0]
+    return _run_laws(((x, values, m, j) for x in values), {"max": n}, law)[0]
 
 
-def _projective(x, values, meets, joins, found) -> int:
-    n = len(values)
-    ys = _divisors(x)
+def _projective_holds(n: int, meets: _Table, joins: _Table) -> bool:
+    """Whether the projective identity holds on its whole domain, read
+    off the tables where both operands lie in [1, n]."""
     meet_, joined = meets.op, joins.op
-    try:
-        cases = []
-        rx = meets.row(x)
-        for y in ys:
-            ry = joins.row(y)  # ry[z - 1] == join(z, y)
-            for z, zy, xz in zip(values, ry, rx):
-                lhs = rx[zy - 1] if zy <= n else meet_(x, zy)
-                rhs = ry[xz - 1] if xz <= n else joined(y, xz)
-                if lhs != rhs:
-                    cases.append((y, z, lhs, rhs))
-    except _OffTable:
-        cases = (
-            (y, z, meet_(x, joined(y, z)), joined(y, meet_(x, z))) for y in ys for z in values
-        )
-    found += (
-        {"x": x, "y": y, "z": z, "lhs": lhs, "rhs": rhs} for y, z, lhs, rhs in cases if lhs != rhs
-    )
-    return len(ys) * n
+    try:  # any error: the per-case law raises the per-case order's first
+        for x in range(1, n + 1):
+            rx = meets.row(x)
+            for y in _divisors(x):
+                ry = joins.row(y)  # ry[z - 1] == join(z, y)
+                for zy, xz in zip(ry, rx):
+                    lhs = rx[zy - 1] if zy <= n else meet_(x, zy)
+                    rhs = ry[xz - 1] if xz <= n else joined(y, xz)
+                    if lhs != rhs:
+                        return False
+    except Exception:
+        return False
+    return True
+
+
+def _projective(x, values, meet_, join_, found) -> int:
+    ys = _divisors(x)
+    for y in ys:
+        for z in values:
+            lhs, rhs = meet_(x, join_(z, y)), join_(meet_(x, z), y)
+            if lhs != rhs:
+                found.append({"x": x, "y": y, "z": z, "lhs": lhs, "rhs": rhs})
+    return len(ys) * len(values)
 
 
 # ---------------------------------------------------------------------------

@@ -405,14 +405,14 @@ def _stop(*args):
     raise _Stop
 
 
-@pytest.mark.parametrize(
-    "sweep, first_law",
-    [(verify_lattice_laws, "_idempotency"), (verify_projective, "_projective")],
-)
-def test_sweeps_take_their_domain_one_slice_at_a_time(monkeypatch, sweep, first_law):
-    """A sweep over [1, 10**6] holds no list of its slices: stopped at the
-    first case, it has allocated less than a megabyte."""
-    monkeypatch.setattr(f"divlog.oracle.{first_law}", _stop)
+@pytest.mark.parametrize("sweep", [verify_lattice_laws, verify_projective])
+def test_sweeps_take_their_domain_one_slice_at_a_time(monkeypatch, sweep):
+    """A sweep over [1, 10**6] holds no list of its slices or of a row:
+    its row-wise pass gives up at the first meet or join call, the
+    per-case laws stop there, and by then it has allocated less than a
+    megabyte."""
+    monkeypatch.setattr("divlog.oracle.meet", _stop)
+    monkeypatch.setattr("divlog.oracle.join", _stop)
     tracemalloc.start()
     try:
         with pytest.raises(_Stop):
@@ -426,9 +426,9 @@ def test_sweeps_take_their_domain_one_slice_at_a_time(monkeypatch, sweep, first_
 @pytest.mark.parametrize("sweep, arg", [(verify_lattice_laws, 100), (verify_heyting, 200)])
 def test_sweeps_keep_their_tables_within_the_cell_cap(sweep, arg):
     """The README's bound: each of a laws sweep's two tables keeps at
-    most TABLE_CELL_CAP cells and the slice at hand as many more, at most
-    40 bytes each with an int of its own; verify_heyting(200) keeps far
-    fewer."""
+    most TABLE_CELL_CAP cells, and the values above n with the slice's
+    operands as many more, at most 40 bytes each with an int of its own;
+    verify_heyting(200) keeps far fewer."""
     tracemalloc.start()
     try:
         reports = sweep(arg)
@@ -437,6 +437,39 @@ def test_sweeps_keep_their_tables_within_the_cell_cap(sweep, arg):
         tracemalloc.stop()
     assert all(r.passed for r in reports)
     assert peak < 3 * divlog.oracle.TABLE_CELL_CAP * 40
+
+
+def test_a_laws_sweep_past_the_cell_cap_hands_over_within_the_bound(monkeypatch):
+    """At n = 1000 the values above n in the rows of [1, n] do not fit
+    the slice's share of TABLE_CELL_CAP cells: the row-wise pass stops
+    collecting them once they pass it and hands the sweep to the
+    per-case laws, here stopped at their first slice, within the
+    README's bound."""
+    monkeypatch.setattr("divlog.oracle._idempotency", _stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Stop):
+            verify_lattice_laws(1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * divlog.oracle.TABLE_CELL_CAP * 40
+
+
+@pytest.mark.parametrize(
+    "sweep, n",
+    [*[(verify_lattice_laws, n) for n in (1, 2, 24, 32)],
+     *[(verify_projective, n) for n in (1, 24, 60)]],
+)
+def test_clean_sweeps_never_reach_the_per_case_laws(monkeypatch, sweep, n):
+    """The row-wise pass takes any exception for a failure, so a bug of
+    its own would only make a clean sweep slow: with every per-case law
+    raising, the clean sweeps still pass."""
+    for law in ("_idempotency", "_commutativity", "_associativity", "_distributivity",
+                "_projective"):
+        monkeypatch.setattr(f"divlog.oracle.{law}", _stop)
+    reports = sweep(n)
+    assert all(r.passed for r in (reports if isinstance(reports, list) else [reports]))
 
 
 # -- the per-case sweeps, kept as the reference ------------------------------
@@ -790,6 +823,23 @@ def test_each_top_keeps_the_folds_of_one_to_top_alone(monkeypatch, args):
     assert len(tables[60]) == (144 if args == (60,) else 72)
 
 
+def _meet_true_at_2_3(a, b):
+    if type(a) is not int or type(b) is not int:
+        return 7
+    return True if (a, b) in ((2, 3), (3, 2)) else math.gcd(a, b)
+
+
+def test_a_value_equal_to_an_int_is_not_read_as_that_int(monkeypatch):
+    """A dict takes True for the key 1, where the per-case laws call meet
+    on True: without the exact-int check on every value it reads, the
+    row-wise pass would say PASS here."""
+    monkeypatch.setattr("divlog.oracle.meet", _meet_true_at_2_3)
+    monkeypatch.setattr("divlog.oracle.join", math.lcm)
+    swept = _outcome(verify_lattice_laws, (6,))
+    assert swept == _outcome(reference_verify_lattice_laws, (6,))
+    assert not all(r["counterexamples"] == [] for r in swept)
+
+
 def test_a_join_result_of_zero_raises_as_the_call_does(monkeypatch):
     monkeypatch.setattr("divlog.oracle.join", _join_zero_at_2_3)
     for sweep in (verify_lattice_laws, verify_projective, verify_heyting):
@@ -797,12 +847,13 @@ def test_a_join_result_of_zero_raises_as_the_call_does(monkeypatch):
             sweep(6)
 
 
-@pytest.mark.parametrize("cap, calls_in_all", [(100_000, 10_163), (48, 83_023)])
+@pytest.mark.parametrize("cap, calls_in_all", [(100_000, 10_163), (48, 99_096)])
 def test_lattice_laws_fill_each_kept_row_once(monkeypatch, cap, calls_in_all):
     """While the tables fit in ``cap`` cells, the sweep calls meet once
     per pair of [1, 24], to fill its rows; every other call has an
-    operand above 24, a join result.  Past the cap, a row is filled again
-    whenever a case needs it."""
+    operand above 24, a join result.  At a cap of 48 cells the values
+    above 24 in join's rows do not fit before a single meet call, and
+    the per-case laws make every call."""
     calls = []
 
     def meet(a, b):
@@ -818,5 +869,5 @@ def test_lattice_laws_fill_each_kept_row_once(monkeypatch, cap, calls_in_all):
         assert set(inside.values()) == {1}
     else:
         assert min(inside.values()) > 1
-    # the per-case sweep made 99,096 calls, 21,558 of them outside [1, 24]
+    # the per-case laws make 99,096 calls, 21,558 of them outside [1, 24]
     assert len(calls) == calls_in_all
