@@ -20,22 +20,21 @@ interval's Heyting implication kernel, ``~x`` being ``x -> F``, so
 classical tautologies may fail: validity means "evaluates to the top
 under every assignment of members to variables".
 
-A formula compiles, bound to one interval, into a function of its
-variables' values, which ``evaluate`` runs.  ``check_valid`` compiles
-nothing: it walks the tree over ints of threshold lanes, one bit per
-assignment and lanes at most ``_BLOCK_BITS`` wide (bitslicing: Biham,
-FSE 1997; Knuth, TAOCP 4A 7.1.3).  Each connective acts on one prime
-at a time, so an interval is a product of Gödel chains, one per prime
-gap, and a formula of ``k`` variables is valid in it exactly when it
-is valid in the chain ``C_n``, ``n = min(G + 1, k + 2)``, ``G`` the
-largest gap (Gödel 1932; Dummett, JSL 24, 1959).  ``check_valid``
-decides "valid" there first, listing no member.  A formula with a
-literal, and every counterexample, come from the member walk: each
-prime's chain embeds in ``C_(G + 1)``, so the primes sit side by side
-in the lanes of one walk over the members, a literal a constant per
-prime, and the lowest bit whose top lane is clear is the first
-counterexample.  SearchLimit counts the walk's ``size ** k``
-assignments.
+``evaluate`` computes just so, in one walk of the tree over members.
+``check_valid`` calls no kernel: it walks the tree over ints of
+threshold lanes, one bit per assignment and lanes at most
+``_BLOCK_BITS`` wide (bitslicing: Biham, FSE 1997; Knuth, TAOCP 4A
+7.1.3).  Each connective acts on one prime at a time, so an interval
+is a product of Gödel chains, one per prime gap, and a formula of
+``k`` variables is valid in it exactly when it is valid in the chain
+``C_n``, ``n = min(G + 1, k + 2)``, ``G`` the largest gap (Gödel 1932;
+Dummett, JSL 24, 1959).  ``check_valid`` decides "valid" there
+first, listing no member.  A formula with a literal, and every
+counterexample, come from the member walk: each prime's chain embeds
+in ``C_(G + 1)``, so the primes sit side by side in the lanes of one
+walk over the members, a literal a constant per prime, and the lowest
+bit whose top lane is clear is the first counterexample.  SearchLimit
+counts the walk's ``size ** k`` assignments.
 
 ``parse`` reads the tokens of one ``findall`` in one loop over an
 explicit stack of frames, one per open ``~``, ``(`` and binary operator
@@ -422,7 +421,10 @@ def evaluate(q: Interval, formula: Formula, assignment: Mapping[str, int] | None
 
     Every variable of the formula must be bound (UnboundVariable
     otherwise) and every binding and literal must be a member of the
-    interval (NotMember otherwise).
+    interval (NotMember otherwise).  Checked once, the tree is walked
+    once, left before right: ``&``, ``|`` and ``->`` call ``math.gcd``,
+    ``math.lcm`` and ``q._imp``, ``~x`` is ``x -> F``, and ``T`` and
+    ``F`` are ``q``'s top and bottom.
     """
     env = dict(assignment or {})
     names, literals = _atoms(formula)
@@ -433,38 +435,21 @@ def evaluate(q: Interval, formula: Formula, assignment: Mapping[str, int] | None
         if not q.contains(value):
             raise NotMember(f"{name}={shown(value)} is not in the interval {q}")
     _require_literals(q, literals)
-    return _compile(q, formula, names)([env[name] for name in names])
-
-
-def _compile(q: Interval, formula: Formula, names: list[str]) -> Callable[[Sequence], int]:
-    """Turn ``formula`` into ``value_of(values)``, its value in ``q``
-    when ``names`` take ``values``, in order: ``&``, ``|`` and ``->``
-    call ``math.gcd``, ``math.lcm`` and ``q._imp``, ``T`` and ``F`` are
-    ``q``'s top and bottom and ``~x`` is ``x -> F``, all bound here.
-    Nothing is checked: the values and the literals must be members.
-    ``evaluate`` calls it; ``check_valid`` walks the tree itself, with a
-    ``_walker``.
-    """
-    position = {name: i for i, name in enumerate(names)}
     imp, top, bottom = q._imp, q.top, q.bottom
-    operation = {And: math.gcd, Or: math.lcm, Imp: imp}
 
-    def build(node):
+    def walk(node: Formula) -> int:
         kind = type(node)
         if kind is Var:
-            i = position[node.name]
-            return lambda values: values[i]
+            return env[node.name]
+        if kind is Not:  # x -> F
+            return imp(walk(node.child), bottom)
         if kind is And or kind is Or or kind is Imp:
-            op, left, right = operation[kind], build(node.left), build(node.right)
-            return lambda values: op(left(values), right(values))
-        if kind is Not:
-            child = build(node.child)
-            return lambda values: imp(child(values), bottom)
-        # a Lit, Top or Bottom: both callers ran _atoms, which refuses the rest
-        constant = node.value if kind is Lit else top if kind is Top else bottom
-        return lambda values: constant
+            a, b = walk(node.left), walk(node.right)  # left first
+            return math.gcd(a, b) if kind is And else math.lcm(a, b) if kind is Or else imp(a, b)
+        # a Lit, Top or Bottom: _atoms refused anything else
+        return node.value if kind is Lit else top if kind is Top else bottom
 
-    return build(formula)
+    return walk(formula)
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +725,7 @@ def check_valid(
     literal is a constant per segment.  Its first block whose top lane
     is clear in some segment names the first counterexample, at the
     lowest such bit, and the lanes there its value.  Neither pass calls
-    the interval's kernel or compiles the formula.
+    the interval's kernel.
     """
     if type(cap) is not int or cap < 1:
         as_natural(cap)

@@ -7,7 +7,8 @@ and come out in closed form.  Members stay plain integers and both
 operations are gcd/lcm expressions: ``imp(a, b) = lcm(b, r)``, where
 ``r`` is the largest divisor of the top coprime to ``a / gcd(a, b)``,
 and ``neg(a) = imp(a, bottom)``.  Both check their operands, then call
-one unchecked kernel, ``_imp``, which compiled formulas call directly.
+one unchecked kernel, ``_imp``, which ``formulas.evaluate`` calls
+directly.
 No operand is factorized and nothing is searched.  The one
 factorization an interval takes is of ``top / bottom``, the exponent
 gaps that give its size, its Boolean-ness, its members and, through

@@ -261,8 +261,11 @@ def _lattice_laws_hold(n: int, meets: _Table, joins: _Table) -> bool:
     the per-case ``lhs != rhs`` of a whole ``(a, b)`` row of cases.  The
     slice's operands ``op(a, v)`` come from row ``a`` and from calls on
     ``above``, the values above ``n`` in the rows of [1, n]; the two
-    share ``TABLE_CELL_CAP`` cells, or the pass gives up.
+    share ``TABLE_CELL_CAP`` cells, or the pass gives up, before it
+    fills any row when one row alone would not fit.
     """
+    if n > TABLE_CELL_CAP:
+        return False
     values = range(1, n + 1)
     try:  # any error: the per-case laws raise the per-case order's first
         above = set()
@@ -364,7 +367,10 @@ def verify_projective(max_value) -> LawReport:
 
 def _projective_holds(n: int, meets: _Table, joins: _Table) -> bool:
     """Whether the projective identity holds on its whole domain, read
-    off the tables where both operands lie in [1, n]."""
+    off the tables where both operands lie in [1, n]; False before any
+    row is filled when one row alone would not fit ``TABLE_CELL_CAP``."""
+    if n > TABLE_CELL_CAP:
+        return False
     meet_, joined = meets.op, joins.op
     try:  # any error: the per-case law raises the per-case order's first
         for x in range(1, n + 1):

@@ -871,7 +871,7 @@ def test_a_built_tree_over_a_parsed_one_still_refuses_a_non_node_first():
         check_valid(q, Or(parsed, Not(Lit(5))), cap=35)
 
 
-# -- the compiler against the tree-walking evaluator it replaced ---------------
+# -- evaluate and check_valid against a checked tree-walking reference ---------
 
 
 def reference_eval(q, formula, env):
@@ -974,22 +974,32 @@ def test_search_caps_must_be_positive_integers(bad):
 
 
 def _refuse(*args):
-    raise AssertionError("a compiled formula checked an operand again")
+    raise AssertionError("an evaluation checked an operand again")
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["~(p & 6) -> (6 -> ~p) | q", "(p & 4 -> q) | ~(q | ~p) | 2", "~~(p -> q) & (3 | T) -> ~~p -> ~~q"],
+    "text, values",
+    [("~(p & 6) -> (6 -> ~p) | q", 549), ("(p & 4 -> q) | ~(q | ~p) | 2", 513),
+     ("~~(p -> q) & (3 | T) -> ~~p -> ~~q", 497)],
 )
-def test_compiled_formulas_compute_without_the_checked_operations(monkeypatch, text):
-    q, f = Interval(1, 12), parse(text)
+def test_evaluate_computes_without_the_checked_operations(monkeypatch, text, values):
+    """In every interval with top <= 36, ``evaluate`` gives the checked
+    reference's value, or its error, under every assignment, and
+    ``check_valid`` its verdict, with the checked ``neg``, ``imp``,
+    ``meet`` and ``join`` refused.  ``values`` counts the assignments
+    that give a value, not NotMember for a literal."""
+    f = parse(text)
     names = sorted(variables(f))
-    envs = [dict(zip(names, combo)) for combo in itertools.product(q.members(), repeat=len(names))]
-    expected = [reference_eval(q, f, env) for env in envs], reference_check_valid(q, f)
+    cases = [(q, dict(zip(names, combo)))
+             for q in SMALL_INTERVALS for combo in itertools.product(q.members(), repeat=len(names))]
+    expected = ([outcome(reference_evaluate, q, f, env) for q, env in cases],
+                [outcome(reference_check_valid, q, f) for q in SMALL_INTERVALS])
+    assert sum(type(value) is int for value in expected[0]) == values
     for target in ("divlog.intervals.Interval.neg", "divlog.intervals.Interval.imp",
                    "divlog.lattice.meet", "divlog.lattice.join"):
         monkeypatch.setattr(target, _refuse)
-    assert ([evaluate(q, f, env) for env in envs], check_valid(q, f)) == expected
+    assert ([outcome(evaluate, q, f, env) for q, env in cases],
+            [outcome(check_valid, q, f) for q in SMALL_INTERVALS]) == expected
 
 
 NEGATION_HEAVY = ["~p | ~~p", "~~p -> p", "~(p & q) -> (~p | ~q)", "~(p | q) -> (~p & ~q)"]
@@ -1273,14 +1283,13 @@ def test_a_valid_formula_is_decided_on_the_chain_without_the_search(monkeypatch)
 
 
 def test_valid_verdicts_call_no_kernel_and_list_no_member(monkeypatch):
-    """With the kernel, the member list and the compiler refused, every
-    valid verdict of a literal-free formula in an interval with top <=
-    36 still comes back, and every refuted formula reaches the member
-    walk, whose listing of the fresh interval refuses."""
+    """With the kernel and the member list refused, every valid verdict
+    of a literal-free formula in an interval with top <= 36 still comes
+    back, and every refuted formula reaches the member walk, whose
+    listing of the fresh interval refuses."""
     valid = {text: [check_valid(q, parse(text)) is None for q in SMALL_INTERVALS] for text in LITERAL_FREE}
     for name in ("members", "_imp"):
         monkeypatch.setattr(Interval, name, _refused_call)
-    monkeypatch.setattr("divlog.formulas._compile", _refused_call)
     for text in LITERAL_FREE:
         f = parse(text)
         for q, expected in zip(_small_intervals(), valid[text]):

@@ -439,17 +439,35 @@ def test_sweeps_keep_their_tables_within_the_cell_cap(sweep, arg):
     assert peak < 3 * divlog.oracle.TABLE_CELL_CAP * 40
 
 
-def test_a_laws_sweep_past_the_cell_cap_hands_over_within_the_bound(monkeypatch):
+@pytest.mark.parametrize(
+    "sweep, n, law",
+    [(verify_lattice_laws, 1000, "_idempotency"), (verify_lattice_laws, 10**6, "_idempotency"),
+     (verify_projective, 10**6, "_projective")],
+)
+def test_a_sweep_past_the_cell_cap_hands_over_within_the_bound(monkeypatch, sweep, n, law):
     """At n = 1000 the values above n in the rows of [1, n] do not fit
     the slice's share of TABLE_CELL_CAP cells: the row-wise pass stops
-    collecting them once they pass it and hands the sweep to the
-    per-case laws, here stopped at their first slice, within the
-    README's bound."""
-    monkeypatch.setattr("divlog.oracle._idempotency", _stop)
+    collecting them once they pass it.  At n = 10**6 one row of n cells
+    alone would not fit: the pass fills no row.  Either way it hands the
+    sweep to the per-case laws, here stopped at their first slice,
+    within the README's bound.  meet and join stop after two rows of
+    10**6 calls, so a pass that fills rows there ends too."""
+    calls = iter(range(2 * 10**6))
+
+    def counted(op):
+        def call(a, b):
+            if next(calls, None) is None:
+                raise _Stop
+            return op(a, b)
+        return call
+
+    monkeypatch.setattr("divlog.oracle.meet", counted(divlog.oracle.meet))
+    monkeypatch.setattr("divlog.oracle.join", counted(divlog.oracle.join))
+    monkeypatch.setattr(f"divlog.oracle.{law}", _stop)
     tracemalloc.start()
     try:
         with pytest.raises(_Stop):
-            verify_lattice_laws(1000)
+            sweep(n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
