@@ -28,13 +28,15 @@ threshold lanes, one bit per assignment and lanes at most
 is a product of Gödel chains, one per prime gap, and a formula of
 ``k`` variables is valid in it exactly when it is valid in the chain
 ``C_n``, ``n = min(G + 1, k + 2)``, ``G`` the largest gap (Gödel 1932;
-Dummett, JSL 24, 1959).  ``check_valid`` decides "valid" there
-first, listing no member.  A formula with a literal, and every
-counterexample, come from the member walk: each prime's chain embeds
-in ``C_(G + 1)``, so the primes sit side by side in the lanes of one
-walk over the members, a literal a constant per prime, and the lowest
-bit whose top lane is clear is the first counterexample.  SearchLimit
-counts the walk's ``size ** k`` assignments.
+Dummett, JSL 24, 1959).  One walk over the members serves two layers:
+each prime's chain embeds in ``C_(G + 1)``, so the primes sit side by
+side in the lanes of one walk, a literal a constant per prime, and the
+lowest bit whose top lane is clear is the first counterexample.
+``check_valid`` decides "valid" first on ``C_n`` as the interval
+``[1, 2^(n-1)]``, one prime of gap ``n - 1``, listing no member; a
+formula with a literal, and every counterexample, come from the walk
+over the interval itself.  SearchLimit counts its ``size ** k``
+assignments.
 
 ``parse`` reads the tokens of one ``findall`` in one loop over an
 explicit stack of frames, one per open ``~``, ``(`` and binary operator
@@ -382,30 +384,35 @@ def parse(text: str) -> Formula:
 
 def format_formula(formula: Formula) -> str:
     """Render with the fewest parentheses that still round-trip; an atom
-    whose text would not read back as that atom raises ValueError."""
-    return _format(formula, 0)
+    whose text would not read back as that atom raises ValueError, each
+    atom checked once per call however many places it stands."""
+    return _format(formula, 0, {})
 
 
-def _format(formula: Formula, level: int) -> str:
-    """Render ``formula`` where the context binds at ``level``."""
+def _format(formula: Formula, level: int, atoms: dict[int, str]) -> str:
+    """Render ``formula`` where the context binds at ``level``; ``atoms``
+    maps the id of each atom checked so far to its text."""
     kind = type(formula)
     if kind is Var or kind is Lit:
-        text = str(formula.name) if kind is Var else shown(formula.value)
-        try:
-            back = parse(text)
-        except FormulaSyntaxError:
-            back = None
-        if back != formula:
-            raise ValueError(f"{formula!r} prints as {text!r}, which does not parse back to it")
+        text = atoms.get(id(formula))
+        if text is None:
+            text = str(formula.name) if kind is Var else shown(formula.value)
+            try:
+                back = parse(text)
+            except FormulaSyntaxError:
+                back = None
+            if back != formula:
+                raise ValueError(f"{formula!r} prints as {text!r}, which does not parse back to it")
+            atoms[id(formula)] = text
         return text
     if kind is Top or kind is Bottom:
         return kind.symbol
     if kind is Not:
-        text = kind.symbol + _format(formula.child, kind.level)
+        text = kind.symbol + _format(formula.child, kind.level, atoms)
     elif kind is And or kind is Or or kind is Imp:
         own = kind.level
         left, right = (own + 1, own) if kind.right_assoc else (own, own + 1)
-        text = f"{_format(formula.left, left)} {kind.symbol} {_format(formula.right, right)}"
+        text = f"{_format(formula.left, left, atoms)} {kind.symbol} {_format(formula.right, right, atoms)}"
     else:
         raise TypeError(f"not a formula node: {formula!r}")
     return f"({text})" if kind.level < level else text
@@ -453,7 +460,7 @@ def evaluate(q: Interval, formula: Formula, assignment: Mapping[str, int] | None
 
 
 # ---------------------------------------------------------------------------
-# The Gödel chain, bitsliced
+# Gödel chains, bitsliced
 # ---------------------------------------------------------------------------
 
 # the widest lane of a block, in bits; past it, leading variables iterate,
@@ -467,9 +474,10 @@ def _walker(width: int, n: int) -> Callable[[Formula, dict], int]:
     its threshold ``v >= j``, one bit per place.  ``env`` gives each
     variable's value by name and each literal's by its int.  ``a -> b``
     is ``LE | B``, ``LE`` the AND of the lanes of ``~a | b`` (where ``a
-    <= b``) copied to each lane, ``~a`` lane 0 of ``~a``.  Both passes
-    of ``check_valid`` walk with it: the chain pass's places are chain
-    assignments, the member walk's a member assignment at one prime."""
+    <= b``) copied to each lane, ``~a`` lane 0 of ``~a``.  The member
+    walk of ``check_valid`` walks with it, a place being a member
+    assignment at one prime: over ``C_n``, the interval ``[1,
+    2^(n-1)]``, one prime and a chain assignment."""
     lane, full = (1 << width) - 1, (1 << width * (n - 1)) - 1
     # each shift doubles the lanes lane 0 has ANDed in (or been copied to), the
     # last only up to the top; on positive ints, which bitwise ops need not copy
@@ -501,38 +509,15 @@ def _walker(width: int, n: int) -> Callable[[Formula, dict], int]:
 
 
 @functools.lru_cache(maxsize=32)
-def _chain_slices(k: int, n: int) -> tuple[int, list[int], list[int], Callable[[Formula, dict], int]]:
-    """``(leading, trailing, constants, walk)``, all that the chain pass
-    of ``k`` variables over ``C_n``, ``n >= 2``, needs, built once.
-
-    Bit ``i`` of a lane is the ``i``-th tuple of ``product(range(n),
-    repeat=t)``: the last ``t`` variables, the most with lanes ``n ** t
-    <= _BLOCK_BITS`` bits wide, are ``trailing``.  The ``leading = k -
-    t`` others take each of the ``n`` ``constants``, and ``walk`` is
-    ``_walker(n ** t, n)``."""
-    t, width = 0, 1
-    while t < k and width * n <= _BLOCK_BITS:
-        t, width = t + 1, width * n
-    lane = (1 << width) - 1
-    trailing = []
-    for step in [n**e for e in reversed(range(t))]:  # the last variable runs fastest
-        period = n * step  # a run of step bits for each value 0 .. n-1
-        repunit = lane // ((1 << period) - 1)  # the period repeated across a lane
-        trailing.append(sum([((1 << period) - (1 << j * step)) * repunit << (j - 1) * width for j in range(1, n)]))
-    constants = [(1 << v * width) - 1 for v in range(n)]
-    return k - t, trailing, constants, _walker(width, n)
-
-
-def _holds_on_chain(formula: Formula, names: list[str], n: int) -> bool:
-    """Whether ``formula``, free of literals, is the top of ``C_n`` under
-    every assignment to ``names``: one walk of the tree per block of
-    assignments, up to the first block whose top lane is not all ones."""
-    leading, trailing, constants, walk = _chain_slices(len(names), n)
-    lane, top = constants[1], constants[-2].bit_length()  # n - 2 lanes below the top
-    for combo in itertools.product(constants, repeat=leading):
-        if walk(formula, dict(zip(names, [*combo, *trailing]))) >> top != lane:
-            return False
-    return True
+def _chain(k: int, n: int) -> tuple[Interval, _Chains]:
+    """``C_n``, ``n >= 2``, as the interval ``[1, 2^(n-1)]`` and its
+    layer, for the member walk of ``k`` variables: the layer's one
+    exponent column is set here, so the walk lists no member, and one
+    entry per ``(k, n)`` keeps at most 32 sets of slices."""
+    chain = Interval(1, 1 << n - 1)
+    chains = chain._layer()
+    chains.exponents = (bytes(range(n)),)
+    return chain, chains
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +539,9 @@ def _in_every_lane(bits: int, lane: int, lanes: int) -> int:
 
 
 def _member_slices(q: Interval, chains: _Chains, k: int, cap: int) -> tuple:
-    """``(leading, width, walk, blocks)``, all that the member walk of
-    ``k`` variables over ``q`` needs, built once and kept in ``chains``,
-    ``q``'s per-prime layer.
+    """``(leading, width, walk, blocks, top, ones)``, all that the member
+    walk of ``k`` variables over ``q`` needs, built and kept in
+    ``chains.slices``, ``chains`` being ``q``'s per-prime layer.
 
     Prime ``s``'s chain ``C_(g_s + 1)`` embeds in ``C_(G + 1)``, ``G``
     the largest gap, by ``v -> v`` below ``g_s`` and ``g_s -> G``, which
@@ -571,36 +556,30 @@ def _member_slices(q: Interval, chains: _Chains, k: int, cap: int) -> tuple:
     ``width = _BLOCK_BITS // primes`` (at least 1) a block, the last
     block padded with the last member, which refutes only where the
     member before it does.  The ``leading = k - t`` others take one
-    member per round of the blocks."""
-    slices = chains.slices.get(k)
-    if slices is None:
-        size, gaps, last = q.size(), list(chains.gaps.values()), chains.largest
-        t, width = 0, 1
-        while t < k and len(gaps) * width * size <= _BLOCK_BITS:
-            t, width = t + 1, width * size
-        if k and not t:  # the last variable's members, a block at a time
-            t, width = 1, max(_BLOCK_BITS // len(gaps), 1)
-        lane = len(gaps) * width
-        blocks = [[]]
-        if k:
-            if chains.exponents is None:
-                q.members(cap)  # lists the members and their offsets
-                chains.exponents = q._exponents()
-            if t == 1:  # width members a block, all of them when they fit
-                blocks = []
-                for start in range(0, size, width):
-                    chunks = [column[start : start + width] for column in chains.exponents]
-                    chunks = [(chunk + chunk[-1:] * (width - len(chunk)))[::-1] for chunk in chunks]
-                    blocks.append([_read_lanes(chunks, gaps, lane, last)])
-            else:
-                for step in [size**e for e in reversed(range(t))]:  # the last variable runs fastest
-                    # each member's digit step times, the period repeated across a segment
-                    periods = [b"".join([column[i : i + 1] * step for i in range(size)])
-                               for column in chains.exponents]
-                    digits = [(period * (width // len(period)))[::-1] for period in periods]
-                    blocks[0].append(_read_lanes(digits, gaps, lane, last))
-        slices = chains.slices[k] = (k - t, width, _walker(lane, last + 1), blocks)
-    return slices
+    member per round of the blocks.  A block refutes the formula where
+    its value's top lane, ``value >> top``, is not ``ones``."""
+    size, gaps, last = q.size(), list(chains.gaps.values()), chains.largest
+    t, width = 0, 1
+    while t < k and len(gaps) * width * size <= _BLOCK_BITS:
+        t, width = t + 1, width * size
+    if k and not t:  # the last variable's members, a block at a time
+        t, width = 1, max(_BLOCK_BITS // len(gaps), 1)
+    if t and chains.exponents is None:
+        q.members(cap)  # lists the members and their offsets
+        chains.exponents = q._exponents()
+    lane, count = len(gaps) * width, size**t  # count: the trailing tuples
+    # per trailing variable and prime, the digit of every tuple, the last
+    # block padded with the last tuple's: each member's step times, the
+    # period repeated; the last variable runs fastest
+    runs = []
+    for step in [size**e for e in reversed(range(t))]:
+        periods = [b"".join([column[i : i + 1] * step for i in range(size)]) if step > 1 else column
+                   for column in chains.exponents]
+        runs.append([period * (count // len(period)) + period[-1:] * (-count % width) for period in periods])
+    blocks = [[_read_lanes([digits[start : start + width][::-1] for digits in run], gaps, lane, last)
+               for run in runs] for start in range(0, count, width)]
+    chains.slices[k] = (k - t, width, _walker(lane, last + 1), blocks, (last - 1) * lane, (1 << lane) - 1)
+    return chains.slices[k]
 
 
 def _read_lanes(digits: list[bytes], gaps: list[int], lane: int, last: int) -> int:
@@ -630,28 +609,28 @@ def _constant(vector: Sequence[int], chains: _Chains, width: int) -> int:
 
 
 def _refute(q: Interval, chains: _Chains, formula: Formula, names: list[str], literals: Sequence,
-            cap: int) -> Counterexample | None:
-    """The first counterexample over ``q``'s members, else None: one walk
-    per block of ``_member_slices``, in the order of ``product(members,
-    repeat=k)``, up to the first block whose top lane is not all ones.
-    ``chains`` is ``q``'s per-prime layer."""
-    last = chains.largest
-    if not last:  # one member, the top, which a variable still takes from the listing
+            cap: int) -> tuple | None:
+    """The first block of ``_member_slices`` that refutes ``formula`` over
+    ``q``'s members, in the order of ``product(members, repeat=k)``, as
+    ``(combo, first, t, value, width)`` for ``_first_refuted``, else
+    None: one walk per block.  ``chains`` is ``q``'s per-prime layer."""
+    if not chains.largest:  # one member, the top, which a variable still takes from the listing
         if names:
             q.members(cap)
         return None
-    leading, width, walk, blocks = _member_slices(q, chains, len(names), cap)
-    env = {value: _constant(chains.exponents_of(value), chains, width) for value in literals}
-    lane = len(chains.gaps) * width
-    top, ones = (last - 1) * lane, (1 << lane) - 1
-    for combo in itertools.product(range(q.size()), repeat=leading):
+    k = len(names)
+    leading, width, walk, blocks, top, ones = chains.slices.get(k) or _member_slices(q, chains, k, cap)
+    env, trailing = {}, names[leading:]
+    for value in literals:
+        env[value] = _constant(chains.exponents_of(value), chains, width)
+    for combo in itertools.product(range(q.size()), repeat=leading) if leading else [()]:
         for name, i in zip(names, combo):
             env[name] = _constant([column[i] for column in chains.exponents], chains, width)
         for block, values in enumerate(blocks):
-            env.update(zip(names[leading:], values))
+            env.update(zip(trailing, values))
             value = walk(formula, env)
             if value >> top != ones:  # the top lane: all ones where the formula is the top
-                return _first_refuted(q, chains, names, combo, block * width, len(values), value, width)
+                return combo, block * width, len(values), value, width
     return None
 
 
@@ -716,16 +695,18 @@ def check_valid(
     of chains ``C_(gap + 1)``, and a formula is valid in it exactly when
     it is valid in ``C_(G + 1)``; with ``k`` variables ``C_(k + 2)``
     already decides every chain (Gödel 1932; Dummett, JSL 24, 1959).
-    The chain pass walks the tree once per block of assignments, over
-    ints of ``n - 1`` threshold lanes no wider than ``_BLOCK_BITS``, and
-    needs no member.  A formula refuted there, or one with a literal,
-    goes on to the member walk (``_refute``): the same walker over the
-    ``G`` threshold lanes of ``C_(G + 1)``, into which every prime's
-    chain embeds, so that each lane holds one segment per prime and a
-    literal is a constant per segment.  Its first block whose top lane
-    is clear in some segment names the first counterexample, at the
-    lowest such bit, and the lanes there its value.  Neither pass calls
-    the interval's kernel.
+    Both passes are the member walk (``_refute``), which walks the tree
+    once per block of assignments over the ``G`` threshold lanes of
+    ``C_(G + 1)``, no lane wider than ``_BLOCK_BITS``: every prime's
+    chain embeds there, so each lane holds one segment per prime and a
+    literal is a constant per segment.  The chain pass walks the cached
+    interval ``[1, 2^(n-1)]``, whose one segment is ``C_n``, and lists
+    no member; it only says whether some block refutes the formula.  A
+    formula refuted there, or one with a literal, is walked over the
+    interval itself, whose first refuting block names the first
+    counterexample at the lowest bit where some segment's top lane is
+    clear, and the lanes there its value.  Neither pass calls the
+    interval's kernel.
     """
     if type(cap) is not int or cap < 1:
         as_natural(cap)
@@ -740,6 +721,7 @@ def check_valid(
     chains = q._layer()
     if k and not literals:  # valid in C_n is valid in the interval
         last = min(chains.largest, k + 1)  # n - 1, the top
-        if not last or _holds_on_chain(formula, names, last + 1):
+        if not last or _refute(*_chain(k, last + 1), formula, names, (), cap) is None:
             return None
-    return _refute(q, chains, formula, names, literals, cap)
+    found = _refute(q, chains, formula, names, literals, cap)
+    return found and _first_refuted(q, chains, names, *found)

@@ -45,7 +45,7 @@ from divlog import (
     parse,
     variables,
 )
-from divlog.formulas import DEFAULT_SEARCH_CAP, MAX_DEPTH, MAX_NODES, _atoms, _chain_slices, _holds_on_chain
+from divlog.formulas import DEFAULT_SEARCH_CAP, MAX_DEPTH, MAX_NODES, _atoms, _chain, _first_refuted, _refute
 
 
 def _divisors(n):
@@ -220,6 +220,24 @@ def test_printer_refuses_an_atom_that_does_not_parse_back(atom, text):
 def test_printer_keeps_every_atom_the_tokenizer_reads():
     for text in ["p", "_", "x\u00b2", "\u56db", "T", "F", "0", "12"]:
         assert format_formula(parse(text)) == text
+
+
+def test_printer_checks_each_atom_once_per_call(monkeypatch):
+    """The 15-level shared ``Imp`` tree stands its one ``Var`` at 32,768
+    places, and the printer parses its text back once; the first bad atom
+    in print order still raises, however often a good one came before."""
+    parsed_texts = []
+    monkeypatch.setattr("divlog.formulas.parse", lambda text: parsed_texts.append(text) or parse(text))
+    f = shared_tree(15)
+    for _ in range(2):  # one check a call
+        parsed_texts.clear()
+        text = format_formula(f)
+        assert parsed_texts == ["p"], len(parsed_texts)
+    assert parse(text) == f
+    bad = Var("T")
+    with pytest.raises(ValueError) as exc:
+        format_formula(And(shared_tree(4), Or(Lit(2), Imp(bad, Lit(-3)))))
+    assert str(exc.value) == f"{bad!r} prints as 'T', which does not parse back to it"
 
 
 # -- evaluation --------------------------------------------------------------
@@ -1103,7 +1121,7 @@ def test_the_member_walk_matches_the_reference_on_every_interval_up_to_60(block_
     with pytest.MonkeyPatch.context() as patch:
         if block_bits:
             patch.setattr("divlog.formulas._BLOCK_BITS", block_bits)
-        _chain_slices.cache_clear()  # the chain pass's tables are built for one width
+        _chain.cache_clear()  # the chain pass's slices are built for one width
         try:
             for text in MEMBER_WALK_FORMULAS:
                 f = parse(text)
@@ -1117,7 +1135,7 @@ def test_the_member_walk_matches_the_reference_on_every_interval_up_to_60(block_
                         leading = fresh._chains.slices[k][0]
                         past_block_0 += any(v != fresh.bottom for _, v in got.assignment[:leading])
         finally:
-            _chain_slices.cache_clear()
+            _chain.cache_clear()
     assert past_block_0 == {None: 1, 8: 62, 64: 29}[block_bits]
 
 
@@ -1135,6 +1153,30 @@ def test_a_refuted_formula_calls_no_kernel_and_lists_the_members_once(monkeypatc
     for _ in range(2):
         assert check_valid(q, parse("p -> q")) == Counterexample((("p", 2), ("q", 1)), 45045)
     assert calls == [] and listings == [q] and q._members is not None
+
+
+@pytest.mark.parametrize("block_bits", [None, 8])
+def test_a_refuted_verdict_decodes_one_counterexample_on_the_interval(block_bits):
+    """The chain pass only finds that some block refutes a literal-free
+    formula; the counterexample is decoded once, from the interval's own
+    member walk, never from the chain's.  At 8 bits a block, leading
+    variables iterate on the chain and on the interval."""
+    decoded = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("divlog.formulas._first_refuted", lambda q, *rest: decoded.append(q) or _first_refuted(q, *rest))
+        if block_bits:
+            patch.setattr("divlog.formulas._BLOCK_BITS", block_bits)
+        _chain.cache_clear()  # the chain pass's slices are built for one width
+        try:
+            for q, text, expected in [
+                (Interval(1, 1441440), "p -> q", Counterexample((("p", 2), ("q", 1)), 45045)),
+                (Interval(1, 36), "(p -> q) | (q -> r)", Counterexample((("p", 4), ("q", 2), ("r", 1)), 18)),
+            ]:
+                decoded.clear()
+                assert check_valid(q, parse(text)) == expected == reference_check_valid(q, parse(text))
+                assert len(decoded) == 1 and decoded[0] is q, decoded
+        finally:
+            _chain.cache_clear()
 
 
 def test_searches_repeated_on_one_interval_keep_their_verdicts():
@@ -1342,19 +1384,20 @@ def reference_holds_on_chain(f, n):
 
 
 def holds_on_chain(f, names, n, block_bits=None):
-    """The bitsliced verdict on ``C_n``, its blocks ``block_bits`` wide
-    (the default when None); ``C_1`` is a one-member interval, which
-    ``check_valid`` decides without a pass."""
+    """The bitsliced verdict on ``C_n``, the member walk over the cached
+    ``[1, 2^(n-1)]``, its blocks ``block_bits`` wide (the default when
+    None); ``C_1`` is a one-member interval, which ``check_valid``
+    decides without a pass."""
     if n == 1:
         return check_valid(Interval(7, 7), f) is None
     with pytest.MonkeyPatch.context() as patch:
         if block_bits:
             patch.setattr("divlog.formulas._BLOCK_BITS", block_bits)
-        _chain_slices.cache_clear()  # the tables are built for one width
+        _chain.cache_clear()  # the slices are built for one width
         try:
-            return _holds_on_chain(f, names, n)
+            return _refute(*_chain(len(names), n), f, names, (), DEFAULT_SEARCH_CAP) is None
         finally:
-            _chain_slices.cache_clear()
+            _chain.cache_clear()
 
 
 chain_formulas = st.recursive(
@@ -1415,17 +1458,18 @@ def test_the_bitsliced_chain_pass_keeps_what_is_valid(f):
 
 def test_the_chain_pass_keeps_its_bitsets_to_a_block():
     """A 6-variable linearity cycle on ``C_8`` takes 8**6 = 262,144 chain
-    assignments: two leading variables iterate over 64 blocks of 8**4
-    bits.  A value is one int of 7 lanes of 4,096 bits, one per
-    threshold.  One block of all of them would take 32 KB per
+    assignments: two leading variables iterate over 64 rounds of one
+    block of 8**4 bits.  A value is one int of 7 lanes of 4,096 bits, one
+    per threshold.  One block of all of them would take 32 KB per
     threshold, and the six variables' 42 thresholds alone 1.3 MB."""
     names = [f"p{i}" for i in range(6)]
     f = parse(" | ".join(f"({a} -> {b})" for a, b in zip(names, names[1:] + names[:1])))
     q = Interval(1, 2**7)  # C_8
-    leading, trailing, constants = _chain_slices(6, 8)[:3]
-    assert leading == 2 and len(trailing) == 4 and len(constants) == 8
-    assert all(value.bit_length() <= 7 * 4096 for value in [*trailing, *constants])
-    _chain_slices.cache_clear()  # the table's build is measured too
+    assert check_valid(q, f, cap=8**6) is None
+    leading, width, _, blocks = _chain(6, 8)[1].slices[6][:4]
+    assert leading == 2 and width == 8**4 and len(blocks) == 1 and len(blocks[0]) == 4
+    assert all(value.bit_length() <= 7 * 4096 for value in blocks[0])
+    _chain.cache_clear()  # the slices' build is measured too
     tracemalloc.start()
     try:
         assert check_valid(q, f, cap=8**6) is None
