@@ -35,15 +35,18 @@ lowest bit whose top lane is clear is the first counterexample.
 ``check_valid`` decides "valid" first on ``C_n`` as the interval
 ``[1, 2^(n-1)]``, one prime of gap ``n - 1``, listing no member; a
 formula with a literal, and every counterexample, come from the walk
-over the interval itself.  SearchLimit counts its ``size ** k``
-assignments.
+over the interval itself.  An interval that already keeps that walk's
+slices as one block with no leading variable, a whole value within
+``_BLOCK_BITS`` bits, skips the chain: its one walk decides.
+SearchLimit counts its ``size ** k`` assignments.
 
-``parse`` reads the tokens of one ``findall`` in one loop over an
-explicit stack of frames, one per open ``~``, ``(`` and binary operator
-(operator-precedence parsing: Floyd, JACM 10, 1963; Pratt, POPL 1973),
-and leaves on the root connective the ``atoms`` it read, the sorted
-variable names and the literals in text order, so ``check_valid``,
-``evaluate`` and ``variables`` need not walk the tree for them.
+``parse`` reads the tokens of one ``findall``, plain strings, in one
+loop over an explicit stack of frames, one per open ``~``, ``(`` and
+binary operator (operator-precedence parsing: Floyd, JACM 10, 1963;
+Pratt, POPL 1973), and leaves on the root connective the ``atoms`` it
+read, the sorted variable names and the literals in text order, so
+``check_valid``, ``evaluate`` and ``variables`` need not walk the tree
+for them.
 It refuses, at the token that goes deeper, a tree more than
 ``MAX_DEPTH`` (100) levels high (each ``~`` and binary connective above
 an atom is one level) and parentheses nested deeper than that, and, at
@@ -239,9 +242,9 @@ def _require_literals(q: Interval, literals: Sequence) -> None:
 
 _KEYWORDS = {node.symbol: node for node in (TOP, BOTTOM)}
 _BINARY = {kind.symbol: kind for kind in (Imp, Or, And)}
-# the whitespace before a token, and the token; a token that is no
+# a token after any whitespace, the one group; a token that is no
 # operator, no run of decimal digits and not led by a letter or "_" is bad
-_TOKEN = re.compile(r"(\s*)(->|[|&~()]|\d+|\w+|\S)")
+_TOKEN = re.compile(r"\s*(->|[|&~()]|\d+|\w+|\S)")
 _PUNCTUATION = {*_BINARY, Not.symbol, "(", ")"}
 # parse builds a connective at the height and size it has checked: the
 # bare object, each slot then set through its descriptor
@@ -251,24 +254,47 @@ _set_left, _set_right = [_Binary.__dict__[slot].__set__ for slot in _Binary.__sl
 _set_height, _set_size, _set_atoms = [_Connective.__dict__[slot].__set__ for slot in _Connective.__slots__]
 
 
+def _fail(text: str, index: int, message: str):
+    """Raise the text's first bad token, if it has one, else ``message``,
+    its ``{}`` showing token ``index``, at that token; the end of input,
+    the index past the last token, is at ``len(text)``.  The offsets come
+    from ``_TOKEN.finditer``, which matches what ``parse`` read."""
+    found, position = "end of input", len(text)
+    for i, match in enumerate(_TOKEN.finditer(text)):
+        token, offset = match.group(1), match.start(1)
+        value = token
+        if token[0].isdecimal():
+            try:
+                value = int(token)
+            except ValueError:  # past the interpreter's limit on digits
+                raise FormulaSyntaxError(f"integer literal of {len(token)} digits is too long", offset) from None
+        elif not (token[0].isalpha() or token[0] == "_" or token in _PUNCTUATION):
+            # any other character, or a \w run led by a digit int() refuses, as ² or ½
+            raise FormulaSyntaxError(f"unexpected character {token[0]!r}", offset)
+        if i == index:
+            found, position = repr(value), offset
+    raise FormulaSyntaxError(message.format(found), position)
+
+
 def parse(text: str) -> Formula:
     """Parse formula text; FormulaSyntaxError reports the bad offset.
 
-    One ``_TOKEN.findall`` pass reads the tokens, each with the
-    whitespace before it, and one loop consumes them, a token classified
-    where it is read and one ``Var`` built per name.  Each ``~``, ``(``
-    and binary operator pushes a frame ``(kind | Not | "(", left, at,
-    level, depth)``: its connective, its left operand, its token's index
-    and the ``level`` and ``depth`` of the formula it stands in.  An
-    operand that no operator at the current ``level`` takes completes
-    the frame on top: popping it builds that node, or closes that
-    parenthesis, and restores its ``level`` and ``depth``.  The root
-    connective gets ``atoms``, the sorted names and the literals read,
-    so ``check_valid`` need not walk the tree for them.  A failure walks
-    the same token list for the offset, so that a bad token anywhere
+    One ``_TOKEN.findall`` pass reads the tokens as plain strings, its
+    one group dropping the whitespace before each, and one loop consumes
+    them, a token classified where it is read and one ``Var`` built per
+    name.  Each ``~``, ``(`` and binary operator pushes a frame ``(kind
+    | Not | "(", left, at, level, depth)``: its connective, its left
+    operand, its token's index and the ``level`` and ``depth`` of the
+    formula it stands in.  An operand that no operator at the current
+    ``level`` takes completes the frame on top: popping it builds that
+    node, or closes that parenthesis, and restores its ``level`` and
+    ``depth``.  The root connective gets ``atoms``, the sorted names and
+    the literals read, so ``check_valid`` need not walk the tree for
+    them.  A failure calls ``_fail``, which reads the text again with
+    ``_TOKEN.finditer`` for the offsets, so that a bad token anywhere
     wins; nothing is cached between calls."""
     tokens = _TOKEN.findall(text)
-    tokens.append(("", ""))  # the end
+    tokens.append("")  # the end
     names = dict(_KEYWORDS)  # name -> its node, a Var built once
     literals = []
     stack = []  # the open frames, innermost last
@@ -276,48 +302,21 @@ def parse(text: str) -> Formula:
     # the depth below the root of the formula being read
     pos = parens = level = depth = 0
 
-    def fail(index: int, message: str):
-        """Raise the text's first bad token, if it has one, else
-        ``message``, its ``{}`` showing token ``index``, at that token;
-        the end of input is at ``len(text)``."""
-        offset = 0
-        for i, (space, token) in enumerate(tokens):
-            offset += len(space)
-            value = token
-            if token[:1].isdecimal():
-                try:
-                    value = int(token)
-                except ValueError:  # past the interpreter's limit on digits
-                    raise FormulaSyntaxError(f"integer literal of {len(token)} digits is too long", offset) from None
-            elif token and not (token[0].isalpha() or token[0] == "_" or token in _PUNCTUATION):
-                # any other character, or a \w run led by a digit int() refuses, as ² or ½
-                raise FormulaSyntaxError(f"unexpected character {token[0]!r}", offset)
-            if i == index:
-                found, position = (repr(value), offset) if token else ("end of input", len(text))
-            offset += len(token)
-        raise FormulaSyntaxError(message.format(found), position)
-
-    def nest(index: int):
-        fail(index, f"formula nests deeper than {MAX_DEPTH} levels")
-
-    def grow(index: int):
-        fail(index, f"formula has more than {MAX_NODES} nodes")
-
     while True:
         # an operand: a frame for each "~" and "(" before its atom
-        token = tokens[pos][1]
+        token = tokens[pos]
         pos += 1
         node = names.get(token)  # T, F or a name read before
         if node is None:
             if token == "~":
                 if depth >= MAX_DEPTH:
-                    nest(pos - 1)
+                    _fail(text, pos - 1, f"formula nests deeper than {MAX_DEPTH} levels")
                 stack.append((Not, None, pos - 1, level, depth))
                 level, depth = Not.level, depth + 1
                 continue
             if token == "(":
                 if parens >= MAX_DEPTH:
-                    nest(pos - 1)
+                    _fail(text, pos - 1, f"formula nests deeper than {MAX_DEPTH} levels")
                 parens += 1
                 stack.append(("(", None, pos - 1, level, depth))
                 level = 0
@@ -328,14 +327,14 @@ def parse(text: str) -> Formula:
                 try:
                     node = Lit(int(token))
                 except ValueError:  # an operator or the end where a formula belongs, or a bad token
-                    fail(pos - 1, "expected a formula, found {}")
+                    _fail(text, pos - 1, "expected a formula, found {}")
                 literals.append(node.value)
         # the frames that the operand completes, up to an operator that takes it
-        op = _BINARY.get(tokens[pos][1])
+        op = _BINARY.get(tokens[pos])
         while not (op and op.level >= level):
             if not stack:
-                if tokens[pos][1]:
-                    fail(pos, "unexpected trailing input {}")
+                if tokens[pos]:
+                    _fail(text, pos, "unexpected trailing input {}")
                 if isinstance(node, _Connective):
                     del names[TOP.symbol], names[BOTTOM.symbol]
                     _set_atoms(node, (tuple(sorted(names)), tuple(literals)))
@@ -346,10 +345,10 @@ def parse(text: str) -> Formula:
                 # checked before building, so a tree past a bound is a
                 # FormulaSyntaxError at this operator, never a NestingLimit
                 if depth + height >= MAX_DEPTH:
-                    nest(at)
+                    _fail(text, at, f"formula nests deeper than {MAX_DEPTH} levels")
                 size = left.size + node.size + 1
                 if size > MAX_NODES:
-                    grow(at)
+                    _fail(text, at, f"formula has more than {MAX_NODES} nodes")
                 right, node = node, _new(kind)
                 _set_left(node, left)
                 _set_right(node, right)
@@ -358,21 +357,21 @@ def parse(text: str) -> Formula:
             elif kind is Not:
                 size = node.size + 1
                 if size > MAX_NODES:
-                    grow(at)
+                    _fail(text, at, f"formula has more than {MAX_NODES} nodes")
                 child, node = node, _new(Not)
                 _set_child(node, child)
                 _set_height(node, child.height + 1)
                 _set_size(node, size)
             else:  # "(": the operand is the parenthesized formula
-                if tokens[pos][1] != ")":
-                    fail(pos, "expected ')'")
+                if tokens[pos] != ")":
+                    _fail(text, pos, "expected ')'")
                 pos += 1
                 parens -= 1
-                op = _BINARY.get(tokens[pos][1])
+                op = _BINARY.get(tokens[pos])
         # a binary operator: its right operand comes next, one level down
         at, pos = pos, pos + 1
         if depth >= MAX_DEPTH:
-            nest(at)
+            _fail(text, at, f"formula nests deeper than {MAX_DEPTH} levels")
         stack.append((op, node, at, level, depth))
         level, depth = op.level if op.right_assoc else op.level + 1, depth + 1
 
@@ -613,16 +612,23 @@ def _refute(q: Interval, chains: _Chains, formula: Formula, names: list[str], li
     """The first block of ``_member_slices`` that refutes ``formula`` over
     ``q``'s members, in the order of ``product(members, repeat=k)``, as
     ``(combo, first, t, value, width)`` for ``_first_refuted``, else
-    None: one walk per block.  ``chains`` is ``q``'s per-prime layer."""
+    None: one walk per block, and one walk with no loop around it when
+    the slices are one block with no leading variable.  ``chains`` is
+    ``q``'s per-prime layer."""
     if not chains.largest:  # one member, the top, which a variable still takes from the listing
         if names:
             q.members(cap)
         return None
     k = len(names)
     leading, width, walk, blocks, top, ones = chains.slices.get(k) or _member_slices(q, chains, k, cap)
-    env, trailing = {}, names[leading:]
+    env = {}
     for value in literals:
         env[value] = _constant(chains.exponents_of(value), chains, width)
+    if not leading and len(blocks) == 1:  # every assignment in one block: one walk
+        env.update(zip(names, blocks[0]))
+        value = walk(formula, env)
+        return None if value >> top == ones else ((), 0, k, value, width)
+    trailing = names[leading:]
     for combo in itertools.product(range(q.size()), repeat=leading) if leading else [()]:
         for name, i in zip(names, combo):
             env[name] = _constant([column[i] for column in chains.exponents], chains, width)
@@ -706,7 +712,14 @@ def check_valid(
     interval itself, whose first refuting block names the first
     counterexample at the lowest bit where some segment's top lane is
     clear, and the lanes there its value.  Neither pass calls the
-    interval's kernel.
+    interval's kernel.  The chain pass is skipped when the interval
+    already keeps the member walk's slices for ``k`` (a reused
+    interval), those slices are one block with no leading variable, and
+    a whole value, ``G`` lanes, fits in ``_BLOCK_BITS`` bits: that one
+    walk then decides validity and names the first counterexample.  A
+    fresh interval walks the chain first, so a valid verdict there lists
+    no member, and so does a wide or many-block one, whose own walk can
+    cost far more than the chain's.
     """
     if type(cap) is not int or cap < 1:
         as_natural(cap)
@@ -719,8 +732,13 @@ def check_valid(
             raise SearchLimit(message)
     _require_literals(q, literals)
     chains = q._layer()
-    if k and not literals:  # valid in C_n is valid in the interval
-        last = min(chains.largest, k + 1)  # n - 1, the top
+    slices = chains.slices.get(k)
+    # kept slices of one block, no leading variable and a value of G lanes
+    # within _BLOCK_BITS bits: the interval's own walk decides alone
+    one_walk = (slices and not slices[0] and len(slices[3]) == 1
+                and chains.largest * slices[5].bit_length() <= _BLOCK_BITS)
+    if k and not literals and not one_walk:
+        last = min(chains.largest, k + 1)  # n - 1, the top; valid in C_n is valid in the interval
         if not last or _refute(*_chain(k, last + 1), formula, names, (), cap) is None:
             return None
     found = _refute(q, chains, formula, names, literals, cap)

@@ -1342,6 +1342,99 @@ def test_valid_verdicts_call_no_kernel_and_list_no_member(monkeypatch):
     assert sum(map(sum, valid.values())) == 1_684 and len(valid) * len(SMALL_INTERVALS) == 1_820
 
 
+# -- one walk on a reused interval ---------------------------------------------
+
+
+def _warm(q, k):
+    """``q`` with its members listed and the member walk's slices for
+    ``k`` variables built, as a search of ``k`` variables with a literal
+    leaves them: ``v0 | ... | T | <bottom>`` is valid everywhere."""
+    assert check_valid(q, parse(" | ".join([*(f"v{i}" for i in range(k)), "T", str(q.bottom)]))) is None
+    return q
+
+
+def _counting_walks(patch):
+    """Patch ``_refute`` to record the interval of each walk; returns the
+    record."""
+    walked = []
+    patch.setattr("divlog.formulas._refute", lambda q, *rest: walked.append(q) or _refute(q, *rest))
+    return walked
+
+
+@pytest.mark.parametrize("block_bits", [None, 8, 64])
+def test_one_walk_on_reused_intervals_matches_the_reference_up_to_60(block_bits):
+    """Every formula of the member walk and literal-free corpora, on every
+    interval with top <= 60 whose slices for the formula's own ``k`` are
+    built first, at ``cap=3000``: result, or error class and message, as
+    the reference's.  ``one_walk`` counts the literal-free verdicts that
+    the interval's own walk decided alone, one block with no leading
+    variable and a value within ``_BLOCK_BITS`` bits."""
+    one_walk = 0
+    with pytest.MonkeyPatch.context() as patch:
+        if block_bits:
+            patch.setattr("divlog.formulas._BLOCK_BITS", block_bits)
+        walked = _counting_walks(patch)
+        _chain.cache_clear()  # the chain pass's slices are built for one width
+        try:
+            for text in dict.fromkeys([*MEMBER_WALK_FORMULAS, *LITERAL_FREE]):
+                f = parse(text)
+                names, literals = _atoms(f)
+                for bounds, expected in zip(BOUNDS_UP_TO_60, _reference_outcomes(text)):
+                    q = _warm(Interval(*bounds), len(names))
+                    walked.clear()
+                    assert outcome(check_valid, q, f, 3000) == expected, (text, q)
+                    one_walk += not literals and len(walked) == 1 and walked[0] is q
+        finally:
+            _chain.cache_clear()
+    assert one_walk == {None: 2_603, 8: 1_440, 64: 2_042}[block_bits]  # of 13 * 261 = 3,393
+
+
+def test_which_walks_a_literal_free_verdict_takes(monkeypatch):
+    """``_refute`` calls counted, no timing: a warm interval whose member
+    walk is one block with no leading variable, a whole value within
+    ``_BLOCK_BITS`` bits, decides a literal-free formula in that one
+    walk; a fresh interval, a wide one and one of several blocks or
+    rounds walk the chain first, and a valid verdict stops there."""
+    walked = _counting_walks(monkeypatch)
+
+    def walks(q, text):
+        """The walks of one verdict, True for the interval's own and
+        False for the chain's; the verdict is the reference's."""
+        walked.clear()
+        assert check_valid(q, parse(text)) == reference_check_valid(Interval(q.bottom, q.top), parse(text))
+        return [w is q for w in walked]
+
+    def shape(q, k):
+        """``(leading, blocks, a value's bits)`` of ``q``'s slices for ``k``."""
+        leading, _, _, blocks, _, ones = q._chains.slices[k]
+        return leading, len(blocks), q._chains.largest * ones.bit_length()
+
+    narrow = Interval(1, 12)  # 6 members, two primes, G = 2
+    assert walks(narrow, "p -> q") == [False, True]  # fresh
+    assert shape(narrow, 2) == (0, 1, 144)
+    assert walks(narrow, "p -> q") == [True] and walks(narrow, "(p -> q) | (q -> p)") == [True]
+
+    wide = Interval(1, 720)  # 30 members, three primes, G = 4: 4 lanes of 3 * 900 bits
+    assert walks(wide, "p -> q") == [False, True]
+    assert shape(wide, 2) == (0, 1, 10_800)
+    assert walks(wide, "p -> q") == [False, True] and walks(wide, "(p -> q) | (q -> p)") == [False]
+
+    rounds = Interval(1, 1441440)  # 288 members: p leads, one block of q per round
+    assert walks(rounds, "p -> q") == [False, True]
+    assert shape(rounds, 2)[:2] == (1, 1)
+    assert walks(rounds, "p -> q") == [False, True]
+
+    monkeypatch.setattr("divlog.formulas._BLOCK_BITS", 8)
+    _chain.cache_clear()  # the chain pass's slices are built for one width
+    try:
+        blocks = Interval(1, 36)  # 9 members, two primes: 4 a block
+        assert walks(blocks, "p | ~p") == [False, True]
+        assert shape(blocks, 1) == (0, 3, 16)
+        assert walks(blocks, "p | ~p") == [False, True]
+    finally:
+        _chain.cache_clear()
+
+
 # too many members for a search of two variables, and gaps up to
 # 40, within the factorization ceiling of 2**63 - 1 for top / bottom
 HUGE_GAPS = [
