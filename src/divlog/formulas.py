@@ -77,7 +77,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 from .errors import FormulaSyntaxError, NestingLimit, NotMember, SearchLimit, UnboundVariable, Value, shown
 from .factorization import as_natural
-from .intervals import Interval, _Chains
+from .intervals import Interval
 
 DEFAULT_SEARCH_CAP = 1_000_000
 MAX_DEPTH = 100
@@ -508,15 +508,15 @@ def _walker(width: int, n: int) -> Callable[[Formula, dict], int]:
 
 
 @functools.lru_cache(maxsize=32)
-def _chain(k: int, n: int) -> tuple[Interval, _Chains]:
-    """``C_n``, ``n >= 2``, as the interval ``[1, 2^(n-1)]`` and its
-    layer, for the member walk of ``k`` variables: the layer's one
-    exponent column is set here, so the walk lists no member, and one
-    entry per ``(k, n)`` keeps at most 32 sets of slices."""
+def _chain(k: int, n: int) -> Interval:
+    """``C_n``, ``n >= 2``, as the interval ``[1, 2^(n-1)]``, for the
+    member walk of ``k`` variables: its one exponent column is set here,
+    so the walk lists no member, and one entry per ``(k, n)`` keeps at
+    most 32 sets of slices."""
     chain = Interval(1, 1 << n - 1)
-    chains = chain._layer()
-    chains.exponents = (bytes(range(n)),)
-    return chain, chains
+    chain._walk_slices()
+    object.__setattr__(chain, "_columns", (bytes(range(n)),))
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +537,10 @@ def _in_every_lane(bits: int, lane: int, lanes: int) -> int:
     return bits
 
 
-def _member_slices(q: Interval, chains: _Chains, k: int, cap: int) -> tuple:
+def _member_slices(q: Interval, k: int, cap: int) -> tuple:
     """``(leading, width, walk, blocks, top, ones)``, all that the member
-    walk of ``k`` variables over ``q`` needs, built and kept in
-    ``chains.slices``, ``chains`` being ``q``'s per-prime layer.
+    walk of ``k`` variables over ``q`` needs, built and kept in ``q``'s
+    ``_slices``.
 
     Prime ``s``'s chain ``C_(g_s + 1)`` embeds in ``C_(G + 1)``, ``G``
     the largest gap, by ``v -> v`` below ``g_s`` and ``g_s -> G``, which
@@ -557,15 +557,13 @@ def _member_slices(q: Interval, chains: _Chains, k: int, cap: int) -> tuple:
     member before it does.  The ``leading = k - t`` others take one
     member per round of the blocks.  A block refutes the formula where
     its value's top lane, ``value >> top``, is not ``ones``."""
-    size, gaps, last = q.size(), list(chains.gaps.values()), chains.largest
+    size, gaps, last = q.size(), list(q._gaps.values()), q._largest
     t, width = 0, 1
     while t < k and len(gaps) * width * size <= _BLOCK_BITS:
         t, width = t + 1, width * size
     if k and not t:  # the last variable's members, a block at a time
         t, width = 1, max(_BLOCK_BITS // len(gaps), 1)
-    if t and chains.exponents is None:
-        q.members(cap)  # lists the members and their offsets
-        chains.exponents = q._exponents()
+    columns = q._exponents(cap) if t else ()
     lane, count = len(gaps) * width, size**t  # count: the trailing tuples
     # per trailing variable and prime, the digit of every tuple, the last
     # block padded with the last tuple's: each member's step times, the
@@ -573,12 +571,12 @@ def _member_slices(q: Interval, chains: _Chains, k: int, cap: int) -> tuple:
     runs = []
     for step in [size**e for e in reversed(range(t))]:
         periods = [b"".join([column[i : i + 1] * step for i in range(size)]) if step > 1 else column
-                   for column in chains.exponents]
+                   for column in columns]
         runs.append([period * (count // len(period)) + period[-1:] * (-count % width) for period in periods])
     blocks = [[_read_lanes([digits[start : start + width][::-1] for digits in run], gaps, lane, last)
                for run in runs] for start in range(0, count, width)]
-    chains.slices[k] = (k - t, width, _walker(lane, last + 1), blocks, (last - 1) * lane, (1 << lane) - 1)
-    return chains.slices[k]
+    q._slices[k] = (k - t, width, _walker(lane, last + 1), blocks, (last - 1) * lane, (1 << lane) - 1)
+    return q._slices[k]
 
 
 def _read_lanes(digits: list[bytes], gaps: list[int], lane: int, last: int) -> int:
@@ -595,35 +593,34 @@ def _read_lanes(digits: list[bytes], gaps: list[int], lane: int, last: int) -> i
     return value & (1 << last * lane) - 1
 
 
-def _constant(vector: Sequence[int], chains: _Chains, width: int) -> int:
+def _constant(vector: Sequence[int], q: Interval, width: int) -> int:
     """The value that is the member with exponents ``vector`` at every
     place: prime ``s``'s segment set in the lanes below its embedded
     exponent, each lane ``primes * width`` bits wide."""
-    last, lane, value = chains.largest, len(vector) * width, 0
-    for s, (e, gap) in enumerate(zip(vector, chains.gaps.values())):
+    last, lane, value = q._largest, len(vector) * width, 0
+    for s, (e, gap) in enumerate(zip(vector, q._gaps.values())):
         v = last if e == gap else e
         if v:
             value |= _in_every_lane(((1 << width) - 1) << s * width, lane, v) & (1 << v * lane) - 1
     return value
 
 
-def _refute(q: Interval, chains: _Chains, formula: Formula, names: list[str], literals: Sequence,
-            cap: int) -> tuple | None:
+def _refute(q: Interval, formula: Formula, names: list[str], literals: Sequence, cap: int) -> tuple | None:
     """The first block of ``_member_slices`` that refutes ``formula`` over
     ``q``'s members, in the order of ``product(members, repeat=k)``, as
     ``(combo, first, t, value, width)`` for ``_first_refuted``, else
     None: one walk per block, and one walk with no loop around it when
-    the slices are one block with no leading variable.  ``chains`` is
-    ``q``'s per-prime layer."""
-    if not chains.largest:  # one member, the top, which a variable still takes from the listing
+    the slices are one block with no leading variable.  The walk's slots
+    of ``q`` are set (``Interval._walk_slices``)."""
+    if not q._largest:  # one member, the top, which a variable still takes from the listing
         if names:
             q.members(cap)
         return None
     k = len(names)
-    leading, width, walk, blocks, top, ones = chains.slices.get(k) or _member_slices(q, chains, k, cap)
+    leading, width, walk, blocks, top, ones = q._slices.get(k) or _member_slices(q, k, cap)
     env = {}
     for value in literals:
-        env[value] = _constant(chains.exponents_of(value), chains, width)
+        env[value] = _constant(q._exponents_of(value), q, width)
     if not leading and len(blocks) == 1:  # every assignment in one block: one walk
         env.update(zip(names, blocks[0]))
         value = walk(formula, env)
@@ -631,7 +628,7 @@ def _refute(q: Interval, chains: _Chains, formula: Formula, names: list[str], li
     trailing = names[leading:]
     for combo in itertools.product(range(q.size()), repeat=leading) if leading else [()]:
         for name, i in zip(names, combo):
-            env[name] = _constant([column[i] for column in chains.exponents], chains, width)
+            env[name] = _constant([column[i] for column in q._columns], q, width)
         for block, values in enumerate(blocks):
             env.update(zip(trailing, values))
             value = walk(formula, env)
@@ -640,17 +637,17 @@ def _refute(q: Interval, chains: _Chains, formula: Formula, names: list[str], li
     return None
 
 
-def _first_refuted(q: Interval, chains: _Chains, names: list[str], combo: tuple, first: int, t: int, value: int,
+def _first_refuted(q: Interval, names: list[str], combo: tuple, first: int, t: int, value: int,
                    width: int) -> Counterexample:
     """The counterexample at the lowest bit where ``value``, the block's,
     has its top lane clear in any prime's segment: bit ``i`` of the block
     is tuple ``first + i`` of the ``t`` trailing variables, and the
     leading ones take the members at ``combo``.  At that bit each prime's
     lanes, set from lane 0 up, give the value's exponent, embedded."""
-    last, lane = chains.largest, len(chains.gaps) * width
+    last, lane = q._largest, len(q._gaps) * width
     clear = value >> (last - 1) * lane ^ (1 << lane) - 1
     refuted = 0
-    for s in range(len(chains.gaps)):
+    for s in range(len(q._gaps)):
         refuted |= clear >> s * width
     bit = (refuted & -refuted).bit_length() - 1  # each clear bit shows up lowest at its place
     indices, place = [], first + bit
@@ -658,7 +655,7 @@ def _first_refuted(q: Interval, chains: _Chains, names: list[str], combo: tuple,
         place, i = divmod(place, q.size())
         indices.append(i)
     result, ones = q.bottom, _in_every_lane(1, lane, last)  # ones: bit 0 of each lane
-    for s, (prime, gap) in enumerate(chains.gaps.items()):
+    for s, (prime, gap) in enumerate(q._gaps.items()):
         v = (value >> s * width + bit & ones).bit_count()
         result *= prime ** (gap if v == last else v)
     members = q._members
@@ -731,15 +728,14 @@ def check_valid(
             message = f"{size}**{k} assignments over {k} variables exceed the cap {shown(cap)}"
             raise SearchLimit(message)
     _require_literals(q, literals)
-    chains = q._layer()
-    slices = chains.slices.get(k)
+    slices = q._walk_slices().get(k)
     # kept slices of one block, no leading variable and a value of G lanes
     # within _BLOCK_BITS bits: the interval's own walk decides alone
     one_walk = (slices and not slices[0] and len(slices[3]) == 1
-                and chains.largest * slices[5].bit_length() <= _BLOCK_BITS)
+                and q._largest * slices[5].bit_length() <= _BLOCK_BITS)
     if k and not literals and not one_walk:
-        last = min(chains.largest, k + 1)  # n - 1, the top; valid in C_n is valid in the interval
-        if not last or _refute(*_chain(k, last + 1), formula, names, (), cap) is None:
+        last = min(q._largest, k + 1)  # n - 1, the top; valid in C_n is valid in the interval
+        if not last or _refute(_chain(k, last + 1), formula, names, (), cap) is None:
             return None
-    found = _refute(q, chains, formula, names, literals, cap)
-    return found and _first_refuted(q, chains, names, *found)
+    found = _refute(q, formula, names, literals, cap)
+    return found and _first_refuted(q, names, *found)

@@ -17,13 +17,13 @@ the largest gap, the Gödel chain on which
 is an immutable ``errors.Value`` of its two bounds; the gaps, the size
 and the members listed by the first ``members`` call within the cap
 sit in slots beside them, with each member's offset in the product of
-the primes' powers.  So does ``_chains``, the per-prime layer that
-reads the interval as a product of chains, built on first use: the
-gaps again, the largest of them, each member's exponent per prime,
-read off the offsets, and what ``check_valid``'s member walk keeps per
-variable count.  Membership tests start with the exact-int guard
-``type(a) is int and a >= 1`` and fall back to ``as_natural`` only
-when it fails, so ``as_natural`` decides every NotNatural.
+the primes' powers.  So does what ``check_valid``'s member walk reads
+of the interval as a product of chains, one per prime, which its
+first verdict sets: the largest gap, each member's exponent per prime,
+read off the offsets, and the walk's lanes per variable count.
+Membership tests start with the exact-int guard ``type(a) is int and
+a >= 1`` and fall back to ``as_natural`` only when it fails, so
+``as_natural`` decides every NotNatural.
 The brute-force counterpart lives in ``divlog.oracle``.
 """
 
@@ -51,7 +51,7 @@ class Interval(Value):
     attribute raises AttributeError.
     """
 
-    __slots__ = ("bottom", "top", "_gaps", "_size", "_members", "_offsets", "_chains")
+    __slots__ = ("bottom", "top", "_gaps", "_size", "_members", "_offsets", "_largest", "_columns", "_slices")
     _fields = ("bottom", "top")
     bottom: int
     top: int
@@ -73,7 +73,7 @@ class Interval(Value):
         # the element count: the product over primes of (gap + 1)
         object.__setattr__(self, "_size", math.prod(gap + 1 for gap in gaps.values()))
         # every member ascending, listed by the first members() call,
-        # which sets _offsets too; _chains is set by the first _layer()
+        # which sets _offsets too; the walk's slots are set by its first verdict
         object.__setattr__(self, "_members", None)
 
     # -- membership and enumeration ------------------------------------
@@ -113,16 +113,47 @@ class Interval(Value):
             object.__setattr__(self, "_members", tuple([ms[i] for i in offsets]))
         return list(self._members)
 
-    def _exponents(self) -> tuple[bytes, ...]:
+    # -- the member walk's state ----------------------------------------
+
+    def _walk_slices(self) -> dict:
+        """What ``formulas.check_valid``'s member walk keeps per variable
+        count.  The first call, a verdict's, sets this empty dict and
+        ``_largest``, the largest gap (0 for one member)."""
+        try:
+            return self._slices
+        except AttributeError:  # the slots are unset until then
+            object.__setattr__(self, "_largest", max(self._gaps.values(), default=0))
+            object.__setattr__(self, "_slices", {})
+            return self._slices
+
+    def _exponents(self, cap: int) -> tuple[bytes, ...]:
         """Per prime with a gap, each member's exponent over the bottom,
         one byte per member, ascending with the members: read off the
-        offsets of the listing, which must have run."""
-        ascending, stride, exponents = itemgetter(*self._offsets), 1, []
-        for gap in self._gaps.values():
-            column = b"".join([bytes([e]) * stride for e in range(gap + 1)])  # in the product's order
-            exponents.append(bytes(ascending(column * (self._size // len(column)))))
-            stride *= gap + 1
-        return tuple(exponents)
+        offsets of the listing, within ``cap``, on the first call and
+        kept in ``_columns``."""
+        try:
+            return self._columns
+        except AttributeError:  # the slot is unset until then
+            self.members(cap)  # lists the members and their offsets
+            ascending, stride, exponents = itemgetter(*self._offsets), 1, []
+            for gap in self._gaps.values():
+                column = b"".join([bytes([e]) * stride for e in range(gap + 1)])  # in the product's order
+                exponents.append(bytes(ascending(column * (self._size // len(column)))))
+                stride *= gap + 1
+            object.__setattr__(self, "_columns", tuple(exponents))
+            return self._columns
+
+    def _exponents_of(self, a: int) -> list[int]:
+        """Each prime's exponent over the bottom in ``a``, a member."""
+        a //= self.bottom
+        vector = []
+        for prime in self._gaps:
+            e = 0
+            while a % prime == 0:
+                a //= prime
+                e += 1
+            vector.append(e)
+        return vector
 
     # -- Heyting operations ---------------------------------------------
 
@@ -178,14 +209,6 @@ class Interval(Value):
             g = math.gcd(r, g * g)
         return math.lcm(b, r)
 
-    def _layer(self) -> _Chains:
-        """The per-prime layer, ``_chains``, built on the first call."""
-        try:
-            return self._chains
-        except AttributeError:  # the slot is unset until then
-            object.__setattr__(self, "_chains", _Chains(self.bottom, self._gaps))
-            return self._chains
-
     def _require_member(self, a) -> int:
         if type(a) is not int or a < 1:
             a = as_natural(a)
@@ -195,35 +218,3 @@ class Interval(Value):
 
     def __str__(self) -> str:
         return f"[{shown(self.bottom)}, {shown(self.top)}]"
-
-
-class _Chains:
-    """An interval ``[y, x]`` as the product of the chains ``C_(gap + 1)``,
-    one per prime of ``x / y``: the per-prime layer under ``Interval``.
-    ``gaps`` maps those primes, ascending, to their gaps, and
-    ``largest`` is the largest gap, 0 for a one-member interval.
-    ``exponents`` holds, per prime, each member's exponent over ``y``,
-    one byte per member in ascending order, None until the member walk
-    reads them off the listing (``Interval._exponents``).  ``slices``
-    maps a variable count to what the member walk of
-    ``divlog.formulas.check_valid`` keeps for it, which the walk fills."""
-
-    __slots__ = ("bottom", "gaps", "largest", "exponents", "slices")
-
-    def __init__(self, bottom: int, gaps: dict[int, int]):
-        self.bottom, self.gaps = bottom, gaps
-        self.largest = max(gaps.values()) if gaps else 0
-        self.exponents = None
-        self.slices = {}
-
-    def exponents_of(self, a: int) -> list[int]:
-        """Each prime's exponent over the bottom in ``a``, a member."""
-        a //= self.bottom
-        vector = []
-        for prime in self.gaps:
-            e = 0
-            while a % prime == 0:
-                a //= prime
-                e += 1
-            vector.append(e)
-        return vector

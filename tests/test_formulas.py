@@ -27,6 +27,7 @@ from divlog import (
     Lit,
     NestingLimit,
     Not,
+    NotBoolean,
     NotMember,
     NotNatural,
     Or,
@@ -1132,7 +1133,7 @@ def test_the_member_walk_matches_the_reference_on_every_interval_up_to_60(block_
                     assert got == expected, (text, fresh)
                     assert outcome(check_valid, _reused(Interval(*bounds)), f, 3000) == expected, (text, fresh)
                     if isinstance(got, Counterexample):
-                        leading = fresh._chains.slices[k][0]
+                        leading = fresh._slices[k][0]
                         past_block_0 += any(v != fresh.bottom for _, v in got.assignment[:leading])
         finally:
             _chain.cache_clear()
@@ -1406,8 +1407,8 @@ def test_which_walks_a_literal_free_verdict_takes(monkeypatch):
 
     def shape(q, k):
         """``(leading, blocks, a value's bits)`` of ``q``'s slices for ``k``."""
-        leading, _, _, blocks, _, ones = q._chains.slices[k]
-        return leading, len(blocks), q._chains.largest * ones.bit_length()
+        leading, _, _, blocks, _, ones = q._slices[k]
+        return leading, len(blocks), q._largest * ones.bit_length()
 
     narrow = Interval(1, 12)  # 6 members, two primes, G = 2
     assert walks(narrow, "p -> q") == [False, True]  # fresh
@@ -1433,6 +1434,31 @@ def test_which_walks_a_literal_free_verdict_takes(monkeypatch):
         assert walks(blocks, "p | ~p") == [False, True]
     finally:
         _chain.cache_clear()
+
+
+def test_only_a_verdict_sets_the_walk_state_and_only_on_its_own_interval():
+    """The member walk's state, the largest gap, the exponent columns and
+    the slices, sits in slots of the interval it walks, unset until its
+    first verdict: no other operation, no equal interval and no pickled
+    copy holds any of it, and the verdicts on all three agree."""
+
+    def walk_state(q):
+        return [slot for slot in ("_largest", "_columns", "_slices") if hasattr(q, slot)]
+
+    q, f = Interval(1, 1441440), parse("p -> q")
+    q.members(), q.neg(6), q.imp(4, 6)
+    with pytest.raises(NotBoolean):
+        q.complement(2)
+    assert evaluate(q, f, {"p": 2, "q": 1}) == 45045
+    twin = Interval(1, 1441440)
+    assert q == twin and hash(q) == hash(twin)
+    assert walk_state(q) == walk_state(pickle.loads(pickle.dumps(q))) == walk_state(twin) == []
+    verdict = check_valid(q, f)
+    assert verdict == Counterexample((("p", 2), ("q", 1)), 45045)
+    assert walk_state(q) == ["_largest", "_columns", "_slices"] and list(q._slices) == [2]
+    copied = pickle.loads(pickle.dumps(q))
+    assert walk_state(twin) == walk_state(copied) == []
+    assert check_valid(twin, f) == check_valid(copied, f) == check_valid(q, f) == verdict
 
 
 # too many members for a search of two variables, and gaps up to
@@ -1488,7 +1514,7 @@ def holds_on_chain(f, names, n, block_bits=None):
             patch.setattr("divlog.formulas._BLOCK_BITS", block_bits)
         _chain.cache_clear()  # the slices are built for one width
         try:
-            return _refute(*_chain(len(names), n), f, names, (), DEFAULT_SEARCH_CAP) is None
+            return _refute(_chain(len(names), n), f, names, (), DEFAULT_SEARCH_CAP) is None
         finally:
             _chain.cache_clear()
 
@@ -1559,7 +1585,7 @@ def test_the_chain_pass_keeps_its_bitsets_to_a_block():
     f = parse(" | ".join(f"({a} -> {b})" for a, b in zip(names, names[1:] + names[:1])))
     q = Interval(1, 2**7)  # C_8
     assert check_valid(q, f, cap=8**6) is None
-    leading, width, _, blocks = _chain(6, 8)[1].slices[6][:4]
+    leading, width, _, blocks = _chain(6, 8)._slices[6][:4]
     assert leading == 2 and width == 8**4 and len(blocks) == 1 and len(blocks[0]) == 4
     assert all(value.bit_length() <= 7 * 4096 for value in blocks[0])
     _chain.cache_clear()  # the slices' build is measured too
@@ -1585,10 +1611,9 @@ def test_the_member_walk_keeps_its_values_to_a_bound():
     for bounds in [(HUGE_GAPS[0].bottom, HUGE_GAPS[0].top), (1, 2**31 * 3**11 * 5**3 * 7**2)]:
         q = Interval(*bounds)
         q.members()
-        chains = q._layer()
-        value = chains.largest * 4096 // 8  # bytes
+        value = max(q._gaps.values()) * 4096 // 8  # bytes
         bound = (1 + 1 + f.height + 3) * value
-        for kept in [(math.ceil(q.size() / 1024) + 1) * value + len(chains.gaps) * q.size(), 0]:
+        for kept in [(math.ceil(q.size() / 1024) + 1) * value + len(q._gaps) * q.size(), 0]:
             tracemalloc.start()
             try:
                 assert check_valid(q, f, cap=q.size()) is None
@@ -1596,8 +1621,8 @@ def test_the_member_walk_keeps_its_values_to_a_bound():
             finally:
                 tracemalloc.stop()
             assert peak < kept + bound, (q, peak - kept, bound)
-        leading, width = chains.slices[1][:2]
-        assert leading == 0 and width == 1024 and len(chains.gaps) == 4
+        leading, width = q._slices[1][:2]
+        assert leading == 0 and width == 1024 and len(q._gaps) == 4
 
 
 # -- parser heights against the constructors ------------------------------------

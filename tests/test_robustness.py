@@ -14,6 +14,14 @@ design, and so does the search cap: at the default of 10**6
 assignments a full search is a long sweep too.  The default profile
 runs a small budget; ``--hypothesis-profile=fuzz`` (tests/conftest.py)
 a larger one.
+
+A second seeded test fuzzes ``check_valid`` through the public API: on
+drawn intervals of up to four primes and gaps up to 31, so that the
+member walk splits one variable's members into blocks, pads the last
+block and iterates leading variables, and on drawn formulas of 0-3
+variables with literals, a fresh interval, the same one reused and an
+equal fresh one give the same result or the same error class and
+message, each call within the same time and memory bounds.
 """
 
 from __future__ import annotations
@@ -29,11 +37,15 @@ import tracemalloc
 import pytest
 from hypothesis import HealthCheck, example, given, seed, settings, strategies as st
 
+from divlog import (
+    BOTTOM, TOP, And, Counterexample, DivlogError, Imp, Interval, Lit, Not, Or, Var, check_valid, evaluate, variables,
+)
 from divlog.cli import main
 from divlog.formulas import MAX_DEPTH
 
 _SECONDS = 5.0
 _PEAK_BYTES = 64 * 2**20
+_WALK_CAP = 20_000  # the assignments of a drawn interval and formula, at most
 
 _GAPS = [1, 2, 6, 12, 30, 360, 1441440, 963761198400]  # top / bottom of a drawn valid interval
 _SPECIAL = _GAPS + [2**62, 2**63 - 1, 2**63, 3037000493**2]
@@ -180,3 +192,87 @@ def test_every_call_ends_in_an_answer_or_a_named_error(argv, enum_cap, search_ca
         assert err == ""
     assert seconds < _SECONDS, (argv, seconds)
     assert peak < _PEAK_BYTES, (argv, peak)
+
+
+@st.composite
+def _walk_case(draw) -> tuple[tuple[int, int], object, int, list[dict]]:
+    """``(bounds, formula, cap, picks)``: a formula over 0-3 of ``p``,
+    ``q`` and ``r`` whose literals are mostly members; an interval of up
+    to four primes with gaps up to 31, ``top / bottom`` below 2**63 and
+    at most ``_WALK_CAP`` assignments to those variables; a search cap,
+    mostly ``_WALK_CAP``; and three assignments of members to the
+    variables.  Sizes near that bound make the member walk split one
+    variable's members into blocks or iterate leading variables."""
+    names = draw(st.sampled_from([[], ["p"], ["p", "q"], ["p", "q", "r"]]))
+    primes, gaps, quotient, size = [], [], 1, 1
+    # 0-4 primes, ascending: large gaps on small primes leave room below
+    # 2**63 for more primes, and the block split needs three or four
+    for prime in sorted(draw(st.permutations([2, 3, 5, 7]))[: draw(st.sampled_from(range(5)))]):
+        most = 0  # the largest gap within both bounds
+        while most < 31 and quotient * prime ** (most + 1) < 2**63 and (size * (most + 2)) ** len(names) <= _WALK_CAP:
+            most += 1
+        if most:
+            gaps.append(draw(st.sampled_from(range(1, most + 1))))
+            primes.append(prime)
+            quotient, size = quotient * prime ** gaps[-1], size * (gaps[-1] + 1)
+    bottom = draw(st.integers(1, 12))
+    member = st.tuples(*[st.integers(0, gap) for gap in gaps]).map(
+        lambda es: bottom * math.prod([p**e for p, e in zip(primes, es)]))
+    atom = st.sampled_from([TOP, BOTTOM, *map(Var, names)])
+    leaf = st.one_of(atom, member.map(Lit), st.integers(1, 40).map(Lit))
+    formula = draw(st.recursive(leaf, lambda sub: st.one_of(
+        sub.map(Not), *[st.builds(kind, sub, sub) for kind in (And, Or, Imp)]), max_leaves=8))
+    for name in names:  # every drawn variable occurs
+        if name not in variables(formula):
+            formula = draw(st.sampled_from([And, Or, Imp]))(*draw(st.permutations([formula, Var(name)])))
+    cap = draw(st.sampled_from([1, _WALK_CAP, _WALK_CAP, _WALK_CAP]))
+    picks = draw(st.lists(st.fixed_dictionaries({name: member for name in names}), min_size=3, max_size=3))
+    return (bottom, bottom * quotient), formula, cap, picks
+
+
+def _verdict(q, formula, cap):
+    """``check_valid(q, formula, cap)``, or the class and message of the
+    domain error it raised, within the time and memory bounds."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        try:
+            result = check_valid(q, formula, cap)
+        except DivlogError as error:
+            result = type(error), str(error)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < _SECONDS, (q, formula, seconds)
+    assert peak < _PEAK_BYTES, (q, formula, peak)
+    return result
+
+
+@seed(1)
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_walk_case())
+# 4,608 members over four primes, G = 31: five blocks of 1,024, the last padded
+@example(((1, 2**31 * 3**11 * 5**3 * 7**2), Imp(Var("p"), Or(Var("p"), Lit(2))), _WALK_CAP, [{"p": 2**31 * 7}]))
+@example(((1, 2**31 * 3**11 * 5**3 * 7**2), Imp(Var("p"), And(Var("p"), Lit(2**30 * 3**11 * 5**3 * 7**2))), _WALK_CAP,
+          [{"p": 2**30}, {"p": 2**31}]))
+# 24 members over two primes: one of three variables leads
+@example(((1, 2**5 * 3**3), Or(Imp(Var("p"), Var("q")), Imp(Var("q"), And(Lit(6), Var("r")))), _WALK_CAP,
+          [{"p": 2, "q": 27, "r": 1}, {"p": 4, "q": 2, "r": 1}]))
+def test_a_verdict_is_the_same_on_fresh_reused_and_equal_intervals(case):
+    """``check_valid`` on a fresh interval, again on the same one, whose
+    member walk is then kept, and on an equal fresh one: one outcome.  A
+    counterexample's value is what ``evaluate`` gives there, and each
+    drawn assignment that a valid verdict covers, or that comes before
+    the counterexample, evaluates to the top."""
+    bounds, formula, cap, picks = case
+    q = Interval(*bounds)
+    fresh = _verdict(q, formula, cap)
+    assert _verdict(q, formula, cap) == fresh == _verdict(Interval(*bounds), formula, cap), (bounds, formula)
+    if fresh is None or isinstance(fresh, Counterexample):
+        first = fresh and tuple(value for _, value in fresh.assignment)
+        for env in picks:  # names sorted, so the values are in the counterexample's order
+            if first is None or tuple(env[name] for name in sorted(env)) < first:
+                assert evaluate(q, formula, env) == q.top, (bounds, formula, env)
+        if first is not None:
+            assert fresh.value == evaluate(q, formula, dict(fresh.assignment)) != q.top
